@@ -34,7 +34,6 @@ from .dirac import (
     build_dirac_operator,
     column_wave,
     dirac_system,
-    eigendecompose,
     order_eigensystem,
 )
 from .frames import (
@@ -467,9 +466,9 @@ def _check_dirac_spectrum(ctx) -> float:
     worst = 0.0
     for _ in range(200):
         k = _random_momentum(ctx.rng, min_mass=0.05)
-        _, vals = eigendecompose(build_dirac_operator(k))
+        vals = np.linalg.eigvalsh(build_dirac_operator(k))
         want = np.array([-k.energy, -k.energy, k.energy, k.energy])
-        worst = max(worst, float(np.max(np.abs(np.sort(vals) - want))))
+        worst = max(worst, float(np.max(np.abs(vals - want))))
     return worst
 
 
@@ -616,8 +615,8 @@ def _check_custom_quadruple_generators(ctx) -> float:
         for img, pattern in zip(images, patterns):
             worst = max(worst, abs(complex(np.trace(img))))
             worst = max(worst, float(np.max(np.abs(img - img.conj().T))))
-            _, vals = eigendecompose(img @ img)
-            worst = max(worst, float(np.max(np.abs(np.sort(vals) - pattern))))
+            vals = np.linalg.eigvalsh(img @ img)
+            worst = max(worst, float(np.max(np.abs(vals - pattern))))
         for i in range(3):
             for j in range(3):
                 comm = images[i] @ images[j] - images[j] @ images[i]

@@ -134,10 +134,10 @@ def _cmd_planewave(args) -> int:
 def _cmd_eigen(args) -> int:
     try:
         k = _momentum_from_args(args.momentum)
+        system = order_eigensystem(dirac_system(k))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    system = order_eigensystem(dirac_system(k))
     print("operator:")
     print(matrix_text(system.a_bar))
     print()

@@ -9,7 +9,6 @@ annihilated by the mass-term derivative operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,64 +47,13 @@ def build_dirac_operator(k: MomentumVector) -> np.ndarray:
     return p1 * ALPHA[0] + p2 * ALPHA[1] + p3 * ALPHA[2] + k.mass * BETA
 
 
-def eigendecompose(a, sweep_cap: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues of a self-adjoint complex matrix by
-    cyclic Jacobi rotations.
-
-    Deterministic; converges when the off-diagonal Frobenius norm drops
-    below 1e-12 times the matrix norm.  Raises ValueError for a
-    non-self-adjoint input and ArithmeticError past the sweep cap.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.conj().T)) > 1e-10 * scale:
-        raise ValueError("matrix is not self-adjoint")
-    work = a.copy()
-    vecs = np.eye(n, dtype=complex)
-    target = 1e-12 * max(1.0, float(np.linalg.norm(a)))
-    # elements this small are below resolution; rotating on them risks
-    # overflow in the phase quotient
-    negligible = 1e-18 * max(1.0, float(np.linalg.norm(a)))
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(sweep_cap):
-        off = float(np.linalg.norm(work[off_mask]))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(work[p, q])
-                if r <= negligible:
-                    continue
-                phase = work[p, q] / r
-                # tan of the smaller rotation angle zeroing the element;
-                # for huge tau use the asymptotic root to avoid overflow
-                tau = float((work[q, q] - work[p, p]).real) / (2.0 * r)
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau
-                else:
-                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                work = rot.conj().T @ work @ rot
-                vecs = vecs @ rot
-    else:
-        raise ArithmeticError("eigensolver did not converge within the sweep cap")
-    return vecs, np.real(np.diag(work))
-
-
 def dirac_system(k: MomentumVector) -> DiracSystem:
-    """Unordered eigensystem of the momentum operator."""
+    """Eigensystem of the momentum operator from its closed-form
+    projectors, in the column order of :func:`_eigencolumns`, with
+    lam = E * diag(1, 1, -1, -1).  Raises ValueError at E = 0."""
     a_bar = build_dirac_operator(k)
-    vecs, vals = eigendecompose(a_bar)
-    return DiracSystem(k, a_bar, vecs, np.diag(vals.astype(complex)))
+    lam = np.diag([k.energy, k.energy, -k.energy, -k.energy]).astype(complex)
+    return DiracSystem(k, a_bar, _eigencolumns(k, a_bar), lam)
 
 
 def _spin_operator(k: MomentumVector) -> np.ndarray:
@@ -117,38 +65,44 @@ def _spin_operator(k: MomentumVector) -> np.ndarray:
     return unit[0] * SPIN_IMAGES[0] + unit[1] * SPIN_IMAGES[1] + unit[2] * SPIN_IMAGES[2]
 
 
-def order_eigensystem(system: DiracSystem) -> DiracSystem:
-    """Columns reordered to (+E spin-up, +E spin-down, -E spin-down,
-    -E spin-up), each with its largest component made real positive.
+def _eigencolumns(k: MomentumVector, a_bar: np.ndarray) -> np.ndarray:
+    """Unit eigencolumns ordered (+E spin +1, +E spin -1, -E spin +1,
+    -E spin -1), each with its largest component made real positive.
 
-    Requires E > 0; the eigenvalue matrix of the result is exactly
-    E * diag(1, 1, -1, -1).
+    A^2 = E^2 and the spin operator S commutes with A, so
+    (1 + eps A/E)/2 (1 + sigma S)/2 projects onto one column; its
+    largest-norm column is taken.
+    """
+    energy = k.energy
+    if energy == 0.0:
+        raise ValueError("the momentum operator vanishes at E = 0")
+    energy_split = a_bar / energy
+    spin = _spin_operator(k)
+    psi = np.empty((4, 4), dtype=complex)
+    for j, (eps, sigma) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+        proj = (IDENTITY + eps * energy_split) @ (IDENTITY + sigma * spin) / 4.0
+        col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+        lead = col[int(np.argmax(np.abs(col)))]
+        col = col * (np.conj(lead) / abs(lead))
+        psi[:, j] = col / np.linalg.norm(col)
+    return psi
+
+
+def order_eigensystem(system: DiracSystem) -> DiracSystem:
+    """Columns ordered (+E spin-up, +E spin-down, -E spin-up,
+    -E spin-down), each with its largest component made real positive,
+    rebuilt from the closed form of :func:`dirac_system`.
+
+    Requires E > 0 and a doubled +-E spectrum; the eigenvalue matrix of
+    the result is exactly E * diag(1, 1, -1, -1).
     """
     energy = system.k.energy
     if energy <= 0:
         raise ValueError("ordering requires the positive-energy branch")
     vals = np.real(np.diag(system.lam))
-    pos = [i for i in range(len(vals)) if vals[i] > 0]
-    neg = [i for i in range(len(vals)) if vals[i] <= 0]
-    if len(pos) != 2 or len(neg) != 2:
+    if np.count_nonzero(vals > 0) != 2 or np.count_nonzero(vals <= 0) != 2:
         raise ArithmeticError("spectrum is not a doubled +-E pair")
-    spin = _spin_operator(system.k)
-    blocks = []
-    for group in (pos, neg):
-        basis = system.psi_bar[:, group]
-        rot, svals = eigendecompose(basis.conj().T @ spin @ basis)
-        # descending spin eigenvalue in both blocks; at p = 0 this makes
-        # the eigencolumn matrix exactly the identity
-        idx = np.argsort(svals)[::-1]
-        blocks.append(basis @ rot[:, idx])
-    psi = np.hstack(blocks)
-    for j in range(psi.shape[1]):
-        col = psi[:, j]
-        lead = col[int(np.argmax(np.abs(col)))]
-        col = col * (np.conj(lead) / abs(lead))
-        psi[:, j] = col / np.linalg.norm(col)
-    lam = np.diag([energy, energy, -energy, -energy]).astype(complex)
-    return DiracSystem(system.k, system.a_bar, psi, lam)
+    return dirac_system(system.k)
 
 
 def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GRADES, Multivector, N_BLADES, blade_product
+from .algebra import Multivector, N_BLADES
 
 IDENTITY = np.eye(4, dtype=complex)
 
@@ -90,10 +90,12 @@ def _build_blade_images() -> np.ndarray:
 BLADE_IMAGES = _build_blade_images()
 BLADE_IMAGES.flags.writeable = False
 
-# blade inverses are +-blade according to the blade square sign
-_BLADE_SQUARE_SIGNS = np.array([blade_product(m, m)[0] for m in range(N_BLADES)])
-_LOW_MASKS = tuple(m for m in range(N_BLADES) if GRADES[m] <= 2)
-_DUALS = {m: blade_product(N_BLADES - 1, m) for m in _LOW_MASKS}
+#: rows [Re image | Im image] of the 32 blades: entries 0 and +-1, rows
+#: orthogonal with squared norm 4, so the inverse map is one matmul
+_BLADE_ROWS = np.concatenate(
+    [BLADE_IMAGES.real.reshape(N_BLADES, 16), BLADE_IMAGES.imag.reshape(N_BLADES, 16)],
+    axis=1,
+)
 
 
 def to_matrix(a: Multivector) -> np.ndarray:
@@ -102,23 +104,13 @@ def to_matrix(a: Multivector) -> np.ndarray:
 
 
 def from_matrix(m: np.ndarray) -> Multivector:
-    """Inverse map, defined on every complex 4x4 matrix.
-
-    The complex coefficient of each grade <= 2 blade is read off through
-    the trace pairing; its real part fills that blade's cell and its
-    imaginary part fills the dual (pseudoscalar complement) cell.
-    """
+    """Inverse map, defined on every complex 4x4 matrix: the blade
+    coefficients are the real trace pairings with the blade images."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    coeffs = np.zeros(N_BLADES)
-    for mask in _LOW_MASKS:
-        inverse = _BLADE_SQUARE_SIGNS[mask] * BLADE_IMAGES[mask]
-        z = 0.25 * np.trace(inverse @ m)
-        coeffs[mask] = z.real
-        dual_sign, dual_mask = _DUALS[mask]
-        coeffs[dual_mask] = -dual_sign * z.imag
-    return Multivector(coeffs)
+    flat = np.concatenate([m.real.ravel(), m.imag.ravel()])
+    return Multivector(flat @ _BLADE_ROWS.T / 4.0)
 
 
 def matrix_text(m: np.ndarray) -> str:

@@ -55,6 +55,8 @@ class MomentumVector:
         object.__setattr__(self, "momentum", p)
         object.__setattr__(self, "energy", float(self.energy))
         object.__setattr__(self, "mass", float(self.mass))
+        if not all(math.isfinite(v) for v in (self.energy, *p, self.mass)):
+            raise ValueError("energy, momentum and mass must be finite")
         if self.mass < 0:
             raise ValueError("mass must be nonnegative")
         gap = self.null_gap

@@ -1,9 +1,13 @@
 """Verification registry semantics and the command-line surface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ga41.checks import (
     EXPECTED_CHECK_NAMES,
@@ -177,6 +181,44 @@ def test_cli_eigen(capsys):
     for key, value in payload.items():
         if key.endswith("residual"):
             assert value <= 1e-10, key
+
+
+def test_cli_eigen_zero_momentum_is_usage_error(capsys):
+    # E = 0: the operator vanishes and has no ordered eigensystem
+    assert main(["eigen", "0", "0", "0", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@st.composite
+def _numbers_with_one_non_finite(draw, count):
+    finite = draw(st.lists(st.floats(-10, 10), min_size=count, max_size=count))
+    # fixed-point text, so argparse never mistakes a negative number for a flag
+    values = [f"{v:f}" for v in finite]
+    values[draw(st.integers(0, count - 1))] = draw(st.sampled_from(["nan", "inf"]))
+    return values
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_numbers_with_one_non_finite(4))
+def test_cli_eigen_rejects_non_finite(numbers):
+    code, err = _run_quietly(["eigen", *numbers])
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 5]).flatmap(_numbers_with_one_non_finite))
+def test_cli_planewave_rejects_non_finite(numbers):
+    code, err = _run_quietly(["planewave", *numbers])
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_cli_projectors(capsys):

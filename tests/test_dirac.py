@@ -10,7 +10,6 @@ from ga41.dirac import (
     build_dirac_operator,
     column_wave,
     dirac_system,
-    eigendecompose,
     geometric_matrix_crosscheck,
     order_eigensystem,
 )
@@ -28,11 +27,6 @@ def random_null(rng):
     mass = float(rng.uniform(0.1, 4.0))
     momentum = tuple(float(q) for q in rng.uniform(-3, 3, 3))
     return MomentumVector.from_mass_momentum(momentum, mass)
-
-
-def random_hermitian(rng, n):
-    m = rng.uniform(-2, 2, (n, n)) + 1j * rng.uniform(-2, 2, (n, n))
-    return m + m.conj().T
 
 
 def test_operator_structure():
@@ -62,45 +56,6 @@ def test_spin_images_are_block_pauli():
         assert np.array_equal(s, np.block([[sigma, Z2], [Z2, sigma]]))
 
 
-def test_eigendecompose_against_library_solver():
-    rng = np.random.default_rng(42)
-    for n in (2, 4, 6):
-        for _ in range(5):
-            a = random_hermitian(rng, n)
-            vecs, vals = eigendecompose(a)
-            want = np.linalg.eigvalsh(a)
-            assert np.max(np.abs(np.sort(vals) - want)) <= 1e-10
-            res = np.max(np.abs(a @ vecs - vecs @ np.diag(vals)))
-            assert res <= 1e-10 * max(1.0, float(np.linalg.norm(a)))
-            unit = np.max(np.abs(vecs.conj().T @ vecs - np.eye(n)))
-            assert unit <= 1e-12
-
-
-def test_eigendecompose_diagonal_passthrough():
-    d = np.diag([3.0, -1.0, 2.0, 0.5]).astype(complex)
-    vecs, vals = eigendecompose(d)
-    assert np.array_equal(vecs, np.eye(4, dtype=complex))
-    assert np.array_equal(vals, np.array([3.0, -1.0, 2.0, 0.5]))
-
-
-def test_eigendecompose_deterministic():
-    rng = np.random.default_rng(43)
-    a = random_hermitian(rng, 4)
-    v1, l1 = eigendecompose(a)
-    v2, l2 = eigendecompose(a)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(l1, l2)
-
-
-def test_eigendecompose_validation():
-    with pytest.raises(ValueError):
-        eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigendecompose(np.zeros((2, 3)))
-    with pytest.raises(ArithmeticError):
-        eigendecompose(random_hermitian(np.random.default_rng(0), 6), sweep_cap=0)
-
-
 def test_spectrum_is_doubled_pair():
     rng = np.random.default_rng(44)
     for _ in range(20):
@@ -109,6 +64,54 @@ def test_spectrum_is_doubled_pair():
         vals = np.sort(np.real(np.diag(system.lam)))
         want = np.array([-k.energy, -k.energy, k.energy, k.energy])
         assert np.max(np.abs(vals - want)) <= 1e-10 * max(1.0, k.energy)
+
+
+def _momenta_for_closed_form(rng):
+    """Random null momenta on both energy branches, plus p = 0 and
+    |p| near 1e-8 where the spin axis is set by a tiny momentum."""
+    out = [MomentumVector(1.5, (0.0, 0.0, 0.0), 1.5)]
+    for _ in range(30):
+        out.append(random_null(rng))
+    for _ in range(5):
+        direction = rng.normal(size=3)
+        p = 1e-8 * direction / np.linalg.norm(direction)
+        out.append(MomentumVector.from_mass_momentum(p, float(rng.uniform(0.1, 4.0))))
+    out.append(MomentumVector.from_mass_momentum((0.5, -1.0, 2.0), 1.0, negative_energy=True))
+    return out
+
+
+def test_closed_form_columns_against_library_solver():
+    rng = np.random.default_rng(49)
+    for k in _momenta_for_closed_form(rng):
+        system = dirac_system(k)
+        a, psi, e_val = system.a_bar, system.psi_bar, k.energy
+        assert np.array_equal(
+            system.lam, np.diag([e_val, e_val, -e_val, -e_val]).astype(complex)
+        )
+        scale = max(1.0, abs(e_val))
+        assert np.max(np.abs(a @ psi - psi @ system.lam)) <= 1e-13 * scale
+        assert np.max(np.abs(psi.conj().T @ psi - np.eye(4))) <= 1e-14
+        vals, vecs = np.linalg.eigh(a)
+        assert np.max(np.abs(vals - np.sort(np.real(np.diag(system.lam))))) <= 1e-13 * scale
+        # the library eigenvectors span the same two eigenspaces
+        upper = slice(2, 4) if e_val > 0 else slice(0, 2)
+        want = vecs[:, upper] @ vecs[:, upper].conj().T
+        got = psi[:, :2] @ psi[:, :2].conj().T
+        assert np.max(np.abs(got - want)) <= 1e-12
+        p = np.array(k.momentum)
+        axis = p / np.linalg.norm(p) if p.any() else np.array([0.0, 0.0, 1.0])
+        spin = sum(c * s for c, s in zip(axis, SPIN_IMAGES))
+        for j, sigma in enumerate((1.0, -1.0, 1.0, -1.0)):
+            col = psi[:, j]
+            assert np.max(np.abs(spin @ col - sigma * col)) <= 1e-13
+            lead = col[int(np.argmax(np.abs(col)))]
+            assert abs(lead.imag) <= 1e-15
+            assert lead.real > 0.0
+
+
+def test_zero_energy_has_no_eigensystem():
+    with pytest.raises(ValueError):
+        dirac_system(MomentumVector(0.0, (0.0, 0.0, 0.0), 0.0))
 
 
 def test_ordered_system_contract():

@@ -13,6 +13,7 @@ from ga41 import (
     grade_part,
     to_matrix,
 )
+from ga41.algebra import GRADES, blade_product
 from ga41.matrices import (
     ALPHA,
     BETA,
@@ -136,6 +137,45 @@ def test_round_trip_arbitrary_matrix():
         m = rng.uniform(-2, 2, (4, 4)) + 1j * rng.uniform(-2, 2, (4, 4))
         again = to_matrix(from_matrix(m))
         assert np.max(np.abs(again - m)) <= 1e-12
+
+
+def reference_from_matrix(m):
+    """The trace-pairing inverse map: the quarter trace of each grade <= 2
+    blade's inverse times m gives a complex number whose real part is that
+    blade's coefficient and whose imaginary part fills the dual blade."""
+    coeffs = np.zeros(N)
+    for mask in range(N):
+        if GRADES[mask] > 2:
+            continue
+        square_sign, _ = blade_product(mask, mask)
+        z = 0.25 * np.trace(square_sign * BLADE_IMAGES[mask] @ m)
+        coeffs[mask] = z.real
+        dual_sign, dual_mask = blade_product(N - 1, mask)
+        coeffs[dual_mask] = -dual_sign * z.imag
+    return coeffs
+
+
+def test_from_matrix_matches_trace_pairing():
+    # each coefficient is a quarter of a sum of four signed entries of m;
+    # np.trace adds them pairwise and the matmul in BLAS order, so the two
+    # agree to within the rounding of a four-term sum, 3 eps max|m|
+    rng = np.random.default_rng(26)
+    eps = np.finfo(float).eps
+    for _ in range(2000):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        got = from_matrix(m).coeffs
+        want = reference_from_matrix(m)
+        assert np.max(np.abs(got - want)) <= 3 * eps * np.max(np.abs(m))
+
+
+def test_round_trip_exact_on_integer_coefficients():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        a = Multivector(rng.integers(-1000, 1001, N).astype(float))
+        m = to_matrix(a)
+        assert np.array_equal(from_matrix(m).coeffs, a.coeffs)
+        assert np.array_equal(reference_from_matrix(m), a.coeffs)
+        assert np.array_equal(to_matrix(from_matrix(m)), m)
 
 
 def test_blade_images_span_all_matrices():

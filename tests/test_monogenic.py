@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ga41 import MomentumVector, MultivectorField, Multivector, ONE, e, plane_wave
 from ga41.algebra import PSEUDOSCALAR
@@ -38,6 +40,22 @@ def test_momentum_vector_validation():
         MomentumVector(5.0, (3.0, 0.0), 4.0)
     with pytest.raises(ValueError):
         MomentumVector(5.0, (3.0, 0.0, 0.0), -4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-10, 10), min_size=5, max_size=5),
+    st.integers(0, 4),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_momentum_vector_rejects_non_finite(values, index, bad):
+    values[index] = bad
+    energy, p1, p2, p3, mass = values
+    with pytest.raises(ValueError, match="finite"):
+        MomentumVector(energy, (p1, p2, p3), mass)
+    if index > 0:
+        with pytest.raises(ValueError, match="finite"):
+            MomentumVector.from_mass_momentum((p1, p2, p3), mass)
 
 
 def test_from_mass_momentum_branches():
