@@ -12,10 +12,8 @@ import sys
 import numpy as np
 
 from ga41 import MomentumVector, plane_wave
-from ga41.algebra import blade_name
+from ga41.algebra import N_BLADES, blade_name
 from ga41.monogenic import vector_derivative
-
-N_BLADES = 32
 
 
 def parse_args(argv=None):

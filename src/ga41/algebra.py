@@ -76,34 +76,30 @@ def _mask_from_name(name: str) -> int:
     return mask
 
 
-def _build_tables():
-    signs = np.zeros((N_BLADES, N_BLADES))
-    for i in range(N_BLADES):
-        for j in range(N_BLADES):
-            signs[i, j] = blade_product(i, j)[0]
+_SIGNS = np.array(
+    [[blade_product(i, j)[0] for j in range(N_BLADES)] for i in range(N_BLADES)], dtype=float
+)
+_SQUARE_SIGNS = np.diagonal(_SIGNS)
 
-    # dense linear maps from the flattened coefficient outer product to
-    # the 32 result cells; one for each product flavor
-    full = np.zeros((N_BLADES * N_BLADES, N_BLADES))
-    inner_t = np.zeros_like(full)
-    outer_t = np.zeros_like(full)
-    for i in range(N_BLADES):
-        gi = GRADES[i]
-        for j in range(N_BLADES):
-            gj = GRADES[j]
-            k = i ^ j
-            s = signs[i, j]
-            flat = i * N_BLADES + j
-            full[flat, k] = s
-            if GRADES[k] == abs(gi - gj):
-                inner_t[flat, k] = s
-            if GRADES[k] == gi + gj:
-                outer_t[flat, k] = s
-    return signs, full, inner_t, outer_t
+# product kernel: row k of a table holds the sign of e_i e_{i^k} for
+# every left blade i, so out[k] = sum_i table[k, i] a[i] b[i^k]; the
+# inner and outer products zero the cells outside their grade rule
+_MASKS = np.arange(N_BLADES)
+_XOR = _MASKS[:, None] ^ _MASKS  # [k, i] -> i ^ k
+_FULL = _SIGNS[_MASKS, _XOR]
+_GRADE_OF = np.array(GRADES)
+_LEFT, _RIGHT, _OUT = _GRADE_OF, _GRADE_OF[_XOR], _GRADE_OF[:, None]
+_INNER = np.where(_OUT == np.abs(_LEFT - _RIGHT), _FULL, 0.0)
+_OUTER = np.where(_OUT == _LEFT + _RIGHT, _FULL, 0.0)
 
 
-_SIGNS, _FULL_TABLE, _INNER_TABLE, _OUTER_TABLE = _build_tables()
-_SQUARE_SIGNS = np.array([_SIGNS[i, i] for i in range(N_BLADES)])
+def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # each a[i] b[i^k] is rounded before the signed sum and no multiply-add
+    # is fused, so *, ^ and | round their shared terms alike and
+    # a * b == (a | b) + (a ^ b) holds exactly for vectors
+    return np.einsum("ki,ki->k", table, a * b[_XOR])
+
+
 _REVERSE_SIGNS = np.array([(-1.0) ** (g * (g - 1) // 2) for g in GRADES])
 _GRADE_IS = [np.array([g == r for g in GRADES]) for r in range(6)]
 
@@ -252,8 +248,7 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            prod = np.outer(self._c, other._c).ravel() @ _FULL_TABLE
-            return Multivector._wrap(prod)
+            return Multivector._wrap(_product(_FULL, self._c, other._c))
         if isinstance(other, _SCALAR_TYPES):
             return Multivector._wrap(self._c * float(other))
         return NotImplemented
@@ -270,14 +265,12 @@ class Multivector:
 
     def __xor__(self, other):
         if isinstance(other, Multivector):
-            prod = np.outer(self._c, other._c).ravel() @ _OUTER_TABLE
-            return Multivector._wrap(prod)
+            return Multivector._wrap(_product(_OUTER, self._c, other._c))
         return NotImplemented
 
     def __or__(self, other):
         if isinstance(other, Multivector):
-            prod = np.outer(self._c, other._c).ravel() @ _INNER_TABLE
-            return Multivector._wrap(prod)
+            return Multivector._wrap(_product(_INNER, self._c, other._c))
         return NotImplemented
 
     def __invert__(self):
@@ -291,7 +284,8 @@ class Multivector:
         return bool(np.array_equal(self._c, other._c))
 
     def __hash__(self):
-        return hash(self._c.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self._c + 0.0).tobytes())
 
     def isclose(self, other: "Multivector", atol: float = 1e-12) -> bool:
         return bool(np.allclose(self._c, other._c, rtol=0.0, atol=atol))

@@ -812,7 +812,8 @@ def run_checks(
     """Run the selected checks (all by default) in registration order.
 
     ``tolerances`` overrides tolerances by check name.  Unknown check or
-    tolerance names raise ValueError.
+    tolerance names, and a step that is not finite and positive, raise
+    ValueError.
     """
     known = {d.name for d in _REGISTRY}
     if names is not None:
@@ -827,8 +828,8 @@ def run_checks(
     bad = [n for n in overrides if n not in known]
     if bad:
         raise ValueError(f"unknown tolerance names: {', '.join(sorted(bad))}")
-    if step_h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < step_h < math.inf:
+        raise ValueError("step h must be finite and positive")
     results = []
     for definition in _REGISTRY:
         if definition.name not in wanted:

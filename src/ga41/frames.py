@@ -17,8 +17,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algebra import Multivector, ONE, PSEUDOSCALAR, e
+from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR
 from .monogenic import AXES, MultivectorField, RECIPROCAL_VECTORS, vector_derivative
+from .monogenic import _derivative_sum, _stencil
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
@@ -57,12 +58,13 @@ class Frame:
             object.__setattr__(self, name, arr)
 
 
+_VECTOR_MASKS = [1 << a for a in range(AXES)]
+
+
 def _vector(coeffs) -> Multivector:
-    out = Multivector.from_scalar(0.0)
-    for a, c in enumerate(coeffs):
-        if c != 0.0:
-            out = out + float(c) * e(a)
-    return out
+    out = np.zeros(N_BLADES)
+    out[_VECTOR_MASKS] = coeffs
+    return Multivector(out + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
@@ -126,9 +128,8 @@ class GaugeField:
             return g
         grad = np.zeros(AXES)
         for a in range(AXES):
-            step = np.zeros(AXES)
-            step[a] = h
-            grad[a] = (self.phase(x + step) - self.phase(x - step)) / (2.0 * h)
+            plus, minus = _stencil(self.phase, x, h, a)
+            grad[a] = (plus - minus) / (2.0 * h)
         return grad
 
 
@@ -160,21 +161,7 @@ def covariant_derivative(
     """
     x = np.asarray(x, dtype=float)
     fr = frame(x) if callable(frame) else frame
-    total = Multivector.from_scalar(0.0)
-    if h is None:
-        if field.derivative is None:
-            raise ValueError("field has no analytic derivative; pass a step h")
-        for a in range(AXES):
-            total = total + fr.reciprocal[a] * field.derivative(x, a)
-        return total
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    for a in range(AXES):
-        step = np.zeros(AXES)
-        step[a] = h
-        diff = (field.value(x + step) - field.value(x - step)) / (2.0 * h)
-        total = total + fr.reciprocal[a] * diff
-    return total
+    return _derivative_sum(field, x, h, fr.reciprocal, range(AXES))
 
 
 def phase_rotor(beta: float) -> Multivector:

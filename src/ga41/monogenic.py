@@ -35,6 +35,13 @@ RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
 _ZERO = Multivector.from_scalar(0.0)
 
 
+def _square(v: float) -> float:
+    try:
+        return v**2
+    except OverflowError:
+        raise ValueError(f"{v!r} is too large to square") from None
+
+
 @dataclass(frozen=True)
 class MomentumVector:
     """Null momentum (E, p, m): E^2 = |p|^2 + m^2 within 1e-12.
@@ -68,12 +75,12 @@ class MomentumVector:
         cls, momentum, mass: float, negative_energy: bool = False
     ) -> "MomentumVector":
         p = tuple(float(q) for q in momentum)
-        energy = math.sqrt(sum(q * q for q in p) + float(mass) ** 2)
+        energy = math.sqrt(sum(q * q for q in p) + _square(float(mass)))
         return cls(-energy if negative_energy else energy, p, float(mass))
 
     @property
     def null_gap(self) -> float:
-        return self.energy**2 - sum(q * q for q in self.momentum) - self.mass**2
+        return _square(self.energy) - sum(q * q for q in self.momentum) - _square(self.mass)
 
     @property
     def phase_gradient(self) -> np.ndarray:
@@ -160,21 +167,33 @@ def vector_derivative(
     second-order central differences.  ``indices`` restricts the sum,
     e.g. (1, 2, 3) for the purely spatial operator.
     """
+    return _derivative_sum(field, x, h, RECIPROCAL_VECTORS, indices)
+
+
+def _stencil(f: Callable, x: np.ndarray, h: float, axis: int):
+    """f at x + h e_axis and at x - h e_axis, in that order."""
+    if not 0.0 < h < math.inf:
+        raise ValueError("step h must be finite and positive")
+    step = np.zeros(AXES)
+    step[axis] = h
+    return f(x + step), f(x - step)
+
+
+def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> Multivector:
+    """Sum over the axes a in ``indices`` of reciprocal[a] times the
+    partial derivative along a: analytic for h = None, else central
+    differences with step h."""
     x = np.asarray(x, dtype=float)
+    if h is None and field.derivative is None:
+        raise ValueError("field has no analytic derivative; pass a step h")
     total = _ZERO
-    if h is None:
-        if field.derivative is None:
-            raise ValueError("field has no analytic derivative; pass a step h")
-        for a in indices:
-            total = total + RECIPROCAL_VECTORS[a] * field.derivative(x, a)
-        return total
-    if h <= 0:
-        raise ValueError("step h must be positive")
     for a in indices:
-        step = np.zeros(AXES)
-        step[a] = h
-        diff = (field.value(x + step) - field.value(x - step)) / (2.0 * h)
-        total = total + RECIPROCAL_VECTORS[a] * diff
+        if h is None:
+            diff = field.derivative(x, a)
+        else:
+            plus, minus = _stencil(field.value, x, h, a)
+            diff = (plus - minus) / (2.0 * h)
+        total = total + reciprocal[a] * diff
     return total
 
 
@@ -184,8 +203,6 @@ def laplacian(
     """Second-order operator -d2/dt2 + sum_i d2/dxi2 by central
     differences; richardson=True combines steps h and h/2 to cancel the
     leading truncation term."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
     if richardson:
         coarse = laplacian(field, x, h)
         fine = laplacian(field, x, h / 2.0)
@@ -194,9 +211,8 @@ def laplacian(
     center = field.value(x)
     total = _ZERO
     for a in range(AXES):
-        step = np.zeros(AXES)
-        step[a] = h
-        second = (field.value(x + step) - 2.0 * center + field.value(x - step)) / (h * h)
+        plus, minus = _stencil(field.value, x, h, a)
+        second = (plus - 2.0 * center + minus) / (h * h)
         total = total + (-second if a == 0 else second)
     return total
 
@@ -400,16 +416,11 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
                             "spatial factor must commute with the index-0 "
                             "and index-4 generators"
                         )
-    amp = energy * ONE + mass * e(0, 4)
-    amp_i = amp * PSEUDOSCALAR
-
-    def temporal(x) -> Multivector:
-        ph = -energy * x[0] + mass * x[4]
-        return amp * math.cos(ph) + amp_i * math.sin(ph)
+    temporal = harmonic_field(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
 
     def value(x) -> Multivector:
         x = np.asarray(x, dtype=float)
-        return spatial.value(x) * temporal(x)
+        return spatial.value(x) * temporal.value(x)
 
     derivative = None
     if spatial.derivative is not None:
@@ -418,10 +429,7 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
         def derivative(x, axis: int) -> Multivector:
             x = np.asarray(x, dtype=float)
             if axis in (1, 2, 3):
-                return base_deriv(x, axis) * temporal(x)
-            ph = -energy * x[0] + mass * x[4]
-            c = -energy if axis == 0 else mass
-            dtemp = (amp_i * math.cos(ph) - amp * math.sin(ph)) * c
-            return base_value(x) * dtemp
+                return base_deriv(x, axis) * temporal.value(x)
+            return base_value(x) * temporal.derivative(x, axis)
 
     return MultivectorField(value, derivative)

@@ -82,6 +82,31 @@ def slow_multiply(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(coeffs)
 
 
+def _dense_tables():
+    tables = {op: np.zeros((N * N, N)) for op in "*^|"}
+    for i in range(N):
+        for j in range(N):
+            sign, out = slow_blade_product(mask_to_indices(i), mask_to_indices(j))
+            k = indices_to_mask(out)
+            gi, gj, gk = blade_grade(i), blade_grade(j), blade_grade(k)
+            tables["*"][i * N + j, k] = sign
+            if gk == gi + gj:
+                tables["^"][i * N + j, k] = sign
+            if gk == abs(gi - gj):
+                tables["|"][i * N + j, k] = sign
+    return tables
+
+
+_DENSE = _dense_tables()
+_OPS = {"*": lambda a, b: a * b, "^": lambda a, b: a ^ b, "|": lambda a, b: a | b}
+
+
+def reference_product(a: Multivector, b: Multivector, op: str = "*") -> np.ndarray:
+    """The earlier dense-table product: the flattened coefficient outer
+    product times a 1024x32 table of signs."""
+    return np.outer(a.coeffs, b.coeffs).ravel() @ _DENSE[op]
+
+
 def random_mv(rng, scale=1.0):
     return Multivector(rng.uniform(-scale, scale, N))
 
@@ -137,6 +162,52 @@ def test_geometric_product_matches_slow_multiply():
     for _ in range(20):
         a, b = random_mv(rng), random_mv(rng)
         assert (a * b - slow_multiply(a, b)).max_abs() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_mv, int_mv, st.sampled_from("*^|"))
+def test_products_match_dense_reference_on_integers(a, b, op):
+    assert np.array_equal(_OPS[op](a, b).coeffs, reference_product(a, b, op))
+
+
+def test_products_match_dense_reference_within_rounding():
+    # each output cell is a signed sum of 32 rounded products in either
+    # path, so the two differ by at most 2 gamma_32 sum |a_i b_j|
+    u = np.finfo(np.float64).eps / 2
+    gamma = 32 * u / (1 - 32 * u)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        a, b = random_mv(rng), random_mv(rng)
+        magnitude = np.outer(np.abs(a.coeffs), np.abs(b.coeffs)).ravel() @ np.abs(_DENSE["*"])
+        for op, product in _OPS.items():
+            diff = np.abs(product(a, b).coeffs - reference_product(a, b, op))
+            assert np.all(diff <= 2 * gamma * magnitude), op
+
+
+def test_basis_blade_products_follow_grade_rules():
+    zero = np.zeros(N)
+    for i in range(N):
+        for j in range(N):
+            sign, out = slow_blade_product(mask_to_indices(i), mask_to_indices(j))
+            k = indices_to_mask(out)
+            expected = zero.copy()
+            expected[k] = sign
+            a, b = Multivector(np.eye(N)[i]), Multivector(np.eye(N)[j])
+            gi, gj, gk = blade_grade(i), blade_grade(j), blade_grade(k)
+            assert np.array_equal((a * b).coeffs, expected), (i, j)
+            assert np.array_equal((a ^ b).coeffs, expected if gk == gi + gj else zero), (i, j)
+            assert np.array_equal((a | b).coeffs, expected if gk == abs(gi - gj) else zero), (i, j)
+
+
+def test_vector_decomposition_exact():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        av, bv = np.zeros(N), np.zeros(N)
+        av[[1, 2, 4, 8, 16]] = rng.uniform(-1, 1, 5)
+        bv[[1, 2, 4, 8, 16]] = rng.uniform(-1, 1, 5)
+        a, b = Multivector(av), Multivector(bv)
+        assert (a * b - ((a | b) + (a ^ b))).max_abs() == 0.0
+        assert (b * a - ((a | b) - (a ^ b))).max_abs() == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -340,6 +411,15 @@ def test_equality_and_hash():
     assert a != 1.5 * e(1)
     assert hash(a) == hash(1.5 * e(1) + e(0, 4))
     assert ONE == 1.0 and 1.0 == ONE
+
+
+def test_hash_agrees_with_equality_on_signed_zeros():
+    positive = Multivector(np.zeros(N))
+    negative = Multivector(-np.zeros(N))
+    assert positive == negative
+    assert hash(positive) == hash(negative)
+    a = e(1) - e(1)  # may carry -0.0 cells
+    assert a == positive and hash(a) == hash(positive)
 
 
 def test_operator_coverage():

@@ -3,10 +3,11 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ga41.checks import (
@@ -29,8 +30,8 @@ def test_registry_complete_and_ordered():
         assert d.tolerance >= 0.0
 
 
-def test_full_run_passes():
-    results = run_checks(seed=0)
+def test_full_run_passes(full_run_seed0):
+    results = full_run_seed0
     assert len(results) == 31
     assert [r.name for r in results] == list(EXPECTED_CHECK_NAMES)
     for r in results:
@@ -38,10 +39,10 @@ def test_full_run_passes():
         assert r.residual <= r.tolerance
 
 
-def test_rng_keyed_per_check():
+def test_rng_keyed_per_check(full_run_seed0):
     # a check sees the same stream whether run alone or with the others
-    alone = run_checks(names=["dirac_spectrum"], seed=7)[0]
-    together = next(r for r in run_checks(seed=7) if r.name == "dirac_spectrum")
+    alone = run_checks(names=["dirac_spectrum"], seed=0)[0]
+    together = next(r for r in full_run_seed0 if r.name == "dirac_spectrum")
     assert alone.residual == together.residual
 
 
@@ -219,6 +220,29 @@ def test_cli_planewave_rejects_non_finite(numbers):
     code, err = _run_quietly(["planewave", *numbers])
     assert code == 2
     assert err.startswith("error:") and "finite" in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])))
+@example(math.nan)
+@example(math.inf)
+@example(-1.0)
+def test_step_h_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_checks(names=["monogenic_residual"], step_h=h)
+    code, err = _run_quietly(["verify", "--check", "monogenic_residual", f"--step-h={h!r}"])
+    assert code == 2
+    assert err.startswith("error:") and "finite and positive" in err
+
+
+def test_cli_rejects_momenta_too_large_to_square():
+    for argv in (
+        ["planewave", "1e200", "0", "0", "0", "1e200"],
+        ["eigen", "0", "0", "0", "1e200"],
+    ):
+        code, err = _run_quietly(argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "too large" in err
 
 
 def test_cli_projectors(capsys):

@@ -1,9 +1,12 @@
 """Reciprocal frames, the potential-tilted frame, and gauge covariance."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ga41 import MomentumVector, Multivector, ONE, e, inner, plane_wave
 from ga41.algebra import PSEUDOSCALAR, e_upper
@@ -151,6 +154,18 @@ def test_covariant_derivative_identity_frame_is_flat():
     assert (numeric - vector_derivative(wave, x, h=1e-4)).max_abs() == 0.0
     with pytest.raises(ValueError):
         covariant_derivative(wave, frame, x, h=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])))
+def test_frame_steps_must_be_finite_and_positive(h):
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, 0.5, -0.5), 1.5))
+    x = np.array([0.2, -0.1, 0.4, 0.3, 0.1])
+    with pytest.raises(ValueError, match="finite and positive"):
+        covariant_derivative(wave, build_frame(np.eye(5)), x, h=h)
+    field = GaugeField(potential=(0.0, 0.0, 0.0, 0.0), charge=1.0, mass=1.0, phase=lambda y: 0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        field.phase_gradient_at(x, h=h)
 
 
 def test_covariant_derivative_adds_potential_term():

@@ -137,6 +137,32 @@ def test_vector_derivative_validation():
         laplacian(wave, np.zeros(5), h=-1.0)
 
 
+#: steps that are not finite and positive: zero, negative, NaN, infinite
+bad_steps = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad_steps, st.booleans())
+def test_step_must_be_finite_and_positive(h, richardson):
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, 0.0, 0.0), 1.0))
+    x = np.zeros(5)
+    with pytest.raises(ValueError, match="finite and positive"):
+        vector_derivative(wave, x, h=h)
+    with pytest.raises(ValueError, match="finite and positive"):
+        vector_derivative(wave, x, h=h, indices=(1, 2, 3))
+    with pytest.raises(ValueError, match="finite and positive"):
+        laplacian(wave, x, h=h, richardson=richardson)
+
+
+def test_momentum_vector_rejects_squares_that_overflow():
+    with pytest.raises(ValueError, match="too large"):
+        MomentumVector(1e200, (0.0, 0.0, 0.0), 1e200)
+    with pytest.raises(ValueError, match="too large"):
+        MomentumVector.from_mass_momentum((0.0, 0.0, 0.0), 1e200)
+    with pytest.raises(ValueError):
+        MomentumVector(1.0, (1e200, 0.0, 0.0), 0.0)
+
+
 def test_laplacian_annihilates_plane_wave():
     rng = np.random.default_rng(33)
     for _ in range(5):
