@@ -190,9 +190,10 @@ class Multivector:
 
         When the square of the argument is a scalar s (within 1e-12
         relative), closed forms apply: trigonometric for s < 0,
-        hyperbolic for s > 0, and 1 + a in the nilpotent limit s = 0.
-        Otherwise the power series is summed to relative tolerance 1e-14
-        with a 64-term cap.
+        hyperbolic for s > 0, and 1 + a in the nilpotent limit s = 0; a
+        hyperbolic form beyond double range raises ValueError.
+        Otherwise the power series is summed to relative tolerance
+        1e-14 with a 64-term cap.
         """
         sq = (self * self)._c
         s = sq[0]
@@ -204,7 +205,10 @@ class Multivector:
                 theta = math.sqrt(-s)
                 return math.cos(theta) + self * (math.sin(theta) / theta)
             theta = math.sqrt(s)
-            return math.cosh(theta) + self * (math.sinh(theta) / theta)
+            try:
+                return math.cosh(theta) + self * (math.sinh(theta) / theta)
+            except OverflowError:
+                raise ValueError(f"exponential overflows: argument squares to {s:.3e}") from None
         acc = ONE
         term = ONE
         for k in range(1, 65):
@@ -436,6 +440,14 @@ def e_upper(*indices: int) -> Multivector:
     flips = sum(1 for k in indices if k == 0)
     base = e(*indices)
     return -base if flips & 1 else base
+
+
+def _worst(samples) -> float:
+    """Largest of the residual samples, NaN if any sample is NaN or if
+    there are none, so neither can pass ``residual <= tolerance``
+    (Python's ``max`` drops a NaN that is not its first argument)."""
+    values = np.fromiter(samples, dtype=float)
+    return float(np.max(values)) if values.size else math.nan
 
 
 def _promote(x) -> Multivector:

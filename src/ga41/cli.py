@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES, blade_name, blade_product
+from .algebra import Multivector, N_BLADES, _worst, blade_name, blade_product
 from .checks import check_definitions, report_json, run_checks
 from .dirac import dirac_system, geometric_matrix_crosscheck, order_eigensystem
 from .frames import GaugeField, RefractiveIndex, build_frame, em_frame
@@ -111,10 +111,10 @@ def _cmd_planewave(args) -> int:
     print(f"null gap:  {k.null_gap:.3e}")
     print(f"amplitude: {k.amplitude}")
     print(f"vector:    {k.vector}")
-    worst_first = max(
+    worst_first = _worst(
         vector_derivative(wave, np.array(x)).max_abs() for x in _FIXED_POINTS
     )
-    worst_second = max(
+    worst_second = _worst(
         laplacian(wave, np.array(x), h=1e-3, richardson=True).max_abs()
         for x in _FIXED_POINTS
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, PSEUDOSCALAR, e
+from .algebra import Multivector, PSEUDOSCALAR, _worst, e
 from .matrices import ALPHA, BETA, IDENTITY, from_matrix, to_matrix
 from .monogenic import MomentumVector, MultivectorField, harmonic_field
 
@@ -118,17 +118,20 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
     p = np.array(k.momentum)
     a_bar = build_dirac_operator(k)
     amp = energy * IDENTITY + a_bar
-    residual = float(np.max(np.abs(to_matrix(k.amplitude) - amp)))
-    for x in points:
-        x = np.asarray(x, dtype=float)[:4]
-        phase = np.exp(1j * (energy * x[0] - p @ x[1:4]))
-        wave = amp * phase
-        # i d/dt + i alpha^m d/dx^m + m beta, with the phase derivatives
-        out = 1j * (1j * energy) * wave + k.mass * BETA @ wave
-        for m in range(3):
-            out = out + 1j * ALPHA[m] @ ((-1j * p[m]) * wave)
-        residual = max(residual, float(np.max(np.abs(out))))
-    return residual
+
+    def samples():
+        yield float(np.max(np.abs(to_matrix(k.amplitude) - amp)))
+        for x in points:
+            x = np.asarray(x, dtype=float)[:4]
+            phase = np.exp(1j * (energy * x[0] - p @ x[1:4]))
+            wave = amp * phase
+            # i d/dt + i alpha^m d/dx^m + m beta, with the phase derivatives
+            out = 1j * (1j * energy) * wave + k.mass * BETA @ wave
+            for m in range(3):
+                out = out + 1j * ALPHA[m] @ ((-1j * p[m]) * wave)
+            yield float(np.max(np.abs(out)))
+
+    return _worst(samples())
 
 
 def column_wave(system: DiracSystem, index: int) -> MultivectorField:

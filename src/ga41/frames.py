@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR
+from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _worst
 from .monogenic import AXES, MultivectorField, RECIPROCAL_VECTORS, vector_derivative
 from .monogenic import _derivative_sum, _stencil
 
@@ -214,15 +214,17 @@ def gauge_covariance_residual(psi: MultivectorField, field: GaugeField, points) 
     over the points, with both covariant derivatives taken in the
     electromagnetic frames of the respective gauge fields."""
     rotated, shifted = gauge_transform(psi, field)
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        lhs = covariant_derivative(rotated, lambda y: em_frame(shifted, y), x)
-        rhs = covariant_derivative(psi, lambda y: em_frame(field, y), x) * phase_rotor(
-            field.phase(x)
-        )
-        worst = max(worst, (lhs - rhs).max_abs())
-    return worst
+
+    def samples():
+        for x in points:
+            x = np.asarray(x, dtype=float)
+            lhs = covariant_derivative(rotated, lambda y: em_frame(shifted, y), x)
+            rhs = covariant_derivative(psi, lambda y: em_frame(field, y), x) * phase_rotor(
+                field.phase(x)
+            )
+            yield (lhs - rhs).max_abs()
+
+    return _worst(samples())
 
 
 def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> float:
@@ -231,18 +233,20 @@ def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> fl
     rotated vector derivative plus pseudoscalar times the phase
     gradient vector times the rotated field."""
     rotated, _ = gauge_transform(psi, field)
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        lhs = vector_derivative(rotated, x)
-        g = field.phase_gradient_at(x)
-        grad_vec = Multivector.from_scalar(0.0)
-        for a in range(4):
-            grad_vec = grad_vec + RECIPROCAL_VECTORS[a] * float(g[a])
-        rotor = phase_rotor(field.phase(x))
-        rhs = (
-            vector_derivative(psi, x) * rotor
-            + PSEUDOSCALAR * grad_vec * psi.value(x) * rotor
-        )
-        worst = max(worst, (lhs - rhs).max_abs())
-    return worst
+
+    def samples():
+        for x in points:
+            x = np.asarray(x, dtype=float)
+            lhs = vector_derivative(rotated, x)
+            g = field.phase_gradient_at(x)
+            grad_vec = Multivector.from_scalar(0.0)
+            for a in range(4):
+                grad_vec = grad_vec + RECIPROCAL_VECTORS[a] * float(g[a])
+            rotor = phase_rotor(field.phase(x))
+            rhs = (
+                vector_derivative(psi, x) * rotor
+                + PSEUDOSCALAR * grad_vec * psi.value(x) * rotor
+            )
+            yield (lhs - rhs).max_abs()
+
+    return _worst(samples())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, ONE, e, e_upper
+from .algebra import Multivector, ONE, _worst, e, e_upper
 from .matrices import BETA, IDENTITY, from_matrix, sigma_matrix, to_matrix
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -71,13 +71,13 @@ def validate_idempotent_set(s: IdempotentSet, tol: float = 0.0) -> dict:
     """Residuals of idempotency, pairwise orthogonality, and
     completeness; ok means every residual is within tol."""
     els = s.elements
-    idem = max((f * f - f).max_abs() for f in els)
-    ortho = max(
+    idem = _worst((f * f - f).max_abs() for f in els)
+    ortho = _worst(
         (els[i] * els[j]).max_abs() for i in range(4) for j in range(4) if i != j
     )
     total = els[0] + els[1] + els[2] + els[3]
     complete = (total - ONE).max_abs()
-    worst = max(idem, ortho, complete)
+    worst = _worst((idem, ortho, complete))
     return {
         "name": s.name,
         "idempotency": idem,
@@ -172,8 +172,8 @@ def idempotents_to_generators(
         quarter - (1.5 * _INV_SQRT6) * l15,
     )
     scale = max(1.0, max(f.max_abs() for f in s.elements))
-    worst = max((a - b).max_abs() for a, b in zip(rebuilt, s.elements))
-    if worst > max(tol, 1e-12) * scale:
+    worst = _worst((a - b).max_abs() for a, b in zip(rebuilt, s.elements))
+    if not worst <= max(tol, 1e-12) * scale:
         raise ArithmeticError(
             f"forward relations fail to rebuild the quadruple: {worst:.3e}"
         )
@@ -262,12 +262,9 @@ def verify_su4_generators(thetas=(0.3, 1.0)) -> dict:
     exp_zero = all(
         np.array_equal(expm(0.0j * g), np.eye(4, dtype=complex)) for g in gens
     )
-    det_residual = 0.0
-    for g in gens:
-        for theta in thetas:
-            det_residual = max(
-                det_residual, abs(np.linalg.det(expm(1j * theta * g)) - 1.0)
-            )
+    det_residual = _worst(
+        abs(np.linalg.det(expm(1j * theta * g)) - 1.0) for g in gens for theta in thetas
+    )
 
     quadruple = build_f_set()
     images = [to_matrix(f) for f in quadruple.elements]
@@ -296,7 +293,7 @@ def verify_su4_generators(thetas=(0.3, 1.0)) -> dict:
         quarter - _INV_SQRT3 * diag8 + (0.5 * _INV_SQRT6) * diag15,
         quarter - (1.5 * _INV_SQRT6) * diag15,
     )
-    forward_residual = max(
+    forward_residual = _worst(
         float(np.max(np.abs(f - a))) for f, a in zip(forward, aligned)
     )
 

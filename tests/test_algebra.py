@@ -29,6 +29,8 @@ from ga41 import (
     scalar_product,
 )
 
+from ga41.algebra import _worst
+
 N = 32
 METRIC = (-1, 1, 1, 1, 1)
 
@@ -337,6 +339,14 @@ def test_exp_divergent_raises():
         mv_exp(40.0 * ONE + 40.0 * e(0))
 
 
+def test_exp_overflow_is_value_error():
+    # cosh(1000) is beyond double range; a rotor of the same size is fine
+    with pytest.raises(ValueError, match="overflows"):
+        mv_exp(1000.0 * e(0, 1))
+    rotor = mv_exp(1000.0 * e(1, 2))
+    assert (rotor.reverse() * rotor - ONE).max_abs() <= 1e-15
+
+
 def test_rotate_plane_examples():
     theta = 0.6
     # generator e21 = -e12 turns e1 toward e2
@@ -430,3 +440,26 @@ def test_operator_coverage():
     assert ((a | e(1)) - inner(a, e(1))).max_abs() == 0.0
     assert ((~a) - reverse(a)).max_abs() == 0.0
     assert (geometric_product(a, e(2)) - a * e(2)).max_abs() == 0.0
+
+
+def test_worst_is_nan_without_samples():
+    assert math.isnan(_worst([]))
+    assert math.isnan(_worst(iter(())))
+
+
+def test_worst_is_nan_with_a_nan_sample_anywhere():
+    for samples in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
+        assert math.isnan(_worst(samples))
+        assert math.isnan(_worst(iter(samples)))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FINITE, min_size=1), st.data())
+def test_worst_is_max_on_finite_samples_and_nan_with_one_more(samples, data):
+    got = _worst(iter(samples))
+    assert type(got) is float and got == max(samples)
+    at = data.draw(st.integers(0, len(samples)))
+    assert math.isnan(_worst(samples[:at] + [math.nan] + samples[at:]))

@@ -1,7 +1,9 @@
 """Verification registry semantics and the command-line surface."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ga41 import ONE, checks
 from ga41.checks import (
     EXPECTED_CHECK_NAMES,
     check_definitions,
@@ -60,6 +63,9 @@ def test_run_checks_validation():
         run_checks(tolerances={"no_such_check": 1.0})
     with pytest.raises(ValueError):
         run_checks(step_h=0.0)
+    for value in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run_checks(tolerances={"blade_squares": value})
 
 
 def test_tolerance_override_forces_failure():
@@ -136,6 +142,11 @@ def test_cli_bad_tolerance_usage(capsys):
     assert main(["verify", "--tolerance", "not-a-pair"]) == 2
     capsys.readouterr()
     assert main(["verify", "--tolerance", "blade_squares=abc"]) == 2
+    capsys.readouterr()
+    for value in ("nan", "inf", "-inf", "-1", "-1e-300"):
+        assert main(["verify", "--tolerance", f"blade_squares={value}"]) == 2, value
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["verify", "--check", "blade_squares", "--tolerance", "blade_squares=0.0"]) == 0
     capsys.readouterr()
 
 
@@ -282,3 +293,87 @@ def test_cli_requires_subcommand(capsys):
     capsys.readouterr()
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+def test_seed_must_fit_in_64_bits():
+    top = 2**64 - 1
+    assert run_checks(names=["dirac_spectrum"], seed=top)[0].status == "pass"
+    code, _ = _run_quietly(["verify", "--check", "dirac_spectrum", f"--seed={top}"])
+    assert code == 0
+    for seed in (-1, 2**64, 10**23):
+        with pytest.raises(ValueError, match="seed"):
+            run_checks(names=["dirac_spectrum"], seed=seed)
+        code, err = _run_quietly(["verify", "--check", "dirac_spectrum", f"--seed={seed}"])
+        assert code == 2, seed
+        assert err.startswith("error:") and "seed" in err
+
+
+def _with_nan_sample(run, position):
+    def wrapped(ctx):
+        samples = list(run(ctx))
+        at = {"first": 0, "middle": len(samples) // 2, "last": len(samples)}[position]
+        return samples[:at] + [math.nan] + samples[at:]
+
+    return wrapped
+
+
+def test_a_nan_sample_fails_every_check(monkeypatch):
+    # the NaN goes first, in the middle or last, cycling over the
+    # registry, so one run covers every check and every position
+    positions = itertools.cycle(("first", "middle", "last"))
+    wrapped = [
+        dataclasses.replace(d, run=_with_nan_sample(d.run, next(positions)))
+        for d in check_definitions()
+    ]
+    monkeypatch.setattr(checks, "_REGISTRY", wrapped)
+    results = run_checks(seed=0)
+    assert [r.name for r in results] == list(EXPECTED_CHECK_NAMES)
+    for r in results:
+        assert r.status == "fail" and math.isnan(r.residual), (r.name, r.residual)
+
+
+def _nan_multivector():
+    return ONE * math.nan
+
+
+def test_dirac_column_fields_fails_when_samples_are_nan(monkeypatch):
+    # only the first of the 160 samples is finite
+    real = checks.reduced_vector_derivative
+    calls = itertools.count()
+
+    def mostly_nan(field, x, mass):
+        return real(field, x, mass) if next(calls) == 0 else _nan_multivector()
+
+    monkeypatch.setattr(checks, "reduced_vector_derivative", mostly_nan)
+    result = run_checks(names=["dirac_column_fields"], seed=0)[0]
+    assert next(calls) == 160
+    assert result.status == "fail" and math.isnan(result.residual)
+
+
+@pytest.mark.parametrize("nan_calls", ["every", "first_of_each_pair"])
+def test_phase_sign_exclusivity_fails_on_nan_derivatives(monkeypatch, nan_calls):
+    # a NaN residual violates both the canonical bound and the
+    # non-canonical one, so all 50 x 4 variants count
+    real = checks.vector_derivative
+    calls = itertools.count()
+
+    def patched(field, x, *args, **kwargs):
+        if nan_calls == "every" or next(calls) % 2 == 0:
+            return _nan_multivector()
+        return real(field, x, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "vector_derivative", patched)
+    result = run_checks(names=["phase_sign_exclusivity"], seed=0)[0]
+    assert result.status == "fail"
+    assert result.residual == 200.0
+
+
+def test_nan_second_order_samples_fail_monogenic_residual():
+    # at h = 1e-300 every second-order sample is 0/0 = NaN
+    out = io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--check", "monogenic_residual", "--step-h", "1e-300"])
+    assert code == 1
+    assert out.getvalue().startswith("FAIL monogenic_residual")
+    assert "residual=nan" in out.getvalue()

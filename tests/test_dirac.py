@@ -1,5 +1,7 @@
 """Momentum-space wave operator: solver, ordering, and crosschecks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,13 @@ def test_geometric_matrix_crosscheck():
         k = random_null(rng)
         res = geometric_matrix_crosscheck(k, points)
         assert res <= 1e-10 * max(1.0, k.energy**2)
+
+
+def test_geometric_matrix_crosscheck_keeps_a_nan_point():
+    exact = MomentumVector(5.0, (3.0, 0.0, 0.0), 4.0)
+    nan_point = np.array([math.nan, 0.0, 0.0, 0.0, 0.0])
+    points = [np.zeros(5), nan_point, np.array([0.3, -0.2, 0.5, 0.1, 0.0])]
+    assert math.isnan(geometric_matrix_crosscheck(exact, points))
 
 
 def test_column_waves_solve_reduced_equation():

@@ -313,3 +313,22 @@ def test_phase_shift_identity():
         potential=(0.0, 0.0, 0.0, 0.0), charge=1.0, mass=1.0, phase=beta
     )
     assert phase_shift_residual(wave, numeric, points) <= 1e-8
+
+
+def test_residuals_keep_a_nan_point():
+    # a phase that is NaN at the middle of three points makes that
+    # point's sample, and with it each residual, NaN
+    bad = np.array([0.1, -0.2, 0.3, 0.4, 0.5])
+    field = GaugeField(
+        potential=(0.0, 0.0, 0.0, 0.0),
+        charge=1.0,
+        mass=1.0,
+        phase=lambda x: math.nan if np.array_equal(x, bad) else 0.2 * float(x[0]),
+        phase_gradient=lambda x: np.array([0.2, 0.0, 0.0, 0.0, 0.0]),
+    )
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, 1.0, 0.0), 1.0))
+    points = [np.zeros(5), bad, np.array([-0.3, 0.2, 0.1, 0.0, 0.2])]
+    assert phase_shift_residual(wave, field, [points[0], points[2]]) <= 1e-8
+    assert gauge_covariance_residual(wave, field, [points[0], points[2]]) <= 1e-8
+    assert math.isnan(phase_shift_residual(wave, field, points))
+    assert math.isnan(gauge_covariance_residual(wave, field, points))

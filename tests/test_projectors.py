@@ -82,6 +82,18 @@ def test_validate_rejects_broken_set():
         IdempotentSet("short", (f[0], f[1], f[2]))
 
 
+def test_validate_rejects_a_nan_element():
+    # the idempotency sample of f[0] comes first and is finite, so a
+    # fold that drops later NaN samples would call this set valid
+    f = build_f_set().elements
+    report = validate_idempotent_set(
+        IdempotentSet("nan", (f[0], f[1] * np.nan, f[2], f[3])), tol=1e-12
+    )
+    assert not report["ok"]
+    for part in ("idempotency", "orthogonality", "completeness"):
+        assert np.isnan(report[part]), part
+
+
 def test_f_images_are_matrix_units():
     images = [to_matrix(f) for f in build_f_set().elements]
     positions = (1, 2, 3, 0)
