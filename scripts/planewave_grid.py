@@ -3,10 +3,14 @@
 
 Rows hold the five coordinates followed by the 32 blade coefficients,
 one sample per line, suitable for plotting or diffing between runs.
+
+Exit codes: 0 on success, 2 on bad input (an off-shell or non-finite
+momentum, bad axes, fewer than one point per axis, a non-finite extent).
 """
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -47,9 +51,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    axes = tuple(int(a) for a in args.axes.split(","))
+    try:
+        axes = tuple(int(a) for a in args.axes.split(","))
+    except ValueError:
+        axes = ()
     if len(axes) != 2 or not all(0 <= a <= 4 for a in axes):
         print("error: --axes needs two indices in 0..4", file=sys.stderr)
+        return 2
+    if args.points < 1:
+        print("error: --points must be at least 1", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.extent):
+        print("error: --extent must be finite", file=sys.stderr)
         return 2
     wave = plane_wave(k)
     ticks = np.linspace(-args.extent, args.extent, args.points)

@@ -291,9 +291,6 @@ class Multivector:
         # + 0.0 turns -0.0 into 0.0, which compares equal to it
         return hash((self._c + 0.0).tobytes())
 
-    def isclose(self, other: "Multivector", atol: float = 1e-12) -> bool:
-        return bool(np.allclose(self._c, other._c, rtol=0.0, atol=atol))
-
     # -- text form -------------------------------------------------------
 
     def __str__(self):

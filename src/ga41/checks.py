@@ -29,7 +29,6 @@ from .algebra import (
     _worst,
     blade_product,
     e,
-    e_upper,
     inner,
     outer,
     scalar_product,
@@ -65,6 +64,7 @@ from .monogenic import (
     vector_derivative,
 )
 from .projectors import (
+    COMMUTING_PAIRS,
     build_e_set,
     build_f_set,
     conjugated_unit_quadruple,
@@ -516,7 +516,7 @@ def _check_idempotent_sets(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_projector_commutation(ctx) -> Iterator[float]:
-    for a, b in ((e_upper(3), e_upper(0, 4)), (e_upper(0, 1, 2), e_upper(0, 3, 4))):
+    for a, b in COMMUTING_PAIRS:
         yield (a * b - b * a).max_abs()
     for s in (build_f_set(), build_e_set()):
         for i in range(4):
@@ -531,8 +531,9 @@ def _check_projector_commutation(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_triblade_squares(ctx) -> Iterator[float]:
-    for b in (e_upper(3), e_upper(0, 4), e_upper(0, 1, 2), e_upper(0, 3, 4)):
-        yield (b * b - ONE).max_abs()
+    for pair in COMMUTING_PAIRS:
+        for b in pair:
+            yield (b * b - ONE).max_abs()
 
 
 @_register(
@@ -582,6 +583,24 @@ def _check_custom_quadruple_generators(ctx) -> Iterator[float]:
 # -- frames and gauge -----------------------------------------------------
 
 
+def _gauge_cases(ctx, min_mass: float):
+    """Two (plane wave, gauge field with a linear phase, three points)
+    cases, drawn in the order momentum, phase coefficients, potential,
+    points."""
+    for _ in range(2):
+        k = _random_momentum(ctx.rng, min_mass=min_mass)
+        coefs = ctx.rng.uniform(-0.8, 0.8, 4)
+        potential = ctx.rng.uniform(-1.0, 1.0, 4)
+        field = GaugeField(
+            potential,
+            charge=-1.0,
+            mass=k.mass,
+            phase=lambda x, c=coefs: float(c @ x[:4]),
+            phase_gradient=lambda x, c=coefs: np.array([*c, 0.0]),
+        )
+        yield plane_wave(k), field, ctx.rng.uniform(-1.0, 1.0, (3, 5))
+
+
 @_register(
     "frame_duality",
     "random frames satisfy the metric and reciprocal duality relations",
@@ -626,19 +645,7 @@ def _check_frame_duality(ctx) -> Iterator[float]:
     1e-8,
 )
 def _check_nonmonogenic_identity(ctx) -> Iterator[float]:
-    for _ in range(2):
-        k = _random_momentum(ctx.rng, min_mass=0.1)
-        wave = plane_wave(k)
-        coefs = ctx.rng.uniform(-0.8, 0.8, 4)
-        potential = ctx.rng.uniform(-1.0, 1.0, 4)
-        field = GaugeField(
-            potential,
-            charge=-1.0,
-            mass=k.mass,
-            phase=lambda x, c=coefs: float(c @ x[:4]),
-            phase_gradient=lambda x, c=coefs: np.array([*c, 0.0]),
-        )
-        points = ctx.rng.uniform(-1.0, 1.0, (3, 5))
+    for wave, field, points in _gauge_cases(ctx, min_mass=0.1):
         yield phase_shift_residual(wave, field, points)
 
 
@@ -649,19 +656,7 @@ def _check_nonmonogenic_identity(ctx) -> Iterator[float]:
     1e-8,
 )
 def _check_em_covariance(ctx) -> Iterator[float]:
-    for _ in range(2):
-        k = _random_momentum(ctx.rng, min_mass=0.5)
-        wave = plane_wave(k)
-        coefs = ctx.rng.uniform(-0.8, 0.8, 4)
-        potential = ctx.rng.uniform(-1.0, 1.0, 4)
-        field = GaugeField(
-            potential,
-            charge=-1.0,
-            mass=k.mass,
-            phase=lambda x, c=coefs: float(c @ x[:4]),
-            phase_gradient=lambda x, c=coefs: np.array([*c, 0.0]),
-        )
-        points = ctx.rng.uniform(-1.0, 1.0, (3, 5))
+    for wave, field, points in _gauge_cases(ctx, min_mass=0.5):
         yield gauge_covariance_residual(wave, field, points)
 
 

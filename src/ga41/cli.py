@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES, _worst, blade_name, blade_product
+from .algebra import N_BLADES, _worst, blade_name, blade_product
 from .checks import check_definitions, report_json, run_checks
 from .dirac import dirac_system, geometric_matrix_crosscheck, order_eigensystem
 from .frames import GaugeField, RefractiveIndex, build_frame, em_frame
@@ -98,6 +98,9 @@ def _momentum_from_args(values, negative_energy=False) -> MomentumVector:
 def _cmd_planewave(args) -> int:
     if len(args.momentum) not in (4, 5):
         print("error: expected `E p1 p2 p3 m` or `p1 p2 p3 m`", file=sys.stderr)
+        return 2
+    if args.grid < 0:
+        print("error: --grid must be nonnegative", file=sys.stderr)
         return 2
     try:
         k = _momentum_from_args(args.momentum, args.negative_energy)

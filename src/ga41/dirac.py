@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, PSEUDOSCALAR, _worst, e
+from .algebra import PSEUDOSCALAR, _worst, e
 from .matrices import ALPHA, BETA, IDENTITY, from_matrix, to_matrix
 from .monogenic import MomentumVector, MultivectorField, harmonic_field
 
@@ -89,12 +89,14 @@ def _eigencolumns(k: MomentumVector, a_bar: np.ndarray) -> np.ndarray:
 
 
 def order_eigensystem(system: DiracSystem) -> DiracSystem:
-    """Columns ordered (+E spin-up, +E spin-down, -E spin-up,
-    -E spin-down), each with its largest component made real positive,
-    rebuilt from the closed form of :func:`dirac_system`.
+    """Validate an eigensystem built by :func:`dirac_system` and return
+    it unchanged: its closed-form columns are already ordered
+    (+E spin-up, +E spin-down, -E spin-up, -E spin-down), each with its
+    largest component made real positive, and its eigenvalue matrix is
+    exactly E * diag(1, 1, -1, -1).
 
-    Requires E > 0 and a doubled +-E spectrum; the eigenvalue matrix of
-    the result is exactly E * diag(1, 1, -1, -1).
+    Raises ValueError unless E > 0 and ArithmeticError unless the
+    spectrum is a doubled +-E pair.
     """
     energy = system.k.energy
     if energy <= 0:
@@ -102,7 +104,7 @@ def order_eigensystem(system: DiracSystem) -> DiracSystem:
     vals = np.real(np.diag(system.lam))
     if np.count_nonzero(vals > 0) != 2 or np.count_nonzero(vals <= 0) != 2:
         raise ArithmeticError("spectrum is not a doubled +-E pair")
-    return dirac_system(system.k)
+    return system
 
 
 def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:

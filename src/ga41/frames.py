@@ -93,7 +93,10 @@ def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
 @dataclass(frozen=True)
 class GaugeField:
     """Potential A_mu(x) (four components), charge, mass, and an
-    optional phase function beta(x) with its five-component gradient."""
+    optional phase function beta(x) with its five-component gradient.
+
+    A constant potential, the charge and the mass must be finite; a
+    callable potential is not checked."""
 
     potential: Callable[[np.ndarray], np.ndarray]
     charge: float
@@ -107,9 +110,14 @@ class GaugeField:
             const = np.array(pot, dtype=float)
             if const.shape != (4,):
                 raise ValueError("constant potential must have four components")
+            if not np.all(np.isfinite(const)):
+                raise ValueError("constant potential must be finite")
             object.__setattr__(self, "potential", lambda x: const)
-        object.__setattr__(self, "charge", float(self.charge))
-        object.__setattr__(self, "mass", float(self.mass))
+        for name in ("charge", "mass"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     def potential_at(self, x) -> np.ndarray:
         a = np.asarray(self.potential(np.asarray(x, dtype=float)), dtype=float)

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
-    GRADES,
     Multivector,
     N_BLADES,
     ONE,
@@ -249,10 +248,10 @@ def _spatial_derivative_matrix(degree: int) -> np.ndarray:
     of the given degree with even-subalgebra values.
 
     Columns: (monomial, even blade); rows: (degree-1 monomial, any of
-    the 32 blades).
+    the 32 blades), so there are no rows at degree 0.
     """
     monos = _monomials(degree)
-    lower = _monomials(degree - 1) if degree > 0 else []
+    lower = _monomials(degree - 1)
     lower_index = {m: i for i, m in enumerate(lower)}
     mat = np.zeros((len(lower) * N_BLADES, len(monos) * len(EVEN_SPATIAL_MASKS)))
     for mi, mono in enumerate(monos):
@@ -359,26 +358,17 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
     """
     if degree not in _SUPPORTED_DEGREES:
         raise ValueError(f"unsupported degree: {degree}")
-    monos = _monomials(degree)
     nb = len(EVEN_SPATIAL_MASKS)
-    ncols = len(monos) * nb
-    if degree == 0:
-        full = [np.eye(ncols)[:, i] for i in range(ncols)]
-    else:
-        full = _rref_nullspace(_spatial_derivative_matrix(degree))
+    derivative = _spatial_derivative_matrix(degree)
+    ncols = derivative.shape[1]
+    full = _rref_nullspace(derivative)
 
     # restricted system over the flagged cells only, solved first so the
     # flagged fields head the basis
     flag_cols = [
-        mi * nb + bi
-        for mi in range(len(monos))
-        for bi, bmask in enumerate(EVEN_SPATIAL_MASKS)
-        if bmask in FLAGGED_MASKS
+        col for col in range(ncols) if EVEN_SPATIAL_MASKS[col % nb] in FLAGGED_MASKS
     ]
-    if degree == 0:
-        restricted = [np.eye(len(flag_cols))[:, i] for i in range(len(flag_cols))]
-    else:
-        restricted = _rref_nullspace(_spatial_derivative_matrix(degree)[:, flag_cols])
+    restricted = _rref_nullspace(derivative[:, flag_cols])
     chosen: list[np.ndarray] = []
     for rvec in restricted:
         v = np.zeros(ncols)
@@ -393,7 +383,8 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
 
 
 def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
-    """Product of a spatial factor and a (t, x4) plane wave with E^2 = m^2.
+    """Product of a spatial factor and a (t, x4) plane wave with E^2 = m^2
+    for finite E and m (ValueError otherwise, also when E^2 overflows).
 
     The spatial factor must commute with the index-0 and index-4
     generators (checked on a sample grid); together with spatial
@@ -401,8 +392,9 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
     without spreading.
     """
     energy, mass = float(k[0]), float(k[1])
-    if abs(energy * energy - mass * mass) > 1e-12 * max(1.0, energy * energy):
-        raise ValueError("separable factor requires E^2 = m^2")
+    on_shell = abs(energy * energy - mass * mass) <= 1e-12 * max(1.0, energy * energy)
+    if not (math.isfinite(energy) and math.isfinite(mass) and on_shell):
+        raise ValueError("separable factor requires finite E and m with E^2 = m^2")
     ticks = (-1.0, -0.3, 0.4, 1.0)
     for x1 in ticks:
         for x2 in ticks:

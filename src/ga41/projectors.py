@@ -2,11 +2,11 @@
 eigensystem, and the diagonal generators of the unitary group they
 span.
 
-Two quadruples are built from commuting square roots of one: the
-bivector pair (e3, e04-reversed) and the grade-3 pair (e012, e034
-images with raised indices).  Each quadruple is idempotent, mutually
-orthogonal, and sums to one, but the two are not simultaneously
-diagonalized by the matrix map.
+Two quadruples are built from the commuting square roots of one in
+:data:`COMMUTING_PAIRS`: the pair (e3, e04) and the grade-3 pair
+(e012, e034), all with raised indices.  Each quadruple is idempotent,
+mutually orthogonal, and sums to one, but the two are not
+simultaneously diagonalized by the matrix map.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, ONE, _worst, e, e_upper
+from .algebra import Multivector, ONE, _worst, e_upper
 from .matrices import BETA, IDENTITY, from_matrix, sigma_matrix, to_matrix
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -35,36 +35,32 @@ class IdempotentSet:
             raise ValueError("an idempotent set holds exactly four elements")
 
 
-def build_f_set() -> IdempotentSet:
-    """Quadruple from the commuting pair (e3, raised e04)."""
-    s3 = e_upper(3)
-    s04 = e_upper(0, 4)
+#: the commuting square roots of one behind the f-set and the e-set:
+#: (raised e3, raised e04) and (raised e012, raised e034)
+COMMUTING_PAIRS = (
+    (e_upper(3), e_upper(0, 4)),
+    (e_upper(0, 1, 2), e_upper(0, 3, 4)),
+)
+
+
+def _quadruple(name: str, pair, signs) -> IdempotentSet:
+    """Elements 0.25 (1 + s_a a)(1 + s_b b) for each sign pair (s_a, s_b)."""
+    a, b = pair
     quarter = 0.25 * ONE
     return IdempotentSet(
-        "f-set",
-        (
-            quarter * (ONE - s3) * (ONE - s04),
-            quarter * (ONE - s3) * (ONE + s04),
-            quarter * (ONE + s3) * (ONE + s04),
-            quarter * (ONE + s3) * (ONE - s04),
-        ),
+        name,
+        tuple(quarter * (ONE + s_a * a) * (ONE + s_b * b) for s_a, s_b in signs),
     )
+
+
+def build_f_set() -> IdempotentSet:
+    """Quadruple from the commuting pair (raised e3, raised e04)."""
+    return _quadruple("f-set", COMMUTING_PAIRS[0], ((-1, -1), (-1, 1), (1, 1), (1, -1)))
 
 
 def build_e_set() -> IdempotentSet:
-    """Quadruple from the commuting grade-3 pair (raised e012, e034)."""
-    t012 = e_upper(0, 1, 2)
-    t034 = e_upper(0, 3, 4)
-    quarter = 0.25 * ONE
-    return IdempotentSet(
-        "e-set",
-        (
-            quarter * (ONE + t012) * (ONE + t034),
-            quarter * (ONE + t012) * (ONE - t034),
-            quarter * (ONE - t012) * (ONE - t034),
-            quarter * (ONE - t012) * (ONE + t034),
-        ),
-    )
+    """Quadruple from the commuting grade-3 pair (raised e012, raised e034)."""
+    return _quadruple("e-set", COMMUTING_PAIRS[1], ((1, 1), (1, -1), (-1, -1), (-1, 1)))
 
 
 def validate_idempotent_set(s: IdempotentSet, tol: float = 0.0) -> dict:
@@ -148,6 +144,27 @@ def su4_generators() -> tuple[np.ndarray, ...]:
     return mats
 
 
+def _diagonal_generators(f1, f2, f3, f4):
+    """Backward relations: the diagonal generators (lambda3, lambda8,
+    lambda15) of a quadruple, as multivectors or as matrices."""
+    return (
+        f1 - f2,
+        (f1 + f2 - 2.0 * f3) * _INV_SQRT3,
+        (f1 + f2 + f3 - 3.0 * f4) * _INV_SQRT6,
+    )
+
+
+def _idempotents(quarter, l3, l8, l15):
+    """Forward relations: the quadruple rebuilt from a quarter of the
+    identity and the three diagonal generators."""
+    return (
+        quarter + 0.5 * l3 + (0.5 * _INV_SQRT3) * l8 + (0.5 * _INV_SQRT6) * l15,
+        quarter - 0.5 * l3 + (0.5 * _INV_SQRT3) * l8 + (0.5 * _INV_SQRT6) * l15,
+        quarter - _INV_SQRT3 * l8 + (0.5 * _INV_SQRT6) * l15,
+        quarter - (1.5 * _INV_SQRT6) * l15,
+    )
+
+
 def idempotents_to_generators(
     s: IdempotentSet, tol: float = 1e-10
 ) -> tuple[Multivector, Multivector, Multivector]:
@@ -160,17 +177,8 @@ def idempotents_to_generators(
     report = validate_idempotent_set(s, tol)
     if not report["ok"]:
         raise ValueError(f"input is not an idempotent quadruple: {report}")
-    f1, f2, f3, f4 = s.elements
-    l3 = f1 - f2
-    l8 = (f1 + f2 - 2.0 * f3) * _INV_SQRT3
-    l15 = (f1 + f2 + f3 - 3.0 * f4) * _INV_SQRT6
-    quarter = 0.25 * ONE
-    rebuilt = (
-        quarter + 0.5 * l3 + (0.5 * _INV_SQRT3) * l8 + (0.5 * _INV_SQRT6) * l15,
-        quarter - 0.5 * l3 + (0.5 * _INV_SQRT3) * l8 + (0.5 * _INV_SQRT6) * l15,
-        quarter - _INV_SQRT3 * l8 + (0.5 * _INV_SQRT6) * l15,
-        quarter - (1.5 * _INV_SQRT6) * l15,
-    )
+    l3, l8, l15 = _diagonal_generators(*s.elements)
+    rebuilt = _idempotents(0.25 * ONE, l3, l8, l15)
     scale = max(1.0, max(f.max_abs() for f in s.elements))
     worst = _worst((a - b).max_abs() for a, b in zip(rebuilt, s.elements))
     if not worst <= max(tol, 1e-12) * scale:
@@ -180,8 +188,9 @@ def idempotents_to_generators(
     return l3, l8, l15
 
 
-def expm(m: np.ndarray, term_cap: int = 60) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on the power series."""
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring on the power series,
+    summed to at most 60 terms."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -193,7 +202,7 @@ def expm(m: np.ndarray, term_cap: int = 60) -> np.ndarray:
     scaled = m / (2.0**squarings)
     acc = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
-    for i in range(1, term_cap + 1):
+    for i in range(1, 61):
         term = term @ scaled / i
         acc = acc + term
         if np.max(np.abs(term)) <= 1e-17 * max(1.0, float(np.max(np.abs(acc)))):
@@ -270,29 +279,13 @@ def verify_su4_generators(thetas=(0.3, 1.0)) -> dict:
     images = [to_matrix(f) for f in quadruple.elements]
     perm = _diagonalizing_permutation(images)
     aligned = [perm.conj().T @ img @ perm for img in images]
-    units = []
-    for k in range(4):
-        u = np.zeros((4, 4), dtype=complex)
-        u[k, k] = 1.0
-        units.append(u)
-    diagonal_exact = all(np.array_equal(a, u) for a, u in zip(aligned, units))
+    diagonal_exact = all(np.array_equal(a, np.diag(u)) for a, u in zip(aligned, IDENTITY))
 
-    diag3, diag8, diag15 = gens[2], gens[7], gens[14]
-    backward = (
-        aligned[0] - aligned[1],
-        (aligned[0] + aligned[1] - 2.0 * aligned[2]) * _INV_SQRT3,
-        (aligned[0] + aligned[1] + aligned[2] - 3.0 * aligned[3]) * _INV_SQRT6,
-    )
+    diagonal = (gens[2], gens[7], gens[14])
     backward_exact = all(
-        np.array_equal(b, g) for b, g in zip(backward, (diag3, diag8, diag15))
+        np.array_equal(b, g) for b, g in zip(_diagonal_generators(*aligned), diagonal)
     )
-    quarter = 0.25 * np.eye(4, dtype=complex)
-    forward = (
-        quarter + 0.5 * diag3 + (0.5 * _INV_SQRT3) * diag8 + (0.5 * _INV_SQRT6) * diag15,
-        quarter - 0.5 * diag3 + (0.5 * _INV_SQRT3) * diag8 + (0.5 * _INV_SQRT6) * diag15,
-        quarter - _INV_SQRT3 * diag8 + (0.5 * _INV_SQRT6) * diag15,
-        quarter - (1.5 * _INV_SQRT6) * diag15,
-    )
+    forward = _idempotents(0.25 * np.eye(4, dtype=complex), *diagonal)
     forward_residual = _worst(
         float(np.max(np.abs(f - a))) for f, a in zip(forward, aligned)
     )

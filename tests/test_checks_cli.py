@@ -183,6 +183,13 @@ def test_cli_planewave_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_planewave_negative_grid_is_usage_error(capsys):
+    assert main(["planewave", "3", "0", "0", "4", "--grid", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["planewave", "3", "0", "0", "4", "--grid", "0"]) == 0
+    assert "|" not in capsys.readouterr().out
+
+
 def test_cli_eigen(capsys):
     assert main(["eigen", "0", "0", "2", "1.5"]) == 0
     out = capsys.readouterr().out
@@ -229,6 +236,16 @@ def test_cli_eigen_rejects_non_finite(numbers):
 @given(st.sampled_from([4, 5]).flatmap(_numbers_with_one_non_finite))
 def test_cli_planewave_rejects_non_finite(numbers):
     code, err = _run_quietly(["planewave", *numbers])
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(_numbers_with_one_non_finite(6))
+def test_cli_em_frame_rejects_non_finite(numbers):
+    potential, (charge, mass) = numbers[:4], numbers[4:]
+    argv = ["frame", "--em", "--potential", *potential, "--charge", charge, "--mass", mass]
+    code, err = _run_quietly(argv)
     assert code == 2
     assert err.startswith("error:") and "finite" in err
 

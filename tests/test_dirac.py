@@ -164,6 +164,23 @@ def test_ordering_validation():
         order_eigensystem(fake)
 
 
+def test_ordering_returns_the_closed_form_built_once(monkeypatch):
+    from ga41 import dirac
+
+    calls = []
+    real = dirac._eigencolumns
+
+    def counted(k, a_bar):
+        calls.append(k)
+        return real(k, a_bar)
+
+    monkeypatch.setattr(dirac, "_eigencolumns", counted)
+    k = MomentumVector.from_mass_momentum((0.3, -1.2, 0.8), 0.7)
+    system = dirac_system(k)
+    assert order_eigensystem(system) is system
+    assert calls == [k]
+
+
 def test_phase_convention_leading_component():
     rng = np.random.default_rng(46)
     for _ in range(5):

@@ -96,6 +96,23 @@ def test_gauge_field_constant_potential():
         field.phase_gradient_at(np.zeros(5))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-2, 2), min_size=6, max_size=6),
+    st.integers(0, 5),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_gauge_field_rejects_non_finite_constants(values, index, bad):
+    values[index] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GaugeField(potential=values[:4], charge=values[4], mass=values[5])
+
+
+def test_gauge_field_leaves_callable_potentials_unchecked():
+    field = GaugeField(potential=lambda x: np.full(4, math.nan), charge=1.0, mass=1.0)
+    assert np.isnan(field.potential_at(np.zeros(5))).all()
+
+
 def test_phase_gradient_numeric_fallback():
     field = GaugeField(
         potential=(0.0, 0.0, 0.0, 0.0),

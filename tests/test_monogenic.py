@@ -334,3 +334,29 @@ def test_separable_wavepacket_validation():
     odd = MultivectorField(lambda x: e(1))
     with pytest.raises(ValueError):
         separable_wavepacket(odd, (1.0, 1.0))
+
+
+def test_degree_zero_basis_is_the_even_blades():
+    fields = monogenic_polynomials_3d(0)
+    x = np.array([0.4, -0.8, 0.5, 0.3, -0.1])
+    want = (ONE, e(1, 2), e(1, 3), e(2, 3))
+    assert [f(x) for f in fields] == list(want)
+    assert [f.flagged for f in fields] == [True, True, False, False]
+
+
+_ON_SHELL_SCALAR = monogenic_polynomials_3d(0)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(-5, 5)),
+        st.tuples(st.floats(-5, 5), st.sampled_from([math.nan, math.inf, -math.inf])),
+        st.floats(min_value=1e155, max_value=1e300).map(lambda v: (v, v)),
+    ).flatmap(st.permutations)
+)
+def test_separable_wavepacket_rejects_non_finite(k):
+    # NaN and inf - inf used to slip past the E^2 = m^2 guard, and so did
+    # an E^2 that overflows to inf
+    with pytest.raises(ValueError):
+        separable_wavepacket(_ON_SHELL_SCALAR, tuple(k))

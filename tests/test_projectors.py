@@ -6,6 +6,7 @@ import pytest
 from ga41 import MomentumVector, Multivector, ONE, e_upper, to_matrix
 from ga41.dirac import dirac_system, order_eigensystem
 from ga41.projectors import (
+    COMMUTING_PAIRS,
     IdempotentSet,
     build_e_set,
     build_f_set,
@@ -62,6 +63,11 @@ def test_factor_squares_and_commutation():
         assert (a * a - ONE).max_abs() == 0.0
         assert (b * b - ONE).max_abs() == 0.0
         assert (a * b - b * a).max_abs() == 0.0
+
+
+def test_commuting_pairs_are_the_raised_factors():
+    want = ((e_upper(3), e_upper(0, 4)), (e_upper(0, 1, 2), e_upper(0, 3, 4)))
+    assert COMMUTING_PAIRS == want
 
 
 def test_both_sets_validate_exactly():
