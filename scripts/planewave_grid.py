@@ -4,8 +4,11 @@
 Rows hold the five coordinates followed by the 32 blade coefficients,
 one sample per line, suitable for plotting or diffing between runs.
 
+The whole grid is evaluated in one batched call of the field.
+
 Exit codes: 0 on success, 2 on bad input (an off-shell or non-finite
-momentum, bad axes, fewer than one point per axis, a non-finite extent).
+momentum, axes that are not two distinct indices in 0..4, fewer than one
+point per axis, a non-finite extent).
 """
 
 import argparse
@@ -55,8 +58,8 @@ def main(argv=None) -> int:
         axes = tuple(int(a) for a in args.axes.split(","))
     except ValueError:
         axes = ()
-    if len(axes) != 2 or not all(0 <= a <= 4 for a in axes):
-        print("error: --axes needs two indices in 0..4", file=sys.stderr)
+    if len(axes) != 2 or axes[0] == axes[1] or not all(0 <= a <= 4 for a in axes):
+        print("error: --axes needs two distinct indices in 0..4", file=sys.stderr)
         return 2
     if args.points < 1:
         print("error: --points must be at least 1", file=sys.stderr)
@@ -66,22 +69,21 @@ def main(argv=None) -> int:
         return 2
     wave = plane_wave(k)
     ticks = np.linspace(-args.extent, args.extent, args.points)
+    points = np.zeros((args.points**2, 5))
+    points[:, axes[0]] = np.repeat(ticks, args.points)
+    points[:, axes[1]] = np.tile(ticks, args.points)
+    values = wave._rows(points)
 
     writer = csv.writer(sys.stdout)
     header = [f"x{a}" for a in range(5)] + [blade_name(m) for m in range(N_BLADES)]
     if args.residuals:
         header.append("residual")
     writer.writerow(header)
-    for u in ticks:
-        for v in ticks:
-            x = np.zeros(5)
-            x[axes[0]] = u
-            x[axes[1]] = v
-            value = wave(x)
-            row = [f"{c:.12g}" for c in x] + [f"{c:.12g}" for c in value.coeffs]
-            if args.residuals:
-                row.append(f"{vector_derivative(wave, x).max_abs():.3e}")
-            writer.writerow(row)
+    for x, value in zip(points, values):
+        row = [f"{c:.12g}" for c in x] + [f"{c:.12g}" for c in value]
+        if args.residuals:
+            row.append(f"{vector_derivative(wave, x).max_abs():.3e}")
+        writer.writerow(row)
     return 0
 
 

@@ -94,10 +94,13 @@ _OUTER = np.where(_OUT == _LEFT + _RIGHT, _FULL, 0.0)
 
 
 def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # each a[i] b[i^k] is rounded before the signed sum and no multiply-add
-    # is fused, so *, ^ and | round their shared terms alike and
+    # rows (..., 32) pair up; each a[i] b[i^k] is rounded before the signed
+    # sum and no multiply-add is fused, so a row of a batch equals the
+    # single product, *, ^ and | round their shared terms alike and
     # a * b == (a | b) + (a ^ b) holds exactly for vectors
-    return np.einsum("ki,ki->k", table, a * b[_XOR])
+    if a.ndim > 1:
+        a = a[..., None, :]
+    return np.einsum("ki,...ki->...k", table, a * b.take(_XOR, axis=-1))
 
 
 _REVERSE_SIGNS = np.array([(-1.0) ** (g * (g - 1) // 2) for g in GRADES])

@@ -819,4 +819,7 @@ def report_dict(results: list[CheckResult], seed: int, omit_timings: bool = Fals
 
 
 def report_json(results: list[CheckResult], seed: int, omit_timings: bool = False) -> str:
-    return json.dumps(report_dict(results, seed, omit_timings), indent=2)
+    report = report_dict(results, seed, omit_timings)
+    for row in report["results"]:  # standard JSON has no NaN or infinity
+        row["residual"] = row["residual"] if math.isfinite(row["residual"]) else None
+    return json.dumps(report, indent=2, allow_nan=False)

@@ -186,6 +186,9 @@ def _cmd_projectors(args) -> int:
 
 def _cmd_frame(args) -> int:
     point = np.array(args.point, dtype=float)
+    if not np.all(np.isfinite(point)):
+        print("error: --point must be finite", file=sys.stderr)
+        return 2
     try:
         if args.em:
             if args.potential is None:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _worst
+from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _product, _worst
 from .monogenic import AXES, MultivectorField, RECIPROCAL_VECTORS, vector_derivative
 from .monogenic import _derivative_sum, _stencil
 
@@ -134,11 +134,9 @@ class GaugeField:
             if g.shape != (AXES,):
                 raise ValueError("phase gradient must have five components")
             return g
-        grad = np.zeros(AXES)
-        for a in range(AXES):
-            plus, minus = _stencil(self.phase, x, h, a)
-            grad[a] = (plus - minus) / (2.0 * h)
-        return grad
+        phase = self.phase
+        _, plus, minus = _stencil(lambda xs: np.array([phase(p) for p in xs], dtype=float), x, h)
+        return (plus - minus) / (2.0 * h)
 
 
 def em_frame(field: GaugeField, x) -> Frame:
@@ -172,9 +170,15 @@ def covariant_derivative(
     return _derivative_sum(field, x, h, fr.reciprocal, range(AXES))
 
 
+def _rotor_rows(betas) -> np.ndarray:
+    """One row cos(beta) + pseudoscalar sin(beta) per phase beta."""
+    b = np.asarray(betas, dtype=float)[:, None]
+    return np.cos(b) * ONE.coeffs + np.sin(b) * PSEUDOSCALAR.coeffs
+
+
 def phase_rotor(beta: float) -> Multivector:
     """cos(beta) + pseudoscalar sin(beta); central, unit norm."""
-    return math.cos(beta) * ONE + math.sin(beta) * PSEUDOSCALAR
+    return Multivector._wrap(_rotor_rows([beta])[0])
 
 
 def gauge_transform(
@@ -191,11 +195,10 @@ def gauge_transform(
     if field.phase is None:
         raise ValueError("gauge transformation requires a phase function")
     beta = field.phase
-    base_value, base_deriv = psi.value, psi.derivative
+    base_rows, base_value, base_deriv = psi._rows, psi.value, psi.derivative
 
-    def value(x) -> Multivector:
-        x = np.asarray(x, dtype=float)
-        return base_value(x) * phase_rotor(beta(x))
+    def rows(xs) -> np.ndarray:
+        return _product(_FULL, base_rows(xs), _rotor_rows([beta(x) for x in xs]))
 
     derivative = None
     if base_deriv is not None:
@@ -213,7 +216,7 @@ def gauge_transform(
         g = field.phase_gradient_at(x)
         return np.asarray(old_potential(x), dtype=float) - g[:4] / charge
 
-    rotated = MultivectorField(value, derivative)
+    rotated = MultivectorField._from_rows(rows, derivative)
     return rotated, replace(field, potential=new_potential)
 
 

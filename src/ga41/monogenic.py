@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +22,8 @@ from .algebra import (
     N_BLADES,
     ONE,
     PSEUDOSCALAR,
+    _FULL,
+    _product,
     blade_product,
     e,
     e_upper,
@@ -106,10 +109,27 @@ class MomentumVector:
 @dataclass(frozen=True)
 class MultivectorField:
     """A multivector-valued function of a 5-point, with an optional
-    analytic partial-derivative evaluator (point, axis) -> value."""
+    analytic partial-derivative evaluator (point, axis) -> value; ``_rows``
+    takes points (n, 5) to coefficient rows (n, 32) in one call (for a
+    bare point callable, ``value`` stacked row by row)."""
 
     value: Callable[[np.ndarray], Multivector]
     derivative: Optional[Callable[[np.ndarray, int], Multivector]] = None
+    _rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self._rows is None:
+            value = self.value
+            object.__setattr__(self, "_rows", lambda xs: np.array([value(x).coeffs for x in xs]))
+
+    @classmethod
+    def _from_rows(cls, rows, derivative=None, **extra):
+        """The field whose value at x is the row ``rows`` gives for x."""
+
+        def value(x) -> Multivector:
+            return Multivector._wrap(rows(np.asarray(x, dtype=float)[None])[0])
+
+        return cls(value, derivative, _rows=rows, **extra)
 
     def __call__(self, x) -> Multivector:
         return self.value(np.asarray(x, dtype=float))
@@ -120,18 +140,19 @@ def harmonic_field(amplitude: Multivector, phase_gradient) -> MultivectorField:
     grad = np.array(phase_gradient, dtype=float)
     if grad.shape != (AXES,):
         raise ValueError("phase gradient must have five components")
-    amp_i = amplitude * PSEUDOSCALAR
+    amp, amp_i = amplitude.coeffs, (amplitude * PSEUDOSCALAR).coeffs
 
-    def value(x) -> Multivector:
-        ph = float(grad @ np.asarray(x, dtype=float))
-        return amplitude * math.cos(ph) + amp_i * math.sin(ph)
+    def wave(xs, a, b) -> np.ndarray:
+        # g.x summed in axis order, so a row rounds alike in every batch
+        ph = reduce(np.add, (xs * grad).T)[:, None]
+        return a * np.cos(ph) + b * np.sin(ph)
 
     def derivative(x, axis: int) -> Multivector:
-        ph = float(grad @ np.asarray(x, dtype=float))
-        c = float(grad[axis])
-        return (amp_i * math.cos(ph) - amplitude * math.sin(ph)) * c
+        # a * cos - b * sin, as a * cos + (-b) * sin is the same sum
+        row = wave(np.asarray(x, dtype=float)[None], amp_i, -amp)[0]
+        return Multivector._wrap(row * grad[axis])
 
-    return MultivectorField(value, derivative)
+    return MultivectorField._from_rows(lambda xs: wave(xs, amp, amp_i), derivative)
 
 
 def plane_wave(k: MomentumVector) -> MultivectorField:
@@ -169,13 +190,15 @@ def vector_derivative(
     return _derivative_sum(field, x, h, RECIPROCAL_VECTORS, indices)
 
 
-def _stencil(f: Callable, x: np.ndarray, h: float, axis: int):
-    """f at x + h e_axis and at x - h e_axis, in that order."""
+def _stencil(f: Callable, x: np.ndarray, h: float, center: bool = False):
+    """f at x + h e_a and at x - h e_a for the five axes a, from one call
+    of f on the stacked points: (centre, plus, minus) with row a of plus
+    and minus for axis a, and f at x in centre if ``center`` is set."""
     if not 0.0 < h < math.inf:
         raise ValueError("step h must be finite and positive")
-    step = np.zeros(AXES)
-    step[axis] = h
-    return f(x + step), f(x - step)
+    steps = h * np.eye(AXES)
+    out = f(np.concatenate(([x[None]] if center else []) + [x + steps, x - steps]))
+    return out[: -2 * AXES], out[-2 * AXES : -AXES], out[-AXES:]
 
 
 def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> Multivector:
@@ -185,15 +208,16 @@ def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> Multi
     x = np.asarray(x, dtype=float)
     if h is None and field.derivative is None:
         raise ValueError("field has no analytic derivative; pass a step h")
-    total = _ZERO
-    for a in indices:
-        if h is None:
-            diff = field.derivative(x, a)
-        else:
-            plus, minus = _stencil(field.value, x, h, a)
-            diff = (plus - minus) / (2.0 * h)
-        total = total + reciprocal[a] * diff
-    return total
+    indices = list(indices)
+    if not indices:
+        return _ZERO
+    if h is None:
+        diffs = np.array([field.derivative(x, a).coeffs for a in indices])
+    else:
+        _, plus, minus = _stencil(field._rows, x, h)
+        diffs = ((plus - minus) / (2.0 * h))[indices]
+    terms = _product(_FULL, np.array([reciprocal[a].coeffs for a in indices]), diffs)
+    return Multivector._wrap(reduce(np.add, terms, _ZERO.coeffs))
 
 
 def laplacian(
@@ -207,13 +231,10 @@ def laplacian(
         fine = laplacian(field, x, h / 2.0)
         return (4.0 * fine - coarse) / 3.0
     x = np.asarray(x, dtype=float)
-    center = field.value(x)
-    total = _ZERO
-    for a in range(AXES):
-        plus, minus = _stencil(field.value, x, h, a)
-        second = (plus - 2.0 * center + minus) / (h * h)
-        total = total + (-second if a == 0 else second)
-    return total
+    center, plus, minus = _stencil(field._rows, x, h, center=True)
+    second = (plus - 2.0 * center + minus) / (h * h)
+    second[0] = -second[0]
+    return Multivector._wrap(reduce(np.add, second, _ZERO.coeffs))
 
 
 def reduced_vector_derivative(
@@ -311,41 +332,34 @@ class PolynomialField(MultivectorField):
 
 
 def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
-    monos = _monomials(degree)
     nb = len(EVEN_SPATIAL_MASKS)
-    terms = []
-    for mi, mono in enumerate(monos):
-        coeffs = np.zeros(N_BLADES)
-        for bi, bmask in enumerate(EVEN_SPATIAL_MASKS):
-            coeffs[bmask] = vec[mi * nb + bi]
-        if np.any(coeffs != 0.0):
-            terms.append((mono, Multivector(coeffs)))
-    flagged = all(
-        set(np.nonzero(mv.coeffs)[0]) <= set(FLAGGED_MASKS) for _, mv in terms
-    )
+    coeffs = np.zeros((len(vec) // nb, N_BLADES))
+    for bi, bmask in enumerate(EVEN_SPATIAL_MASKS):
+        coeffs[:, bmask] = vec[bi::nb]
+    # the nonzero terms: exponents of x1, x2, x3 and coefficient rows
+    keep = np.any(coeffs != 0.0, axis=1)
+    expos, coeffs = np.array(_monomials(degree))[keep], coeffs[keep]
+    flagged = not np.any(np.delete(coeffs, FLAGGED_MASKS, axis=1))
 
-    def value(x) -> Multivector:
-        x = np.asarray(x, dtype=float)
-        acc = _ZERO
-        for (a, b, c), mv in terms:
-            acc = acc + mv * (x[1] ** a * x[2] ** b * x[3] ** c)
-        return acc
+    def rows_of(factors, expos, xs) -> np.ndarray:
+        # powers by repeated products, which round alike on every platform
+        ones = np.ones((len(xs), 3, 1))
+        powers = np.cumprod(np.concatenate([ones] + [xs[:, 1:4, None]] * degree, axis=-1), axis=-1)
+        mono = factors * powers[:, 0, expos[:, 0]] * powers[:, 1, expos[:, 1]]
+        mono = mono * powers[:, 2, expos[:, 2]]
+        return reduce(np.add, mono.T[:, :, None] * coeffs[:, None], np.zeros((len(xs), N_BLADES)))
+
+    # d/dx_a: factor = exponent of x_a, which drops by one; axes 0 and 4 give zero
+    partials = {a: (expos[:, a - 1], np.maximum(expos - np.eye(3, dtype=int)[a - 1], 0))
+                for a in (1, 2, 3)}
 
     def derivative(x, axis: int) -> Multivector:
-        x = np.asarray(x, dtype=float)
-        acc = _ZERO
-        if axis in (1, 2, 3):
-            for mono, mv in terms:
-                expo = mono[axis - 1]
-                if expo == 0:
-                    continue
-                reduced = list(mono)
-                reduced[axis - 1] -= 1
-                a, b, c = reduced
-                acc = acc + mv * (expo * x[1] ** a * x[2] ** b * x[3] ** c)
-        return acc
+        factors, lowered = partials.get(axis, (np.zeros(len(expos)), expos))
+        return Multivector._wrap(rows_of(factors, lowered, np.asarray(x, dtype=float)[None])[0])
 
-    return PolynomialField(value, derivative, degree=degree, flagged=flagged)
+    return PolynomialField._from_rows(
+        lambda xs: rows_of(1.0, expos, xs), derivative, degree=degree, flagged=flagged
+    )
 
 
 def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
@@ -396,23 +410,20 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
     if not (math.isfinite(energy) and math.isfinite(mass) and on_shell):
         raise ValueError("separable factor requires finite E and m with E^2 = m^2")
     ticks = (-1.0, -0.3, 0.4, 1.0)
-    for x1 in ticks:
-        for x2 in ticks:
-            for x3 in ticks:
-                point = np.array([0.0, x1, x2, x3, 0.0])
-                v = spatial.value(point)
-                scale = max(1.0, v.max_abs())
-                for gen in (e(0), e(4)):
-                    if (v * gen - gen * v).max_abs() > 1e-10 * scale:
-                        raise ValueError(
-                            "spatial factor must commute with the index-0 "
-                            "and index-4 generators"
-                        )
+    grid = [(0.0, x1, x2, x3, 0.0) for x1 in ticks for x2 in ticks for x3 in ticks]
+    values = spatial._rows(np.array(grid))
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=1))
+    for gen in (e(0).coeffs, e(4).coeffs):
+        gap = _product(_FULL, values, gen) - _product(_FULL, gen, values)
+        if np.any(np.max(np.abs(gap), axis=1) > 1e-10 * scale):
+            raise ValueError(
+                "spatial factor must commute with the index-0 and index-4 generators"
+            )
     temporal = harmonic_field(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
+    spatial_rows, temporal_rows = spatial._rows, temporal._rows
 
-    def value(x) -> Multivector:
-        x = np.asarray(x, dtype=float)
-        return spatial.value(x) * temporal.value(x)
+    def rows(xs) -> np.ndarray:
+        return _product(_FULL, spatial_rows(xs), temporal_rows(xs))
 
     derivative = None
     if spatial.derivative is not None:
@@ -424,4 +435,4 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
                 return base_deriv(x, axis) * temporal.value(x)
             return base_value(x) * temporal.derivative(x, axis)
 
-    return MultivectorField(value, derivative)
+    return MultivectorField._from_rows(rows, derivative)

@@ -29,7 +29,7 @@ from ga41 import (
     scalar_product,
 )
 
-from ga41.algebra import _worst
+from ga41.algebra import _FULL, _INNER, _OUTER, _product, _worst
 
 N = 32
 METRIC = (-1, 1, 1, 1, 1)
@@ -170,6 +170,27 @@ def test_geometric_product_matches_slow_multiply():
 @given(int_mv, int_mv, st.sampled_from("*^|"))
 def test_products_match_dense_reference_on_integers(a, b, op):
     assert np.array_equal(_OPS[op](a, b).coeffs, reference_product(a, b, op))
+
+
+_TABLES = {"*": _FULL, "^": _OUTER, "|": _INNER}
+_coeff_rows = st.sampled_from([small_ints.map(float), st.floats(-1e3, 1e3)]).flatmap(
+    lambda cell: st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(cell, min_size=N, max_size=N), min_size=n, max_size=n)
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coeff_rows, st.data(), st.sampled_from("*^|"))
+def test_batched_kernel_rows_equal_single_products(left, data, op):
+    # integer and float rows alike: a row of a batch is the single product
+    # bit for bit, with either side batched or both
+    a = np.array(left)
+    b = np.array(data.draw(st.permutations(left)))[:, ::-1]
+    single = [_OPS[op](Multivector(x), Multivector(y)).coeffs.tobytes() for x, y in zip(a, b)]
+    assert [row.tobytes() for row in _product(_TABLES[op], a, b)] == single
+    assert [row.tobytes() for row in _product(_TABLES[op], a[0], b[:1])] == single[:1]
+    assert [row.tobytes() for row in _product(_TABLES[op], a[:1], b[0])] == single[:1]
 
 
 def test_products_match_dense_reference_within_rounding():

@@ -263,6 +263,24 @@ def test_step_h_must_be_finite_and_positive(h):
     assert err.startswith("error:") and "finite and positive" in err
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-10, 10), min_size=5, max_size=5),
+    st.integers(0, 4),
+    # argparse reads a bare "-inf" as an option; with a leading space it
+    # stays a number and float() still parses it
+    st.sampled_from(["nan", "inf", " -inf"]),
+    st.booleans(),
+)
+def test_cli_frame_rejects_non_finite_point(finite, index, bad, em):
+    point = [f"{v:f}" for v in finite]
+    point[index] = bad
+    head = ["frame", "--em", "--potential", "0", "0", "0", "0"] if em else ["frame"]
+    code, err = _run_quietly([*head, "--point", *point])
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_cli_rejects_momenta_too_large_to_square():
     for argv in (
         ["planewave", "1e200", "0", "0", "0", "1e200"],
@@ -383,6 +401,29 @@ def test_phase_sign_exclusivity_fails_on_nan_derivatives(monkeypatch, nan_calls)
     result = run_checks(names=["phase_sign_exclusivity"], seed=0)[0]
     assert result.status == "fail"
     assert result.residual == 200.0
+
+
+def test_json_report_writes_a_nan_residual_as_null():
+    out = io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--check", "monogenic_residual", "--step-h", "1e-300",
+                     "--output", "json"])
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"not standard JSON: {token}")
+
+    report = json.loads(out.getvalue(), parse_constant=reject)
+    assert report["results"][0]["status"] == "fail"
+    assert report["results"][0]["residual"] is None
+
+
+def test_json_report_of_a_passing_run_is_unchanged(full_run_seed0):
+    # strict output changes nothing while every residual is finite
+    assert report_json(full_run_seed0, seed=0) == json.dumps(
+        report_dict(full_run_seed0, seed=0), indent=2
+    )
 
 
 def test_nan_second_order_samples_fail_monogenic_residual():

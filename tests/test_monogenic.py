@@ -1,5 +1,6 @@
 """Plane waves, derivative operators, polynomial solutions, wavepackets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from ga41 import MomentumVector, MultivectorField, Multivector, ONE, e, plane_wave
 from ga41.algebra import PSEUDOSCALAR
+from ga41.dirac import column_wave, dirac_system, order_eigensystem
+from ga41.frames import GaugeField, gauge_transform
 from ga41.monogenic import (
     FLAGGED_MASKS,
     harmonic_field,
@@ -360,3 +363,107 @@ def test_separable_wavepacket_rejects_non_finite(k):
     # an E^2 that overflows to inf
     with pytest.raises(ValueError):
         separable_wavepacket(_ON_SHELL_SCALAR, tuple(k))
+
+
+# -- batched evaluation ------------------------------------------------
+
+
+def _fields_of_every_builder():
+    k = MomentumVector.from_mass_momentum((0.7, -1.2, 0.4), 1.3)
+    fields = {
+        "plane": plane_wave(k),
+        "column": column_wave(order_eigensystem(dirac_system(k)), 2),
+        "packet": separable_wavepacket(monogenic_polynomials_3d(3)[0], (1.5, -1.5)),
+    }
+    for degree in range(4):
+        for i, f in enumerate(monogenic_polynomials_3d(degree)):
+            fields[f"polynomial {degree}.{i}"] = f
+    gauge = GaugeField(
+        (0.3, -0.1, 0.2, 0.5), charge=1.0, mass=1.0,
+        phase=lambda x: 0.4 * x[0] + math.sin(x[2]),
+    )
+    fields["gauge-transformed"] = gauge_transform(fields["packet"], gauge)[0]
+    return fields
+
+
+_EVERY_BUILDER = _fields_of_every_builder()
+
+
+def _bits(rows):
+    return [np.asarray(row, dtype=float).tobytes() for row in rows]
+
+
+def _same_bits(a: Multivector, b: Multivector) -> bool:
+    return a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_EVERY_BUILDER))
+def test_value_is_the_row_of_a_batched_call(name):
+    field = _EVERY_BUILDER[name]
+    points = np.random.default_rng(41).uniform(-2, 2, (12, 5))
+    rows = field._rows(points)
+    assert rows.shape == (12, 32)
+    assert _bits(rows) == _bits(field.value(x).coeffs for x in points)
+    assert _bits(rows) == _bits(field(x).coeffs for x in points)
+    # a row does not depend on the batch it sits in
+    assert _bits(field._rows(points[3:8])) == _bits(rows[3:8])
+
+
+def test_bare_point_callable_matches_the_batched_field():
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, -0.5, 2.0), 0.8))
+    bare = MultivectorField(wave.value)
+    for x in random_points(np.random.default_rng(42), 4):
+        for h, richardson in ((1e-3, False), (1e-3, True), (0.05, True)):
+            assert _same_bits(
+                laplacian(bare, x, h=h, richardson=richardson),
+                laplacian(wave, x, h=h, richardson=richardson),
+            )
+        for h in (1e-3, 1e-5):
+            assert _same_bits(vector_derivative(bare, x, h=h), vector_derivative(wave, x, h=h))
+
+
+def _counted(field):
+    """The field with its batched evaluator counting the calls (their row
+    counts) and its analytic derivative counting (axis) calls."""
+    calls, derivs = [], []
+
+    def rows(xs):
+        calls.append(len(xs))
+        return field._rows(xs)
+
+    def derivative(x, axis):
+        derivs.append(axis)
+        return field.derivative(x, axis)
+
+    return dataclasses.replace(field, _rows=rows, derivative=derivative), calls, derivs
+
+
+def test_each_stencil_is_one_batched_call():
+    wave = plane_wave(MomentumVector.from_mass_momentum((0.5, 1.0, -1.0), 2.0))
+    counted, calls, derivs = _counted(wave)
+    x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    got = laplacian(counted, x, h=1e-3, richardson=True)
+    assert calls == [11, 11]  # centre and ten neighbours, once per step
+    assert _same_bits(got, laplacian(wave, x, h=1e-3, richardson=True))
+    calls.clear()
+    assert _same_bits(vector_derivative(counted, x, h=1e-3), vector_derivative(wave, x, h=1e-3))
+    assert calls == [10]
+    calls.clear()
+    assert _same_bits(vector_derivative(counted, x), vector_derivative(wave, x))
+    assert (calls, derivs) == ([], [0, 1, 2, 3, 4])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(bad_steps, st.just(None)))
+def test_empty_index_set_evaluates_nothing(h):
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, 0.0, 0.0), 1.0))
+    counted, calls, derivs = _counted(wave)
+    got = vector_derivative(counted, np.zeros(5), h=h, indices=())
+    assert got.max_abs() == 0.0
+    assert (calls, derivs) == ([], [])
+    if h is not None:
+        with pytest.raises(ValueError, match="finite and positive"):
+            vector_derivative(counted, np.zeros(5), h=h)
+        with pytest.raises(ValueError, match="finite and positive"):
+            laplacian(counted, np.zeros(5), h=h, richardson=True)
+        assert calls == []

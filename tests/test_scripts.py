@@ -6,9 +6,10 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ga41 import ONE
+from ga41 import ONE, MomentumVector, plane_wave
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,6 +37,12 @@ def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
     assert len(rows) == 82
     assert rows[0][:6] == ["x0", "x1", "x2", "x3", "x4", "1"]
     assert all(len(row) == 5 + 32 for row in rows)
+    # 81 distinct points, each with the value of a pointwise evaluation
+    points = [tuple(float(c) for c in row[:5]) for row in rows[1:]]
+    assert len(set(points)) == 81
+    wave = plane_wave(MomentumVector.from_mass_momentum((0.3, 0.2, -0.1), 1.0))
+    for x, row in zip(points, rows[1:]):
+        assert row[5:] == [f"{c:.12g}" for c in wave(np.array(x)).coeffs]
 
 
 @pytest.mark.parametrize(
@@ -46,6 +53,8 @@ def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
         ["--extent", "nan"],
         ["--extent", "inf"],
         ["--axes", "0,x"],
+        ["--axes", "1,1"],
+        ["--axes", "4,4"],
     ],
 )
 def test_grid_rejects_bad_counts_and_extents(grid, capsys, extra):
@@ -58,6 +67,26 @@ def test_grid_rejects_bad_counts_and_extents(grid, capsys, extra):
 def test_demo_defaults_pass(demo, capsys):
     assert demo.main([]) == 0
     assert "worst residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("degree", ["0", "1", "3"])
+def test_demo_passes_at_every_degree(demo, capsys, degree):
+    # at degree 3 the central difference carries a truncation term of a
+    # few 1e-8, within its own bound but above the analytic one
+    assert demo.main(["--degree", degree]) == 0
+    assert "worst residual" in capsys.readouterr().out
+
+
+def test_demo_fails_on_a_wrong_numeric_derivative(demo, capsys, monkeypatch):
+    real = demo.vector_derivative
+
+    def off_when_numeric(field, x, h=None):
+        out = real(field, x, h=h)
+        return out + 1e-3 if h is not None else out
+
+    monkeypatch.setattr(demo, "vector_derivative", off_when_numeric)
+    assert demo.main(["--degree", "3"]) == 1
+    assert "worst residual: 1.00e-03" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
