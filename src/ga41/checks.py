@@ -57,6 +57,7 @@ from .matrices import (
 )
 from .monogenic import (
     MomentumVector,
+    harmonic_field,
     laplacian,
     plane_wave,
     plane_wave_variant,
@@ -363,6 +364,13 @@ def _check_blade_images_span(ctx) -> Iterator[float]:
     1.0,
 )
 def _check_monogenic_residual(ctx) -> Iterator[float]:
+    # positive control: the same stencil and step must recover the known
+    # laplacian -(g.g) f, g.g = 1.75, of a harmonic field, so a step too
+    # coarse or too fine to resolve second derivatives fails
+    grad, x0 = (0.5, 1.0, 0.0, 0.0, 1.0), np.array([0.3, -0.7, 0.2, 0.5, -0.4])
+    control = harmonic_field(ONE, grad)
+    got = laplacian(control, x0, h=ctx.step_h, richardson=True)
+    yield (got + 1.75 * control(x0)).max_abs() / 1e-6
     for _ in range(100):
         k = _random_momentum(ctx.rng)
         wave = plane_wave(k)

@@ -125,9 +125,8 @@ def _cmd_planewave(args) -> int:
     print(f"second-order residual: {worst_second:.3e}")
     if args.grid:
         print()
-        for j in range(args.grid):
-            x = 0.1 * j * np.ones(5)
-            coeffs = wave.value(x).coeffs
+        points = np.repeat(0.1 * np.arange(args.grid)[:, None], 5, axis=1)
+        for x, coeffs in zip(points, wave._rows(points)):
             head = " ".join(f"{v:.12g}" for v in x)
             tail = " ".join(f"{c:.12g}" for c in coeffs)
             print(f"{head} | {tail}")

@@ -195,19 +195,17 @@ def gauge_transform(
     if field.phase is None:
         raise ValueError("gauge transformation requires a phase function")
     beta = field.phase
-    base_rows, base_value, base_deriv = psi._rows, psi.value, psi.derivative
+    base_rows, base_partials = psi._rows, psi._partials
 
     def rows(xs) -> np.ndarray:
         return _product(_FULL, base_rows(xs), _rotor_rows([beta(x) for x in xs]))
 
-    derivative = None
-    if base_deriv is not None:
-
-        def derivative(x, axis: int) -> Multivector:
-            x = np.asarray(x, dtype=float)
-            g = field.phase_gradient_at(x)
-            inner = base_deriv(x, axis) + base_value(x) * PSEUDOSCALAR * float(g[axis])
-            return inner * phase_rotor(beta(x))
+    def partials(xs) -> np.ndarray:
+        # d_a (psi R) = (d_a psi + psi I d_a beta) R
+        grads = np.array([field.phase_gradient_at(x) for x in xs])
+        turned = _product(_FULL, base_rows(xs), PSEUDOSCALAR.coeffs)[:, None] * grads[..., None]
+        rotors = _rotor_rows([beta(x) for x in xs])[:, None]
+        return _product(_FULL, base_partials(xs) + turned, rotors)
 
     old_potential = field.potential
     charge = field.charge
@@ -216,7 +214,7 @@ def gauge_transform(
         g = field.phase_gradient_at(x)
         return np.asarray(old_potential(x), dtype=float) - g[:4] / charge
 
-    rotated = MultivectorField._from_rows(rows, derivative)
+    rotated = MultivectorField._from_rows(rows, None if base_partials is None else partials)
     return rotated, replace(field, potential=new_potential)
 
 

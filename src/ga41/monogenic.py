@@ -110,26 +110,36 @@ class MomentumVector:
 class MultivectorField:
     """A multivector-valued function of a 5-point, with an optional
     analytic partial-derivative evaluator (point, axis) -> value; ``_rows``
-    takes points (n, 5) to coefficient rows (n, 32) in one call (for a
-    bare point callable, ``value`` stacked row by row)."""
+    takes points (n, 5) to coefficient rows (n, 32) and ``_partials`` to
+    partial-derivative rows (n, 5, 32) in one call (for bare callables,
+    ``value`` and ``derivative`` stacked row by row)."""
 
     value: Callable[[np.ndarray], Multivector]
     derivative: Optional[Callable[[np.ndarray, int], Multivector]] = None
     _rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        value, derivative = self.value, self.derivative
         if self._rows is None:
-            value = self.value
             object.__setattr__(self, "_rows", lambda xs: np.array([value(x).coeffs for x in xs]))
+        if self._partials is None and derivative is not None:
+            object.__setattr__(self, "_partials", lambda xs: np.array(
+                [[derivative(x, a).coeffs for a in range(AXES)] for x in xs]))
 
     @classmethod
-    def _from_rows(cls, rows, derivative=None, **extra):
-        """The field whose value at x is the row ``rows`` gives for x."""
+    def _from_rows(cls, rows, partials=None, **extra):
+        """The field whose value at x is the row ``rows`` gives for x, and
+        whose derivative along an axis is that axis's row of ``partials``."""
 
         def value(x) -> Multivector:
             return Multivector._wrap(rows(np.asarray(x, dtype=float)[None])[0])
 
-        return cls(value, derivative, _rows=rows, **extra)
+        def derivative(x, axis: int) -> Multivector:
+            return Multivector._wrap(partials(np.asarray(x, dtype=float)[None])[0, axis])
+
+        derivative = None if partials is None else derivative
+        return cls(value, derivative, _rows=rows, _partials=partials, **extra)
 
     def __call__(self, x) -> Multivector:
         return self.value(np.asarray(x, dtype=float))
@@ -147,12 +157,11 @@ def harmonic_field(amplitude: Multivector, phase_gradient) -> MultivectorField:
         ph = reduce(np.add, (xs * grad).T)[:, None]
         return a * np.cos(ph) + b * np.sin(ph)
 
-    def derivative(x, axis: int) -> Multivector:
+    def partials(xs) -> np.ndarray:
         # a * cos - b * sin, as a * cos + (-b) * sin is the same sum
-        row = wave(np.asarray(x, dtype=float)[None], amp_i, -amp)[0]
-        return Multivector._wrap(row * grad[axis])
+        return wave(xs, amp_i, -amp)[:, None] * grad[:, None]
 
-    return MultivectorField._from_rows(lambda xs: wave(xs, amp, amp_i), derivative)
+    return MultivectorField._from_rows(lambda xs: wave(xs, amp, amp_i), partials)
 
 
 def plane_wave(k: MomentumVector) -> MultivectorField:
@@ -190,15 +199,16 @@ def vector_derivative(
     return _derivative_sum(field, x, h, RECIPROCAL_VECTORS, indices)
 
 
-def _stencil(f: Callable, x: np.ndarray, h: float, center: bool = False):
-    """f at x + h e_a and at x - h e_a for the five axes a, from one call
-    of f on the stacked points: (centre, plus, minus) with row a of plus
-    and minus for axis a, and f at x in centre if ``center`` is set."""
+def _stencil(f: Callable, x: np.ndarray, h: float, axes=range(AXES), center: bool = False):
+    """f at x + h e_a and at x - h e_a for the axes a in ``axes``, from one
+    call of f on the stacked points: (centre, plus, minus) with row i of
+    plus and minus for axes[i], and f at x in centre if ``center`` is set."""
     if not 0.0 < h < math.inf:
         raise ValueError("step h must be finite and positive")
-    steps = h * np.eye(AXES)
+    steps = h * np.eye(AXES)[list(axes)]
+    n = len(steps)
     out = f(np.concatenate(([x[None]] if center else []) + [x + steps, x - steps]))
-    return out[: -2 * AXES], out[-2 * AXES : -AXES], out[-AXES:]
+    return out[: -2 * n], out[-2 * n : -n], out[-n:]
 
 
 def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> Multivector:
@@ -206,16 +216,16 @@ def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> Multi
     partial derivative along a: analytic for h = None, else central
     differences with step h."""
     x = np.asarray(x, dtype=float)
-    if h is None and field.derivative is None:
+    if h is None and field._partials is None:
         raise ValueError("field has no analytic derivative; pass a step h")
     indices = list(indices)
     if not indices:
         return _ZERO
     if h is None:
-        diffs = np.array([field.derivative(x, a).coeffs for a in indices])
+        diffs = field._partials(x[None])[0, indices]
     else:
-        _, plus, minus = _stencil(field._rows, x, h)
-        diffs = ((plus - minus) / (2.0 * h))[indices]
+        _, plus, minus = _stencil(field._rows, x, h, indices)
+        diffs = (plus - minus) / (2.0 * h)
     terms = _product(_FULL, np.array([reciprocal[a].coeffs for a in indices]), diffs)
     return Multivector._wrap(reduce(np.add, terms, _ZERO.coeffs))
 
@@ -350,15 +360,14 @@ def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
         return reduce(np.add, mono.T[:, :, None] * coeffs[:, None], np.zeros((len(xs), N_BLADES)))
 
     # d/dx_a: factor = exponent of x_a, which drops by one; axes 0 and 4 give zero
-    partials = {a: (expos[:, a - 1], np.maximum(expos - np.eye(3, dtype=int)[a - 1], 0))
-                for a in (1, 2, 3)}
+    lowered = [(expos[:, a], np.maximum(expos - np.eye(3, dtype=int)[a], 0)) for a in range(3)]
 
-    def derivative(x, axis: int) -> Multivector:
-        factors, lowered = partials.get(axis, (np.zeros(len(expos)), expos))
-        return Multivector._wrap(rows_of(factors, lowered, np.asarray(x, dtype=float)[None])[0])
+    def partials(xs) -> np.ndarray:
+        zero = np.zeros((len(xs), N_BLADES))
+        return np.stack([zero, *(rows_of(f, lo, xs) for f, lo in lowered), zero], axis=1)
 
     return PolynomialField._from_rows(
-        lambda xs: rows_of(1.0, expos, xs), derivative, degree=degree, flagged=flagged
+        lambda xs: rows_of(1.0, expos, xs), partials, degree=degree, flagged=flagged
     )
 
 
@@ -421,18 +430,16 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
             )
     temporal = harmonic_field(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
     spatial_rows, temporal_rows = spatial._rows, temporal._rows
+    spatial_partials, temporal_partials = spatial._partials, temporal._partials
 
     def rows(xs) -> np.ndarray:
         return _product(_FULL, spatial_rows(xs), temporal_rows(xs))
 
-    derivative = None
-    if spatial.derivative is not None:
-        base_value, base_deriv = spatial.value, spatial.derivative
+    def partials(xs) -> np.ndarray:
+        # the spatial factor varies along axes 1..3, the temporal one along 0 and 4
+        out = _product(_FULL, spatial_partials(xs), temporal_rows(xs)[:, None])
+        time_mass = temporal_partials(xs)[:, [0, 4]]
+        out[:, [0, 4]] = _product(_FULL, spatial_rows(xs)[:, None], time_mass)
+        return out
 
-        def derivative(x, axis: int) -> Multivector:
-            x = np.asarray(x, dtype=float)
-            if axis in (1, 2, 3):
-                return base_deriv(x, axis) * temporal.value(x)
-            return base_value(x) * temporal.derivative(x, axis)
-
-    return MultivectorField._from_rows(rows, derivative)
+    return MultivectorField._from_rows(rows, None if spatial_partials is None else partials)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ga41 import ONE, checks
+from ga41 import ONE, MomentumVector, checks, plane_wave
 from ga41.checks import (
     EXPECTED_CHECK_NAMES,
     check_definitions,
@@ -85,6 +85,16 @@ def test_step_h_feeds_derivative_checks():
     assert coarse.residual != fine.residual
     huge = run_checks(names=["monogenic_residual"], seed=3, step_h=1e-2)[0]
     assert huge.status == "fail"
+
+
+@pytest.mark.parametrize("step", ["1e30", "1e3"])
+def test_monogenic_residual_fails_a_step_that_sees_no_second_derivative(step):
+    # such steps cannot resolve a second derivative, so the positive
+    # control's known laplacian -(g.g) f is missed by far
+    result = run_checks(names=["monogenic_residual"], seed=0, step_h=float(step))[0]
+    assert result.status == "fail" and result.residual > 1e5
+    code, _ = _run_quietly(["verify", "--check", "monogenic_residual", "--step-h", step])
+    assert code == 1
 
 
 def test_report_shape_and_summary():
@@ -173,6 +183,18 @@ def test_cli_planewave_five_numbers_and_grid(capsys):
     assert "|" in out
     assert main(["planewave", "3", "0", "0", "4", "--negative-energy"]) == 0
     assert "energy: -5" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_planewave_grid_rows_are_the_point_values(capsys):
+    assert main(["planewave", "1", "-0.5", "2", "0.8", "--grid", "6"]) == 0
+    rows = capsys.readouterr().out.split("\n\n", 1)[1].splitlines()
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, -0.5, 2.0), 0.8))
+    want = []
+    for j in range(6):
+        x = 0.1 * j * np.ones(5)
+        head = " ".join(f"{v:.12g}" for v in x)
+        want.append(head + " | " + " ".join(f"{c:.12g}" for c in wave.value(x).coeffs))
+    assert rows == want
 
 
 def test_cli_planewave_usage_errors(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ga41 import MomentumVector, MultivectorField, Multivector, ONE, e, plane_wave
 from ga41.algebra import PSEUDOSCALAR
 from ga41.dirac import column_wave, dirac_system, order_eigensystem
-from ga41.frames import GaugeField, gauge_transform
+from ga41.frames import GaugeField, build_frame, covariant_derivative, gauge_transform
 from ga41.monogenic import (
     FLAGGED_MASKS,
     harmonic_field,
@@ -407,6 +407,43 @@ def test_value_is_the_row_of_a_batched_call(name):
     assert _bits(rows) == _bits(field(x).coeffs for x in points)
     # a row does not depend on the batch it sits in
     assert _bits(field._rows(points[3:8])) == _bits(rows[3:8])
+    partials = field._partials(points)
+    assert partials.shape == (12, 5, 32)
+    for x, row in zip(points, partials):
+        assert _bits(row) == _bits(field.derivative(x, a).coeffs for a in range(5))
+    assert _bits(field._partials(points[3:8]).reshape(-1, 32)) == _bits(
+        partials[3:8].reshape(-1, 32)
+    )
+
+
+@pytest.mark.parametrize("name", list(_EVERY_BUILDER))
+def test_bare_callables_match_the_built_field(name):
+    field = _EVERY_BUILDER[name]
+    bare = MultivectorField(field.value, field.derivative)
+    frame = build_frame(np.eye(5) + 0.1 * np.arange(25.0).reshape(5, 5) / 25.0)
+    for x in random_points(np.random.default_rng(43), 3):
+        for indices in ((0, 1, 2, 3, 4), (1, 2, 3), (4,)):
+            assert _same_bits(
+                vector_derivative(bare, x, indices=indices),
+                vector_derivative(field, x, indices=indices),
+            )
+        assert _same_bits(covariant_derivative(bare, frame, x), covariant_derivative(field, frame, x))
+
+
+@pytest.mark.parametrize("build", ["packet", "gauge-transformed"])
+def test_products_over_a_base_without_derivative_need_a_step(build):
+    gauge = GaugeField((0.0, 0.0, 0.0, 0.0), charge=1.0, mass=1.0, phase=lambda x: x[1])
+    if build == "packet":
+        make = lambda base: separable_wavepacket(base, (1.0, 1.0))
+    else:
+        make = lambda base: gauge_transform(base, gauge)[0]
+    field = make(MultivectorField(_ON_SHELL_SCALAR.value))
+    assert field.derivative is None
+    x = np.array([0.3, -0.7, 0.2, 0.5, -0.4])
+    with pytest.raises(ValueError, match="no analytic derivative"):
+        vector_derivative(field, x)
+    want = vector_derivative(make(_ON_SHELL_SCALAR), x, h=1e-3)
+    assert _same_bits(vector_derivative(field, x, h=1e-3), want)
 
 
 def test_bare_point_callable_matches_the_batched_field():
@@ -423,19 +460,19 @@ def test_bare_point_callable_matches_the_batched_field():
 
 
 def _counted(field):
-    """The field with its batched evaluator counting the calls (their row
-    counts) and its analytic derivative counting (axis) calls."""
+    """The field with its batched evaluators counting their calls (the row
+    counts of the points they get)."""
     calls, derivs = [], []
 
     def rows(xs):
         calls.append(len(xs))
         return field._rows(xs)
 
-    def derivative(x, axis):
-        derivs.append(axis)
-        return field.derivative(x, axis)
+    def partials(xs):
+        derivs.append(len(xs))
+        return field._partials(xs)
 
-    return dataclasses.replace(field, _rows=rows, derivative=derivative), calls, derivs
+    return dataclasses.replace(field, _rows=rows, _partials=partials), calls, derivs
 
 
 def test_each_stencil_is_one_batched_call():
@@ -450,7 +487,20 @@ def test_each_stencil_is_one_batched_call():
     assert calls == [10]
     calls.clear()
     assert _same_bits(vector_derivative(counted, x), vector_derivative(wave, x))
-    assert (calls, derivs) == ([], [0, 1, 2, 3, 4])
+    assert (calls, derivs) == ([], [1])
+
+
+def test_a_stencil_evaluates_only_the_requested_axes():
+    wave = plane_wave(MomentumVector.from_mass_momentum((0.5, 1.0, -1.0), 2.0))
+    counted, calls, derivs = _counted(wave)
+    x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    spatial = vector_derivative(counted, x, h=1e-3, indices=(1, 2, 3))
+    assert _same_bits(spatial, vector_derivative(wave, x, h=1e-3, indices=(1, 2, 3)))
+    assert calls == [6]
+    calls.clear()
+    reduced = reduced_vector_derivative(counted, x, 2.0, h=1e-3)
+    assert _same_bits(reduced, reduced_vector_derivative(wave, x, 2.0, h=1e-3))
+    assert (calls, derivs) == ([8], [])
 
 
 @settings(max_examples=30, deadline=None)
