@@ -150,6 +150,8 @@ def harmonic_field(amplitude: Multivector, phase_gradient) -> MultivectorField:
     grad = np.array(phase_gradient, dtype=float)
     if grad.shape != (AXES,):
         raise ValueError("phase gradient must have five components")
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(amplitude.coeffs))):
+        raise ValueError("amplitude and phase gradient must be finite")
     amp, amp_i = amplitude.coeffs, (amplitude * PSEUDOSCALAR).coeffs
 
     def wave(xs, a, b) -> np.ndarray:
@@ -274,7 +276,7 @@ def _monomials(degree: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _spatial_derivative_matrix(degree: int) -> np.ndarray:
+def _spatial_derivative_matrix(degree: int) -> list[list[int]]:
     """Integer matrix of the axes-1..3 vector derivative on polynomials
     of the given degree with even-subalgebra values.
 
@@ -282,9 +284,9 @@ def _spatial_derivative_matrix(degree: int) -> np.ndarray:
     the 32 blades), so there are no rows at degree 0.
     """
     monos = _monomials(degree)
-    lower = _monomials(degree - 1)
-    lower_index = {m: i for i, m in enumerate(lower)}
-    mat = np.zeros((len(lower) * N_BLADES, len(monos) * len(EVEN_SPATIAL_MASKS)))
+    lower_index = {m: i for i, m in enumerate(_monomials(degree - 1))}
+    ncols = len(monos) * len(EVEN_SPATIAL_MASKS)
+    mat = [[0] * ncols for _ in range(len(lower_index) * N_BLADES)]
     for mi, mono in enumerate(monos):
         for bi, bmask in enumerate(EVEN_SPATIAL_MASKS):
             col = mi * len(EVEN_SPATIAL_MASKS) + bi
@@ -296,40 +298,45 @@ def _spatial_derivative_matrix(degree: int) -> np.ndarray:
                 reduced[axis - 1] -= 1
                 sign, rmask = blade_product(1 << axis, bmask)
                 row = lower_index[tuple(reduced)] * N_BLADES + rmask
-                mat[row, col] += expo * sign
+                mat[row][col] += expo * sign
     return mat
 
 
-def _rref_nullspace(mat: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    """Nullspace basis by Gauss-Jordan elimination with partial pivoting."""
-    m = mat.astype(float).copy()
-    rows, cols = m.shape
+def _eliminate(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Exact Gauss-Jordan elimination of an integer matrix: the nonzero
+    rows of its reduced form and their pivot columns.  A row is scaled,
+    never divided, so row i stays integer and is zero in every pivot
+    column but its own."""
+    rows = [list(row) for row in mat]
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        lead = int(np.argmax(np.abs(m[r:, c]))) + r
-        if abs(m[lead, c]) <= tol:
+    for c in range(ncols):
+        r = len(pivots)
+        lead = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if lead is None:
             continue
-        m[[r, lead]] = m[[lead, r]]
-        m[r] = m[r] / m[r, c]
-        for rr in range(rows):
-            if rr != r and m[rr, c] != 0.0:
-                m[rr] = m[rr] - m[rr, c] * m[r]
+        rows[r], rows[lead] = rows[lead], rows[r]
+        top = rows[r]
+        rows = [
+            [top[c] * a - row[c] * b for a, b in zip(row, top)] if i != r and row[c] else row
+            for i, row in enumerate(rows)
+        ]
         pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
+    return rows[: len(pivots)], pivots
+
+
+def _nullspace(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """Nullspace basis as integer vectors over one common denominator d,
+    one vector per free column, which it holds at d."""
+    rows, pivots = _eliminate(mat, ncols)
+    d = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
     basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(cols)
-        v[free] = 1.0
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i, free]
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[free] = d
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free] * (d // row[c])
         basis.append(v)
-    return basis
+    return basis, d
 
 
 @dataclass(frozen=True)
@@ -383,26 +390,20 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
         raise ValueError(f"unsupported degree: {degree}")
     nb = len(EVEN_SPATIAL_MASKS)
     derivative = _spatial_derivative_matrix(degree)
-    ncols = derivative.shape[1]
-    full = _rref_nullspace(derivative)
-
+    ncols = nb * len(_monomials(degree))
     # restricted system over the flagged cells only, solved first so the
     # flagged fields head the basis
-    flag_cols = [
-        col for col in range(ncols) if EVEN_SPATIAL_MASKS[col % nb] in FLAGGED_MASKS
-    ]
-    restricted = _rref_nullspace(derivative[:, flag_cols])
-    chosen: list[np.ndarray] = []
-    for rvec in restricted:
-        v = np.zeros(ncols)
-        v[flag_cols] = rvec
-        chosen.append(v)
-    # complete with full-nullspace vectors that increase the rank
-    for v in full:
-        stack = np.array(chosen + [v])
-        if np.linalg.matrix_rank(stack, tol=1e-10) > len(chosen):
-            chosen.append(v)
-    return [_polynomial_field(degree, v) for v in chosen]
+    flag_cols = [col for col in range(ncols) if EVEN_SPATIAL_MASKS[col % nb] in FLAGGED_MASKS]
+    restricted, rd = _nullspace([[row[c] for c in flag_cols] for row in derivative], len(flag_cols))
+    full, fd = _nullspace(derivative, ncols)
+    cells = [dict(zip(flag_cols, v)) for v in restricted]
+    vectors = [[cell.get(c, 0) for c in range(ncols)] for cell in cells]
+    scales = [rd] * len(vectors) + [fd] * len(full)
+    vectors += full
+    # complete with the full-nullspace vectors that raise the rank: the
+    # pivot columns of the matrix whose columns are the candidates
+    _, chosen = _eliminate(list(zip(*vectors)), len(vectors))
+    return [_polynomial_field(degree, np.array([a / scales[j] for a in vectors[j]])) for j in chosen]
 
 
 def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:

@@ -194,6 +194,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix must be finite")
     n = m.shape[0]
     norm = float(np.max(np.abs(m)))
     squarings = 0
@@ -220,7 +222,7 @@ def conjugated_unit_quadruple(unitary: np.ndarray) -> IdempotentSet:
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("unitary must be 4x4")
-    if np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-10:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10:  # NaN fails too
         raise ValueError("matrix is not unitary")
     els = []
     for i in range(4):

@@ -97,6 +97,26 @@ def test_monogenic_residual_fails_a_step_that_sees_no_second_derivative(step):
     assert code == 1
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=1.8e307, max_value=1.7976931348623157e308))
+@example(1e308)
+def test_derivative_order_fails_a_step_whose_base_overflows(h):
+    # the check differences at 10 h, which is inf for these finite steps
+    result = run_checks(names=["derivative_order"], seed=0, step_h=h)[0]
+    assert result.status == "fail" and result.residual == math.inf
+
+
+def test_verify_runs_every_check_at_a_step_whose_base_overflows():
+    out = io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--step-h", "1e308"])
+    assert code == 1
+    failed = [line.split()[1] for line in out.getvalue().splitlines() if line.startswith("FAIL")]
+    assert failed == ["monogenic_residual", "derivative_order"]
+    assert "29 passed, 2 failed, 31 run" in out.getvalue()
+
+
 def test_report_shape_and_summary():
     results = run_checks(names=["blade_squares", "anticommutation"], seed=0)
     d = report_dict(results, seed=0)

@@ -281,6 +281,25 @@ def test_conjugated_unit_quadruple_validation():
         conjugated_unit_quadruple(skew)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (2, 3)])
+def test_conjugated_unit_quadruple_rejects_non_finite_entries(bad, where):
+    # a NaN unitarity gap compares false against any bound, so the guard
+    # states the bound that must hold
+    u = np.eye(4, dtype=complex)
+    u[where] = bad
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not unitary"):
+        conjugated_unit_quadruple(u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_expm_rejects_non_finite_entries(bad):
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        expm(m)
+
+
 def test_verify_report_all_green():
     report = verify_su4_generators()
     assert report["traceless_exact"] is True
