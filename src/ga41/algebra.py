@@ -173,9 +173,12 @@ class Multivector:
     def norm(self) -> float:
         """sqrt of the scalar part of a*reverse(a).
 
-        Defined only when that product is a nonnegative scalar; anything
-        else raises ValueError (tolerance 1e-10 relative).
+        Defined only when every coefficient is finite and that product is
+        a nonnegative scalar; anything else raises ValueError (tolerance
+        1e-10 relative).
         """
+        if not np.isfinite(self._c).all():
+            raise ValueError("norm undefined: non-finite coefficient")
         sq = (self * self.reverse())._c
         total = float(np.max(np.abs(sq)))
         s = sq[0]
@@ -196,8 +199,11 @@ class Multivector:
         hyperbolic for s > 0, and 1 + a in the nilpotent limit s = 0; a
         hyperbolic form beyond double range raises ValueError.
         Otherwise the power series is summed to relative tolerance
-        1e-14 with a 64-term cap.
+        1e-14 with a 64-term cap.  A non-finite coefficient raises
+        ValueError.
         """
+        if not np.isfinite(self._c).all():
+            raise ValueError("exponential undefined: non-finite coefficient")
         sq = (self * self)._c
         s = sq[0]
         rest = float(np.max(np.abs(sq[1:])))

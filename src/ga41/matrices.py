@@ -96,11 +96,27 @@ _BLADE_ROWS = np.concatenate(
     [BLADE_IMAGES.real.reshape(N_BLADES, 16), BLADE_IMAGES.imag.reshape(N_BLADES, 16)],
     axis=1,
 )
+_IMAGE_ROWS = BLADE_IMAGES.reshape(N_BLADES, 16)
+
+# both kernels map each row by its own 1-row matmul, so a row of a batch
+# equals the single map bit for bit; one 2-D matmul over the whole batch
+# takes another BLAS path, which rounds the inverse map differently
+
+
+def _to_matrices(coeffs: np.ndarray) -> np.ndarray:
+    """(..., 32) coefficient rows to (..., 4, 4) images."""
+    return (coeffs[..., None, :] @ _IMAGE_ROWS).reshape(coeffs.shape[:-1] + (4, 4))
+
+
+def _from_matrices(m: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) complex matrices to (..., 32) coefficient rows."""
+    flat = np.concatenate([m.real, m.imag], axis=-2).reshape(m.shape[:-2] + (1, 32))
+    return (flat @ _BLADE_ROWS.T)[..., 0, :] / 4.0
 
 
 def to_matrix(a: Multivector) -> np.ndarray:
     """Matrix image of a multivector."""
-    return np.tensordot(a.coeffs, BLADE_IMAGES, axes=1)
+    return _to_matrices(a.coeffs)
 
 
 def from_matrix(m: np.ndarray) -> Multivector:
@@ -109,8 +125,7 @@ def from_matrix(m: np.ndarray) -> Multivector:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    flat = np.concatenate([m.real.ravel(), m.imag.ravel()])
-    return Multivector(flat @ _BLADE_ROWS.T / 4.0)
+    return Multivector._wrap(_from_matrices(m))
 
 
 def matrix_text(m: np.ndarray) -> str:

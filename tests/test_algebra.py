@@ -360,6 +360,20 @@ def test_exp_divergent_raises():
         mv_exp(40.0 * ONE + 40.0 * e(0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N),
+    st.integers(0, N - 1),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["exp", "norm"]),
+)
+def test_exp_and_norm_reject_a_non_finite_coefficient(coeffs, mask, bad, method):
+    # rejected up front, before a series is summed or a NaN norm returned
+    coeffs[mask] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        getattr(Multivector(coeffs), method)()
+
+
 def test_exp_overflow_is_value_error():
     # cosh(1000) is beyond double range; a rotor of the same size is fine
     with pytest.raises(ValueError, match="overflows"):

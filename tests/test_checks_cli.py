@@ -6,13 +6,19 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ga41 import ONE, MomentumVector, checks, plane_wave
+import ga41
+from ga41 import ONE, Multivector, MomentumVector, checks, plane_wave
 from ga41.checks import (
     EXPECTED_CHECK_NAMES,
     check_definitions,
@@ -115,6 +121,67 @@ def test_verify_runs_every_check_at_a_step_whose_base_overflows():
     failed = [line.split()[1] for line in out.getvalue().splitlines() if line.startswith("FAIL")]
     assert failed == ["monogenic_residual", "derivative_order"]
     assert "29 passed, 2 failed, 31 run" in out.getvalue()
+
+
+def test_verify_at_an_overflowing_step_writes_nothing_to_stderr():
+    # the overflowing samples fail their checks; numpy's warnings about
+    # them must not reach the terminal
+    paths = [str(Path(ga41.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ga41", "verify", "--step-h", "1e308"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "29 passed, 2 failed, 31 run" in proc.stdout
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_report_matches_the_recorded_report(seed):
+    # recorded before the sampled checks were batched; any change to a
+    # residual's last bit shows here
+    want = (GOLDEN / f"report_seed{seed}.json").read_text()
+    assert report_json(run_checks(seed=seed), seed, omit_timings=True) == want
+
+
+#: (check, _product calls, _to_matrices calls, _from_matrices calls, samples)
+BATCHED_CHECKS = (
+    ("associativity", 4, 0, 0, 1000),
+    ("vector_decomposition", 4, 0, 0, 400),
+    ("cross_product_link", 2, 0, 0, 400),
+    ("phi_homomorphism", 1, 3, 0, 1000),
+    ("phi_round_trip", 0, 2, 2, 1000),
+)
+
+
+@pytest.mark.parametrize("name, products, forward, inverse, samples", BATCHED_CHECKS)
+def test_sampled_checks_make_a_fixed_number_of_batched_calls(
+    monkeypatch, name, products, forward, inverse, samples
+):
+    # each kernel call handles every sample at once, so the call count is
+    # fixed and far below the sample count; no single-multivector product
+    # is made per sample
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args):
+            calls[label] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for label in ("_product", "_to_matrices", "_from_matrices"):
+        monkeypatch.setattr(checks, label, counted(label, getattr(checks, label)))
+    for op in ("__mul__", "__xor__", "__or__"):
+        monkeypatch.setattr(Multivector, op, counted(op, getattr(Multivector, op)))
+    definition = next(d for d in check_definitions() if d.name == name)
+    ctx = checks.CheckContext(checks._check_rng(0, name), 1e-3)
+    assert len(list(definition.run(ctx))) == samples
+    assert calls == Counter(_product=products, _to_matrices=forward, _from_matrices=inverse)
 
 
 def test_report_shape_and_summary():

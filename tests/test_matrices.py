@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ga41 import (
     Multivector,
@@ -21,6 +23,8 @@ from ga41.matrices import (
     GENERATOR_IMAGES,
     IDENTITY,
     RECIPROCAL_IMAGES,
+    _from_matrices,
+    _to_matrices,
     matrix_text,
     sigma_matrix,
 )
@@ -218,3 +222,23 @@ def test_matrix_text_layout():
     assert lines[0] == "1+0i  0+0i  0+0i  0+0i"
     assert lines[2] == "0+0i  0+0i  -1+0i  0+0i"
     assert matrix_text(1j * np.eye(1)) == "0+1i"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-8, 1e8]))
+def test_batched_map_rows_equal_single_maps(n, seed, scale):
+    # a row of either kernel equals the public single map bit for bit, also
+    # for a strided batch (a column of draws, as the checks pass it); the
+    # forward map equals the blade-image sum it replaced
+    rng = np.random.default_rng(seed)
+    draws = scale * rng.uniform(-1.0, 1.0, (n, 2, N))
+    for coeffs in (draws[:, 0], np.ascontiguousarray(draws[:, 1])):
+        single = [to_matrix(Multivector(c)) for c in coeffs]
+        assert [m.tobytes() for m in _to_matrices(coeffs)] == [m.tobytes() for m in single]
+        assert [m.tobytes() for m in single] == [
+            np.tensordot(c, BLADE_IMAGES, axes=1).tobytes() for c in coeffs
+        ]
+    mats = scale * (rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    single = [from_matrix(m).coeffs.tobytes() for m in mats]
+    assert [row.tobytes() for row in _from_matrices(mats)] == single
+    assert [row.tobytes() for row in _from_matrices(mats[::-1])] == single[::-1]
