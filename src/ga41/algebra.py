@@ -19,10 +19,12 @@ import math
 import numpy as np
 
 N_BLADES = 32
-SIGNATURE = (-1, 1, 1, 1, 1)
 
 #: grade of each blade mask (popcount)
 GRADES = tuple(m.bit_count() for m in range(N_BLADES))
+
+#: masks of the five unit vectors e0..e4
+_VECTOR_MASKS = [1 << k for k in range(5)]
 
 
 def blade_grade(mask: int) -> int:
@@ -98,9 +100,7 @@ def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # sum and no multiply-add is fused, so a row of a batch equals the
     # single product, *, ^ and | round their shared terms alike and
     # a * b == (a | b) + (a ^ b) holds exactly for vectors
-    if a.ndim > 1:
-        a = a[..., None, :]
-    return np.einsum("ki,...ki->...k", table, a * b.take(_XOR, axis=-1))
+    return np.einsum("ki,...ki->...k", table, a[..., None, :] * b.take(_XOR, axis=-1))
 
 
 _REVERSE_SIGNS = np.array([(-1.0) ** (g * (g - 1) // 2) for g in GRADES])

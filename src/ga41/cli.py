@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import N_BLADES, _worst, blade_name, blade_product
 from .checks import check_definitions, report_json, run_checks
 from .dirac import dirac_system, geometric_matrix_crosscheck, order_eigensystem
-from .frames import GaugeField, RefractiveIndex, build_frame, em_frame
+from .frames import GaugeField, build_frame, em_frame
 from .matrices import RECIPROCAL_IMAGES, matrix_text, to_matrix
 from .monogenic import MomentumVector, laplacian, plane_wave, vector_derivative
 from .projectors import build_e_set, build_f_set, verify_su4_generators
@@ -45,14 +45,9 @@ def _cmd_verify(args) -> int:
             print(f"{d.name:30s} tolerance={d.tolerance:<8g} {d.anchor}")
         return 0
     overrides = dict(args.tolerance or [])
-    names = args.check or None
-    try:
-        results = run_checks(
-            names=names, seed=args.seed, tolerances=overrides, step_h=args.step_h
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_checks(
+        names=args.check or None, seed=args.seed, tolerances=overrides, step_h=args.step_h
+    )
     if args.output == "json":
         print(report_json(results, seed=args.seed))
     else:
@@ -97,16 +92,10 @@ def _momentum_from_args(values, negative_energy=False) -> MomentumVector:
 
 def _cmd_planewave(args) -> int:
     if len(args.momentum) not in (4, 5):
-        print("error: expected `E p1 p2 p3 m` or `p1 p2 p3 m`", file=sys.stderr)
-        return 2
+        raise ValueError("expected `E p1 p2 p3 m` or `p1 p2 p3 m`")
     if args.grid < 0:
-        print("error: --grid must be nonnegative", file=sys.stderr)
-        return 2
-    try:
-        k = _momentum_from_args(args.momentum, args.negative_energy)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--grid must be nonnegative")
+    k = _momentum_from_args(args.momentum, args.negative_energy)
     wave = plane_wave(k)
     print(f"energy:    {k.energy:g}")
     print(f"momentum:  {k.momentum[0]:g} {k.momentum[1]:g} {k.momentum[2]:g}")
@@ -134,12 +123,8 @@ def _cmd_planewave(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    try:
-        k = _momentum_from_args(args.momentum)
-        system = order_eigensystem(dirac_system(k))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    k = _momentum_from_args(args.momentum)
+    system = order_eigensystem(dirac_system(k))
     print("operator:")
     print(matrix_text(system.a_bar))
     print()
@@ -186,32 +171,18 @@ def _cmd_projectors(args) -> int:
 def _cmd_frame(args) -> int:
     point = np.array(args.point, dtype=float)
     if not np.all(np.isfinite(point)):
-        print("error: --point must be finite", file=sys.stderr)
-        return 2
-    try:
-        if args.em:
-            if args.potential is None:
-                print("error: --em requires --potential", file=sys.stderr)
-                return 2
-            field = GaugeField(
-                np.array(args.potential, dtype=float),
-                charge=args.charge,
-                mass=args.mass,
-            )
-            frame = em_frame(field, point)
-        elif args.matrix is not None:
-            flat = [float(v) for v in args.matrix.replace(",", " ").split()]
-            if len(flat) != 25:
-                print("error: --matrix needs 25 numbers", file=sys.stderr)
-                return 2
-            frame = build_frame(
-                RefractiveIndex(np.array(flat).reshape(5, 5)), point
-            )
-        else:
-            frame = build_frame(np.eye(5), point)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--point must be finite")
+    if args.em:
+        if args.potential is None:
+            raise ValueError("--em requires --potential")
+        frame = em_frame(GaugeField(args.potential, charge=args.charge, mass=args.mass), point)
+    elif args.matrix is not None:
+        flat = [float(v) for v in args.matrix.replace(",", " ").split()]
+        if len(flat) != 25:
+            raise ValueError("--matrix needs 25 numbers")
+        frame = build_frame(np.array(flat).reshape(5, 5), point)
+    else:
+        frame = build_frame(np.eye(5), point)
     print(
         json.dumps(
             {
@@ -291,7 +262,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 after --help
         return exc.code if isinstance(exc.code, int) else 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # every usage error a command or the library reports
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

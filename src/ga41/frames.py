@@ -17,8 +17,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _product, _worst
-from .monogenic import AXES, MultivectorField, RECIPROCAL_VECTORS, vector_derivative
+from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _product, _worst
+from .monogenic import AXES, MultivectorField, vector_derivative
 from .monogenic import _derivative_sum, _stencil
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
@@ -58,13 +58,11 @@ class Frame:
             object.__setattr__(self, name, arr)
 
 
-_VECTOR_MASKS = [1 << a for a in range(AXES)]
-
-
-def _vector(coeffs) -> Multivector:
-    out = np.zeros(N_BLADES)
-    out[_VECTOR_MASKS] = coeffs
-    return Multivector(out + 0.0)  # + 0.0 turns -0.0 into 0.0
+def _vectors(components) -> tuple[Multivector, ...]:
+    """One vector per row of e-basis components."""
+    rows = np.zeros((len(components), N_BLADES))
+    rows[:, _VECTOR_MASKS] = components
+    return tuple(Multivector._wrap(row) for row in rows + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
@@ -74,9 +72,7 @@ def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
     included) or when the induced metric breaks the (-++++) signature
     pattern on its diagonal.
     """
-    mat = n.at(x) if isinstance(n, RefractiveIndex) else np.asarray(n, dtype=float)
-    if mat.shape != (AXES, AXES):
-        raise ValueError("index tensor must be 5x5")
+    mat = (n if isinstance(n, RefractiveIndex) else RefractiveIndex(n)).at(x)
     cond = float(np.linalg.cond(mat))
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise ValueError(f"index tensor is singular (condition estimate {cond:.3e})")
@@ -85,9 +81,7 @@ def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
         raise ValueError("frame breaks the (-++++) signature pattern")
     inverse_metric = np.linalg.inv(metric)
     recip_coeffs = inverse_metric @ mat.T  # row a: g^a in e-basis components
-    vectors = tuple(_vector(mat[:, a]) for a in range(AXES))
-    reciprocal = tuple(_vector(recip_coeffs[a]) for a in range(AXES))
-    return Frame(vectors, metric, inverse_metric, reciprocal)
+    return Frame(_vectors(mat.T), metric, inverse_metric, _vectors(recip_coeffs))
 
 
 @dataclass(frozen=True)
@@ -152,9 +146,7 @@ def em_frame(field: GaugeField, x) -> Frame:
     inverse_metric = recip @ ETA @ recip.T
     direct = ETA @ np.linalg.inv(recip)  # column a: g_a components
     metric = direct.T @ ETA @ direct
-    vectors = tuple(_vector(direct[:, b]) for b in range(AXES))
-    reciprocal = tuple(_vector(recip[b]) for b in range(AXES))
-    return Frame(vectors, metric, inverse_metric, reciprocal)
+    return Frame(_vectors(direct.T), metric, inverse_metric, _vectors(recip))
 
 
 def covariant_derivative(
@@ -247,10 +239,8 @@ def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> fl
         for x in points:
             x = np.asarray(x, dtype=float)
             lhs = vector_derivative(rotated, x)
-            g = field.phase_gradient_at(x)
-            grad_vec = Multivector.from_scalar(0.0)
-            for a in range(4):
-                grad_vec = grad_vec + RECIPROCAL_VECTORS[a] * float(g[a])
+            # sum over a < 4 of g_a e^a, raised by ETA
+            (grad_vec,) = _vectors([ETA[:, :4] @ field.phase_gradient_at(x)[:4]])
             rotor = phase_rotor(field.phase(x))
             rhs = (
                 vector_derivative(psi, x) * rotor

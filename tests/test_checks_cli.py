@@ -544,3 +544,51 @@ def test_nan_second_order_samples_fail_monogenic_residual():
     assert code == 1
     assert out.getvalue().startswith("FAIL monogenic_residual")
     assert "residual=nan" in out.getvalue()
+
+
+def test_verify_at_an_underflowing_step_runs_every_check():
+    # monogenic_residual halves the step for its Richardson stencil, and
+    # half of 5e-324 is 0: that check cannot compute and fails, the rest run
+    paths = [str(Path(ga41.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ga41", "verify", "--step-h", "5e-324"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "29 passed, 2 failed, 31 run" in proc.stdout
+    failed = [line.split()[1:3] for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert failed[0] == ["monogenic_residual", "residual=inf"]
+    assert [name for name, _ in failed] == ["monogenic_residual", "derivative_order"]
+
+
+def test_a_check_that_cannot_compute_fails_instead_of_raising():
+    (result,) = run_checks(["monogenic_residual"], step_h=5e-324)
+    assert result.status == "fail" and result.residual == math.inf
+
+
+def _raising(exc_type):
+    def run(ctx):
+        yield 0.0
+        raise exc_type("cannot compute")
+
+    return run
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, ArithmeticError, ZeroDivisionError])
+def test_a_raising_check_fails_with_residual_inf_and_the_next_runs(monkeypatch, exc_type):
+    first, second = check_definitions()[:2]
+    broken = dataclasses.replace(first, run=_raising(exc_type))
+    monkeypatch.setattr(checks, "_REGISTRY", [broken, second])
+    results = run_checks(seed=0)
+    assert [(r.name, r.status, r.residual) for r in results] == [
+        (first.name, "fail", math.inf),
+        (second.name, "pass", 0.0),
+    ]
+
+
+def test_a_programming_error_in_a_check_propagates(monkeypatch):
+    first = check_definitions()[0]
+    monkeypatch.setattr(checks, "_REGISTRY", [dataclasses.replace(first, run=_raising(TypeError))])
+    with pytest.raises(TypeError, match="cannot compute"):
+        run_checks(seed=0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -601,3 +602,39 @@ def test_empty_index_set_evaluates_nothing(h):
         with pytest.raises(ValueError, match="finite and positive"):
             laplacian(counted, np.zeros(5), h=h, richardson=True)
         assert calls == []
+
+
+def _fueter_rows(degree, points, constants_on_right=True):
+    """One row per Fueter-variable polynomial, its values at the points:
+    the symmetrised product of k factors z2 = x2 - x1 e12 and degree - k
+    factors z3 = x3 - x1 e13, times 1, e12, e13 or e23 on the right.  Both
+    variables are annihilated by d1 + e12 d2 + e13 d3, which is e1 times
+    the spatial vector derivative, and so is such a product."""
+    rows = []
+    for k in range(degree + 1):
+        for const in (ONE, e(1, 2), e(1, 3), e(2, 3)):
+            values = []
+            for x in points:
+                z2, z3 = x[2] * ONE - x[1] * e(1, 2), x[3] * ONE - x[1] * e(1, 3)
+                sym = Multivector.from_scalar(0.0)
+                for spots in itertools.combinations(range(degree), k):
+                    term = ONE
+                    for i in range(degree):
+                        term = term * (z2 if i in spots else z3)
+                    sym = sym + term
+                values.append(sym * const if constants_on_right else const * sym)
+            rows.append(np.concatenate([v.coeffs for v in values]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_fueter_variables_span_the_polynomial_basis(degree):
+    # an independent closed form of the same space (Malonek 1990): equal
+    # spans, 4 (d + 1) real dimensions, although the bases differ
+    points = np.random.default_rng(degree).uniform(-1.0, 1.0, (40, 5))
+    oracle = _fueter_rows(degree, points)
+    basis = np.array(
+        [np.concatenate([f(x).coeffs for x in points]) for f in monogenic_polynomials_3d(degree)]
+    )
+    rank = np.linalg.matrix_rank
+    assert rank(oracle) == rank(basis) == rank(np.vstack([oracle, basis])) == 4 * (degree + 1)
