@@ -4,7 +4,8 @@
 Rows hold the five coordinates followed by the 32 blade coefficients,
 one sample per line, suitable for plotting or diffing between runs.
 
-The whole grid is evaluated in one batched call of the field.
+The whole grid is evaluated in one call of the field, and the residuals
+in one call of the vector derivative.
 
 Exit codes: 0 on success, 2 on bad input (an off-shell or non-finite
 momentum, axes that are not two distinct indices in 0..4, fewer than one
@@ -72,17 +73,19 @@ def main(argv=None) -> int:
     points = np.zeros((args.points**2, 5))
     points[:, axes[0]] = np.repeat(ticks, args.points)
     points[:, axes[1]] = np.tile(ticks, args.points)
-    values = wave._rows(points)
+    values = wave(points)
+    if args.residuals:
+        residuals = np.max(np.abs(vector_derivative(wave, points)), axis=-1)
 
     writer = csv.writer(sys.stdout)
     header = [f"x{a}" for a in range(5)] + [blade_name(m) for m in range(N_BLADES)]
     if args.residuals:
         header.append("residual")
     writer.writerow(header)
-    for x, value in zip(points, values):
+    for i, (x, value) in enumerate(zip(points, values)):
         row = [f"{c:.12g}" for c in x] + [f"{c:.12g}" for c in value]
         if args.residuals:
-            row.append(f"{vector_derivative(wave, x).max_abs():.3e}")
+            row.append(f"{residuals[i]:.3e}")
         writer.writerow(row)
     return 0
 

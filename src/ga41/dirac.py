@@ -118,33 +118,31 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
     """
     energy = k.energy
     p = np.array(k.momentum)
-    a_bar = build_dirac_operator(k)
-    amp = energy * IDENTITY + a_bar
+    amp = energy * IDENTITY + build_dirac_operator(k)
+    # all points at once; p.x is a one-row matmul per point, as np.dot
+    x = np.asarray(points, dtype=float)[..., :4].reshape(-1, 4)
+    wave = amp * np.exp(1j * (energy * x[:, 0] - (p @ x[:, 1:4, None])[:, 0]))[:, None, None]
+    # i d/dt + i alpha^m d/dx^m + m beta, with the phase derivatives
+    out = 1j * (1j * energy) * wave + k.mass * BETA @ wave
+    for m in range(3):
+        out = out + 1j * ALPHA[m] @ ((-1j * p[m]) * wave)
+    head = np.max(np.abs(to_matrix(k.amplitude) - amp))
+    return _worst([head, *np.max(np.abs(out), axis=(1, 2))])
 
-    def samples():
-        yield float(np.max(np.abs(to_matrix(k.amplitude) - amp)))
-        for x in points:
-            x = np.asarray(x, dtype=float)[:4]
-            phase = np.exp(1j * (energy * x[0] - p @ x[1:4]))
-            wave = amp * phase
-            # i d/dt + i alpha^m d/dx^m + m beta, with the phase derivatives
-            out = 1j * (1j * energy) * wave + k.mass * BETA @ wave
-            for m in range(3):
-                out = out + 1j * ALPHA[m] @ ((-1j * p[m]) * wave)
-            yield float(np.max(np.abs(out)))
 
-    return _worst(samples())
+def _column_parts(system: DiracSystem, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude coefficients and phase gradient of one eigencolumn's wave."""
+    if index not in range(4):
+        raise ValueError("column index must be 0..3")
+    selector = np.zeros((4, 4), dtype=complex)
+    selector[index, index] = 1.0
+    lam = float(np.real(system.lam[index, index]))
+    amplitude = from_matrix(np.asarray(system.psi_bar) @ selector)
+    return amplitude.coeffs, np.array([-lam, *system.k.momentum, 0.0])
 
 
 def column_wave(system: DiracSystem, index: int) -> MultivectorField:
     """Multivector wave of one eigencolumn: the inverse matrix map of
     the column (kept in place, others zeroed) times the plane phase of
     its eigenvalue."""
-    if index not in range(4):
-        raise ValueError("column index must be 0..3")
-    selector = np.zeros((4, 4), dtype=complex)
-    selector[index, index] = 1.0
-    amplitude = from_matrix(np.asarray(system.psi_bar) @ selector)
-    lam = float(np.real(system.lam[index, index]))
-    grad = np.array([-lam, *system.k.momentum, 0.0])
-    return harmonic_field(amplitude, grad)
+    return harmonic_field(*_column_parts(system, index))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _product, _worst
 from .monogenic import AXES, MultivectorField, vector_derivative
-from .monogenic import _derivative_sum, _stencil
+from .monogenic import _derivative_sum, _points, _result, _stacked, _stencil
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
@@ -128,9 +128,8 @@ class GaugeField:
             if g.shape != (AXES,):
                 raise ValueError("phase gradient must have five components")
             return g
-        phase = self.phase
-        _, plus, minus = _stencil(lambda xs: np.array([phase(p) for p in xs], dtype=float), x, h)
-        return (plus - minus) / (2.0 * h)
+        _, plus, minus = _stencil(lambda xs: _stacked(self.phase, xs)[..., None], x, h)
+        return ((plus - minus) / (2.0 * h))[:, 0]
 
 
 def em_frame(field: GaugeField, x) -> Frame:
@@ -151,20 +150,24 @@ def em_frame(field: GaugeField, x) -> Frame:
 
 def covariant_derivative(
     field: MultivectorField, frame, x, h: float | None = None
-) -> Multivector:
+) -> Multivector | np.ndarray:
     """Sum of reciprocal frame vectors times partial derivatives.
 
-    ``frame`` is a Frame or a callable point -> Frame.  h = None uses
-    the field's analytic derivative, a positive h central differences.
+    ``frame`` is a Frame or a callable point -> Frame, called per point.
+    h = None uses the field's analytic derivative, a positive h central
+    differences.  Points (..., 5) give rows (..., 32), as in monogenic.
     """
-    x = np.asarray(x, dtype=float)
-    fr = frame(x) if callable(frame) else frame
-    return _derivative_sum(field, x, h, fr.reciprocal, range(AXES))
+    x = _points(x)
+    if callable(frame):
+        recip = _stacked(lambda p: [v.coeffs for v in frame(p).reciprocal], x, (AXES, N_BLADES))
+    else:
+        recip = np.array([v.coeffs for v in frame.reciprocal])
+    return _result(x, _derivative_sum(field, x, h, recip, range(AXES)))
 
 
 def _rotor_rows(betas) -> np.ndarray:
     """One row cos(beta) + pseudoscalar sin(beta) per phase beta."""
-    b = np.asarray(betas, dtype=float)[:, None]
+    b = np.asarray(betas, dtype=float)[..., None]
     return np.cos(b) * ONE.coeffs + np.sin(b) * PSEUDOSCALAR.coeffs
 
 
@@ -190,23 +193,20 @@ def gauge_transform(
     base_rows, base_partials = psi._rows, psi._partials
 
     def rows(xs) -> np.ndarray:
-        return _product(_FULL, base_rows(xs), _rotor_rows([beta(x) for x in xs]))
+        return _product(_FULL, base_rows(xs), _rotor_rows(_stacked(beta, xs)))
 
     def partials(xs) -> np.ndarray:
         # d_a (psi R) = (d_a psi + psi I d_a beta) R
-        grads = np.array([field.phase_gradient_at(x) for x in xs])
-        turned = _product(_FULL, base_rows(xs), PSEUDOSCALAR.coeffs)[:, None] * grads[..., None]
-        rotors = _rotor_rows([beta(x) for x in xs])[:, None]
+        g = _stacked(field.phase_gradient_at, xs, (AXES,))
+        turned = _product(_FULL, base_rows(xs), PSEUDOSCALAR.coeffs)[..., None, :] * g[..., None]
+        rotors = _rotor_rows(_stacked(beta, xs))[..., None, :]
         return _product(_FULL, base_partials(xs) + turned, rotors)
-
-    old_potential = field.potential
-    charge = field.charge
 
     def new_potential(x) -> np.ndarray:
         g = field.phase_gradient_at(x)
-        return np.asarray(old_potential(x), dtype=float) - g[:4] / charge
+        return np.asarray(field.potential(x), dtype=float) - g[:4] / field.charge
 
-    rotated = MultivectorField._from_rows(rows, None if base_partials is None else partials)
+    rotated = MultivectorField(_rows=rows, _partials=None if base_partials is None else partials)
     return rotated, replace(field, potential=new_potential)
 
 
@@ -215,17 +215,11 @@ def gauge_covariance_residual(psi: MultivectorField, field: GaugeField, points) 
     over the points, with both covariant derivatives taken in the
     electromagnetic frames of the respective gauge fields."""
     rotated, shifted = gauge_transform(psi, field)
-
-    def samples():
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            lhs = covariant_derivative(rotated, lambda y: em_frame(shifted, y), x)
-            rhs = covariant_derivative(psi, lambda y: em_frame(field, y), x) * phase_rotor(
-                field.phase(x)
-            )
-            yield (lhs - rhs).max_abs()
-
-    return _worst(samples())
+    x = _points(points).reshape(-1, AXES)
+    lhs = covariant_derivative(rotated, lambda y: em_frame(shifted, y), x)
+    rhs = covariant_derivative(psi, lambda y: em_frame(field, y), x)
+    rhs = _product(_FULL, rhs, _rotor_rows(_stacked(field.phase, x)))
+    return _worst(np.max(np.abs(lhs - rhs), axis=-1))
 
 
 def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> float:
@@ -234,18 +228,11 @@ def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> fl
     rotated vector derivative plus pseudoscalar times the phase
     gradient vector times the rotated field."""
     rotated, _ = gauge_transform(psi, field)
-
-    def samples():
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            lhs = vector_derivative(rotated, x)
-            # sum over a < 4 of g_a e^a, raised by ETA
-            (grad_vec,) = _vectors([ETA[:, :4] @ field.phase_gradient_at(x)[:4]])
-            rotor = phase_rotor(field.phase(x))
-            rhs = (
-                vector_derivative(psi, x) * rotor
-                + PSEUDOSCALAR * grad_vec * psi.value(x) * rotor
-            )
-            yield (lhs - rhs).max_abs()
-
-    return _worst(samples())
+    x = _points(points).reshape(-1, AXES)
+    rotors = _rotor_rows(_stacked(field.phase, x))
+    # sum over a < 4 of g_a e^a, raised by ETA
+    raised = _stacked(field.phase_gradient_at, x, (AXES,))[:, :4] @ ETA[:4]
+    grads = np.array([v.coeffs for v in _vectors(raised)])
+    turned = _product(_FULL, _product(_FULL, PSEUDOSCALAR.coeffs, grads), psi(x))
+    rhs = _product(_FULL, vector_derivative(psi, x), rotors) + _product(_FULL, turned, rotors)
+    return _worst(np.max(np.abs(vector_derivative(rotated, x) - rhs), axis=-1))

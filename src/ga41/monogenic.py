@@ -33,8 +33,8 @@ AXES = 5
 
 #: reciprocal orthonormal basis: index 0 flips sign under (-++++)
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
-
-_ZERO = Multivector.from_scalar(0.0)
+_RECIPROCAL_ROWS = np.array([v.coeffs for v in RECIPROCAL_VECTORS])
+_MASS_AXIS = (PSEUDOSCALAR * e_upper(4)).coeffs  # the mass term's factor on the field
 
 
 def _square(v: float) -> float:
@@ -106,64 +106,84 @@ class MomentumVector:
         return out
 
 
+def _points(x) -> np.ndarray:
+    """x as float points (..., 5); ValueError for any other last axis."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (AXES,):
+        raise ValueError(f"points must have shape (..., 5), got shape {x.shape}")
+    return x
+
+
+def _result(x: np.ndarray, rows: np.ndarray) -> Multivector | np.ndarray:
+    """A Multivector at one point (5,), the coefficient rows at points (..., 5)."""
+    return Multivector._wrap(rows) if x.ndim == 1 else rows
+
+
+def _stacked(fn: Callable, xs: np.ndarray, shape: tuple = ()) -> np.ndarray:
+    """fn at each point of xs (..., 5), stacked into (..., *shape)."""
+    out = np.array([fn(x) for x in xs.reshape(-1, AXES)], dtype=float)
+    return out.reshape(xs.shape[:-1] + shape)
+
+
 @dataclass(frozen=True)
 class MultivectorField:
-    """A multivector-valued function of a 5-point, with an optional
-    analytic partial-derivative evaluator (point, axis) -> value; ``_rows``
-    takes points (n, 5) to coefficient rows (n, 32) and ``_partials`` to
-    partial-derivative rows (n, 5, 32) in one call (for bare callables,
-    ``value`` and ``derivative`` stacked row by row)."""
+    """A multivector-valued function: ``field(x)`` is a Multivector at one
+    point (5,), through ``value``, and rows (..., 32) at points (..., 5),
+    through ``_rows``.  ``_partials`` gives rows (..., 5, 32) of partial
+    derivatives, ``derivative`` (point, axis) its one-point case.  Either
+    of the two pairs is built from the other."""
 
-    value: Callable[[np.ndarray], Multivector]
+    value: Optional[Callable[[np.ndarray], Multivector]] = None
     derivative: Optional[Callable[[np.ndarray, int], Multivector]] = None
     _rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        value, derivative = self.value, self.derivative
-        if self._rows is None:
-            object.__setattr__(self, "_rows", lambda xs: np.array([value(x).coeffs for x in xs]))
-        if self._partials is None and derivative is not None:
-            object.__setattr__(self, "_partials", lambda xs: np.array(
-                [[derivative(x, a).coeffs for a in range(AXES)] for x in xs]))
+        value, derivative, rows, partials = self.value, self.derivative, self._rows, self._partials
+        if rows is None:
+            if value is None:
+                raise ValueError("a field needs a value function or rows")
+            rows = lambda xs: _stacked(lambda x: value(x).coeffs, xs, (N_BLADES,))
+        if partials is None and derivative is not None:
+            partials = lambda xs: _stacked(
+                lambda x: [derivative(x, a).coeffs for a in range(AXES)], xs, (AXES, N_BLADES))
+        if value is None:
+            value = lambda x: Multivector._wrap(rows(_points(x)[None])[0])
+        if derivative is None and partials is not None:
+            derivative = lambda x, a: Multivector._wrap(partials(_points(x)[None])[0, a])
+        # frozen: set the fields past the dataclass __setattr__
+        self.__dict__.update(value=value, derivative=derivative, _rows=rows, _partials=partials)
 
-    @classmethod
-    def _from_rows(cls, rows, partials=None, **extra):
-        """The field whose value at x is the row ``rows`` gives for x, and
-        whose derivative along an axis is that axis's row of ``partials``."""
-
-        def value(x) -> Multivector:
-            return Multivector._wrap(rows(np.asarray(x, dtype=float)[None])[0])
-
-        def derivative(x, axis: int) -> Multivector:
-            return Multivector._wrap(partials(np.asarray(x, dtype=float)[None])[0, axis])
-
-        derivative = None if partials is None else derivative
-        return cls(value, derivative, _rows=rows, _partials=partials, **extra)
-
-    def __call__(self, x) -> Multivector:
-        return self.value(np.asarray(x, dtype=float))
+    def __call__(self, x) -> Multivector | np.ndarray:
+        x = _points(x)
+        return self.value(x) if x.ndim == 1 else self._rows(x)
 
 
-def harmonic_field(amplitude: Multivector, phase_gradient) -> MultivectorField:
-    """amplitude times a unit phase rotor exp(pseudoscalar * g.x)."""
+def harmonic_field(amplitude, phase_gradient) -> MultivectorField:
+    """amplitude (a Multivector or its coefficients) times exp(pseudoscalar
+    g.x); amplitude rows (m, 32) and gradients (m, 5) make m waves at (m, ..., 5)."""
+    amp = np.array(getattr(amplitude, "coeffs", amplitude), dtype=float)
     grad = np.array(phase_gradient, dtype=float)
-    if grad.shape != (AXES,):
-        raise ValueError("phase gradient must have five components")
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(amplitude.coeffs))):
+    if grad.ndim not in (1, 2) or grad.shape[-1] != AXES or amp.shape != grad.shape[:-1] + (32,):
+        raise ValueError("phase gradient must have five components, one amplitude row per gradient")
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(amp))):
         raise ValueError("amplitude and phase gradient must be finite")
-    amp, amp_i = amplitude.coeffs, (amplitude * PSEUDOSCALAR).coeffs
+    amp_i = _product(_FULL, amp, PSEUDOSCALAR.coeffs)
+
+    def lined_up(v, xs):  # wave i of a family meets row i of the points
+        return v.reshape((len(v),) + (1,) * (xs.ndim - 2) + v.shape[-1:]) if grad.ndim == 2 else v
 
     def wave(xs, a, b) -> np.ndarray:
+        p = (xs * lined_up(grad, xs)).T
         # g.x summed in axis order, so a row rounds alike in every batch
-        ph = reduce(np.add, (xs * grad).T)[:, None]
-        return a * np.cos(ph) + b * np.sin(ph)
+        ph = (p[0] + p[1] + p[2] + p[3] + p[4]).T[..., None]
+        return lined_up(a, xs) * np.cos(ph) + lined_up(b, xs) * np.sin(ph)
 
     def partials(xs) -> np.ndarray:
         # a * cos - b * sin, as a * cos + (-b) * sin is the same sum
-        return wave(xs, amp_i, -amp)[:, None] * grad[:, None]
+        return wave(xs, amp_i, -amp)[..., None, :] * lined_up(grad, xs)[..., :, None]
 
-    return MultivectorField._from_rows(lambda xs: wave(xs, amp, amp_i), partials)
+    return MultivectorField(_rows=lambda xs: wave(xs, amp, amp_i), _partials=partials)
 
 
 def plane_wave(k: MomentumVector) -> MultivectorField:
@@ -180,10 +200,7 @@ def plane_wave_variant(
 ) -> MultivectorField:
     """Same amplitude with the time and mass phase terms optionally
     flipped; only the (+1, +1) choice is monogenic away from p = 0."""
-    grad = k.phase_gradient.copy()
-    grad[0] *= time_sign
-    grad[4] *= mass_sign
-    return harmonic_field(k.amplitude, grad)
+    return harmonic_field(k.amplitude, k.phase_gradient * [time_sign, 1, 1, 1, mass_sign])
 
 
 def vector_derivative(
@@ -191,71 +208,82 @@ def vector_derivative(
     x,
     h: float | None = None,
     indices: tuple[int, ...] = (0, 1, 2, 3, 4),
-) -> Multivector:
-    """Sum of reciprocal basis vectors times partial derivatives.
+) -> Multivector | np.ndarray:
+    """Sum of reciprocal basis vectors times partial derivatives: a
+    Multivector at one point (5,), rows (..., 32) at points (..., 5), each
+    row equal to its one-point call bit for bit.
 
     h = None uses the field's analytic derivative; a positive h uses
     second-order central differences.  ``indices`` restricts the sum,
     e.g. (1, 2, 3) for the purely spatial operator.
     """
-    return _derivative_sum(field, x, h, RECIPROCAL_VECTORS, indices)
+    x = _points(x)
+    return _result(x, _derivative_sum(field, x, h, _RECIPROCAL_ROWS, indices))
 
 
 def _stencil(f: Callable, x: np.ndarray, h: float, axes=range(AXES), center: bool = False):
     """f at x + h e_a and at x - h e_a for the axes a in ``axes``, from one
-    call of f on the stacked points: (centre, plus, minus) with row i of
-    plus and minus for axes[i], and f at x in centre if ``center`` is set."""
+    call of f on the points stacked along axis -2: (centre, plus, minus)
+    with row i of plus and minus for axes[i], and f at x in centre if set."""
     if not 0.0 < h < math.inf:
         raise ValueError("step h must be finite and positive")
     steps = h * np.eye(AXES)[list(axes)]
     n = len(steps)
-    out = f(np.concatenate(([x[None]] if center else []) + [x + steps, x - steps]))
-    return out[: -2 * n], out[-2 * n : -n], out[-n:]
+    x = x[..., None, :]
+    out = f(np.concatenate(([x] if center else []) + [x + steps, x - steps], axis=-2))
+    return out[..., : -2 * n, :], out[..., -2 * n : -n, :], out[..., -n:, :]
 
 
-def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> Multivector:
-    """Sum over the axes a in ``indices`` of reciprocal[a] times the
-    partial derivative along a: analytic for h = None, else central
-    differences with step h."""
-    x = np.asarray(x, dtype=float)
+def _axis_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis -2 in index order, starting from zero."""
+    return reduce(np.add, terms if terms.ndim == 2 else np.moveaxis(terms, -2, 0), 0.0)
+
+
+def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.ndarray:
+    """Sum over the axes a in ``indices`` of reciprocal[..., a, :] (rows
+    (5, 32), or one frame per point) times the partial derivative along a:
+    analytic for h = None, else central differences with step h."""
     if h is None and field._partials is None:
         raise ValueError("field has no analytic derivative; pass a step h")
     indices = list(indices)
     if not indices:
-        return _ZERO
+        return np.zeros(x.shape[:-1] + (N_BLADES,))
     if h is None:
-        diffs = field._partials(x[None])[0, indices]
+        # x as a one-point stack along axis -2, so that one point has a leading axis too
+        diffs = field._partials(x[..., None, :])[..., 0, indices, :]
     else:
         _, plus, minus = _stencil(field._rows, x, h, indices)
         diffs = (plus - minus) / (2.0 * h)
-    terms = _product(_FULL, np.array([reciprocal[a].coeffs for a in indices]), diffs)
-    return Multivector._wrap(reduce(np.add, terms, _ZERO.coeffs))
+    return _axis_sum(_product(_FULL, reciprocal[..., indices, :], diffs))
 
 
 def laplacian(
     field: MultivectorField, x, h: float = 1e-3, richardson: bool = False
-) -> Multivector:
+) -> Multivector | np.ndarray:
     """Second-order operator -d2/dt2 + sum_i d2/dxi2 by central
     differences; richardson=True combines steps h and h/2 to cancel the
-    leading truncation term."""
+    leading truncation term.  Points as in vector_derivative."""
     if richardson:
         coarse = laplacian(field, x, h)
         fine = laplacian(field, x, h / 2.0)
         return (4.0 * fine - coarse) / 3.0
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     center, plus, minus = _stencil(field._rows, x, h, center=True)
     second = (plus - 2.0 * center + minus) / (h * h)
-    second[0] = -second[0]
-    return Multivector._wrap(reduce(np.add, second, _ZERO.coeffs))
+    second[..., 0, :] = -second[..., 0, :]
+    return _result(x, _axis_sum(second))
 
 
 def reduced_vector_derivative(
-    field: MultivectorField, x, mass: float, h: float | None = None
-) -> Multivector:
+    field: MultivectorField, x, mass: float | np.ndarray, h: float | None = None
+) -> Multivector | np.ndarray:
     """Vector derivative with the fourth axis replaced by its harmonic
-    eigenvalue: sum over axes 0..3 plus pseudoscalar * mass * e4 * F."""
-    partial = vector_derivative(field, x, h=h, indices=(0, 1, 2, 3))
-    return partial + PSEUDOSCALAR * e_upper(4) * field.value(x) * mass
+    eigenvalue: sum over axes 0..3 plus pseudoscalar * mass * e4 * F, at
+    points as in vector_derivative; a family takes one mass per wave, (m, 1)."""
+    x = _points(x)
+    partial = _derivative_sum(field, x, h, _RECIPROCAL_ROWS, (0, 1, 2, 3))
+    turned = _product(_FULL, _MASS_AXIS, field._rows(x[..., None, :])[..., 0, :])
+    return _result(x, partial + turned * np.asarray(mass, dtype=float)[..., None])
 
 
 # -- 3-dimensional monogenic polynomials -------------------------------
@@ -360,21 +388,22 @@ def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
 
     def rows_of(factors, expos, xs) -> np.ndarray:
         # powers by repeated products, which round alike on every platform
-        ones = np.ones((len(xs), 3, 1))
-        powers = np.cumprod(np.concatenate([ones] + [xs[:, 1:4, None]] * degree, axis=-1), axis=-1)
+        x = xs.reshape(-1, AXES)[:, 1:4, None]
+        powers = np.cumprod(np.concatenate([np.ones_like(x)] + [x] * degree, axis=-1), axis=-1)
         mono = factors * powers[:, 0, expos[:, 0]] * powers[:, 1, expos[:, 1]]
         mono = mono * powers[:, 2, expos[:, 2]]
-        return reduce(np.add, mono.T[:, :, None] * coeffs[:, None], np.zeros((len(xs), N_BLADES)))
+        rows = reduce(np.add, mono.T[:, :, None] * coeffs[:, None], np.zeros((len(x), N_BLADES)))
+        return rows.reshape(xs.shape[:-1] + (N_BLADES,))
 
     # d/dx_a: factor = exponent of x_a, which drops by one; axes 0 and 4 give zero
     lowered = [(expos[:, a], np.maximum(expos - np.eye(3, dtype=int)[a], 0)) for a in range(3)]
 
     def partials(xs) -> np.ndarray:
-        zero = np.zeros((len(xs), N_BLADES))
-        return np.stack([zero, *(rows_of(f, lo, xs) for f, lo in lowered), zero], axis=1)
+        zero = np.zeros(xs.shape[:-1] + (N_BLADES,))
+        return np.stack([zero, *(rows_of(f, lo, xs) for f, lo in lowered), zero], axis=-2)
 
-    return PolynomialField._from_rows(
-        lambda xs: rows_of(1.0, expos, xs), partials, degree=degree, flagged=flagged
+    return PolynomialField(
+        _rows=lambda xs: rows_of(1.0, expos, xs), _partials=partials, degree=degree, flagged=flagged
     )
 
 
@@ -438,9 +467,9 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
 
     def partials(xs) -> np.ndarray:
         # the spatial factor varies along axes 1..3, the temporal one along 0 and 4
-        out = _product(_FULL, spatial_partials(xs), temporal_rows(xs)[:, None])
-        time_mass = temporal_partials(xs)[:, [0, 4]]
-        out[:, [0, 4]] = _product(_FULL, spatial_rows(xs)[:, None], time_mass)
+        out = _product(_FULL, spatial_partials(xs), temporal_rows(xs)[..., None, :])
+        time_mass = temporal_partials(xs)[..., [0, 4], :]
+        out[..., [0, 4], :] = _product(_FULL, spatial_rows(xs)[..., None, :], time_mass)
         return out
 
-    return MultivectorField._from_rows(rows, None if spatial_partials is None else partials)
+    return MultivectorField(_rows=rows, _partials=None if spatial_partials is None else partials)

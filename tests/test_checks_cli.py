@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ga41
-from ga41 import ONE, Multivector, MomentumVector, checks, plane_wave
+from ga41 import Multivector, MomentumVector, algebra, checks, monogenic, plane_wave
 from ga41.checks import (
     EXPECTED_CHECK_NAMES,
     check_definitions,
@@ -182,6 +182,74 @@ def test_sampled_checks_make_a_fixed_number_of_batched_calls(
     ctx = checks.CheckContext(checks._check_rng(0, name), 1e-3)
     assert len(list(definition.run(ctx))) == samples
     assert calls == Counter(_product=products, _to_matrices=forward, _from_matrices=inverse)
+
+
+#: (check, _rows calls, _partials calls, _product calls): the batched
+#: calls of the fields the check builds through harmonic_field, and the
+#: product kernel calls, building the fields included
+FIELD_CHECKS = (
+    ("monogenic_residual", 4, 1, 3),
+    ("derivative_order", 2, 1, 4),
+    ("phase_sign_exclusivity", 0, 1, 2),
+    ("dirac_column_fields", 1, 1, 3),
+)
+
+
+@pytest.mark.parametrize("share", [1, 3])
+@pytest.mark.parametrize("name, rows, partials, products", FIELD_CHECKS)
+def test_field_checks_make_calls_that_do_not_depend_on_the_sample_count(
+    monkeypatch, name, rows, partials, products, share
+):
+    # the check draws a third of its momenta when share is 3; it builds one
+    # family of waves and makes the same calls either way
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args):
+            calls[label] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def counted_field(*args):
+        field = real_field(*args)
+        return dataclasses.replace(
+            field, _rows=counted("_rows", field._rows), _partials=counted("_partials", field._partials)
+        )
+
+    real_field, real_draw = checks.harmonic_field, checks._momenta_and_points
+    monkeypatch.setattr(checks, "harmonic_field", counted_field)
+    monkeypatch.setattr(
+        checks, "_momenta_and_points",
+        lambda ctx, count, shape, **kw: real_draw(ctx, -(-count // share), shape, **kw),
+    )
+    for module in (checks, monogenic):
+        monkeypatch.setattr(module, "_product", counted("_product", module._product))
+    definition = next(d for d in check_definitions() if d.name == name)
+    samples = list(definition.run(checks.CheckContext(checks._check_rng(0, name), 1e-3)))
+    assert np.all(np.isfinite(samples))
+    assert calls == Counter(_rows=rows, _partials=partials, _product=products)
+
+
+def test_frame_duality_makes_no_scalar_product_or_multivector_arithmetic(monkeypatch):
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args):
+            calls[label] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(algebra, "scalar_product", counted("scalar_product", algebra.scalar_product))
+    for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Multivector, op, counted(op, getattr(Multivector, op)))
+    definition = next(d for d in check_definitions() if d.name == "frame_duality")
+    ctx = checks.CheckContext(checks._check_rng(0, "frame_duality"), 1e-3)
+    # 100 frames, each row a: three gaps for each b, then the combination
+    assert len(list(definition.run(ctx))) == 100 * 5 * 16
+    assert not hasattr(checks, "scalar_product")
+    assert calls == Counter()
 
 
 def test_report_shape_and_summary():
@@ -476,35 +544,36 @@ def test_a_nan_sample_fails_every_check(monkeypatch):
         assert r.status == "fail" and math.isnan(r.residual), (r.name, r.residual)
 
 
-def _nan_multivector():
-    return ONE * math.nan
-
-
 def test_dirac_column_fields_fails_when_samples_are_nan(monkeypatch):
-    # only the first of the 160 samples is finite
+    # only the first of the 160 samples is finite: the check makes one
+    # batched call, and every row after the first turns NaN
     real = checks.reduced_vector_derivative
-    calls = itertools.count()
+    shapes = []
 
     def mostly_nan(field, x, mass):
-        return real(field, x, mass) if next(calls) == 0 else _nan_multivector()
+        rows = real(field, x, mass)
+        shapes.append(rows.shape)
+        rows.reshape(-1, 32)[1:] = math.nan
+        return rows
 
     monkeypatch.setattr(checks, "reduced_vector_derivative", mostly_nan)
     result = run_checks(names=["dirac_column_fields"], seed=0)[0]
-    assert next(calls) == 160
+    assert shapes == [(80, 2, 32)]
     assert result.status == "fail" and math.isnan(result.residual)
 
 
-@pytest.mark.parametrize("nan_calls", ["every", "first_of_each_pair"])
-def test_phase_sign_exclusivity_fails_on_nan_derivatives(monkeypatch, nan_calls):
+@pytest.mark.parametrize("nan_points", ["every", "first_of_each_pair"])
+def test_phase_sign_exclusivity_fails_on_nan_derivatives(monkeypatch, nan_points):
     # a NaN residual violates both the canonical bound and the
-    # non-canonical one, so all 50 x 4 variants count
+    # non-canonical one, so all 50 x 4 variants count; the NaN goes into
+    # the batched rows of every point, or of the first of each variant's two
     real = checks.vector_derivative
-    calls = itertools.count()
 
     def patched(field, x, *args, **kwargs):
-        if nan_calls == "every" or next(calls) % 2 == 0:
-            return _nan_multivector()
-        return real(field, x, *args, **kwargs)
+        rows = real(field, x, *args, **kwargs)
+        assert rows.shape == (200, 2, 32)
+        rows[:, : 1 if nan_points == "first_of_each_pair" else 2] = math.nan
+        return rows
 
     monkeypatch.setattr(checks, "vector_derivative", patched)
     result = run_checks(names=["phase_sign_exclusivity"], seed=0)[0]
