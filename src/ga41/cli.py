@@ -172,7 +172,10 @@ def _cmd_frame(args) -> int:
             raise ValueError("--em requires --potential")
         frame = em_frame(GaugeField(args.potential, charge=args.charge, mass=args.mass), point)
     elif args.matrix is not None:
-        flat = [float(v) for v in args.matrix.replace(",", " ").split()]
+        try:
+            flat = [float(v) for v in args.matrix.replace(",", " ").split()]
+        except ValueError:  # a word that is no number
+            flat = []
         if len(flat) != 25:
             raise ValueError("--matrix needs 25 numbers")
         frame = build_frame(np.array(flat).reshape(5, 5), point)
