@@ -73,18 +73,16 @@ def main(argv=None) -> int:
     print(f"\npacket: flagged degree-{args.degree} factor times the "
           f"(t, x4) wave with E = m = {args.mass}")
     growth = (1.0 + max(abs(args.mass), args.degree)) ** 3
-    residuals, ratios = [], []
-    for _ in range(args.samples):
-        x = rng.uniform(-1, 1, 5)
-        analytic = vector_derivative(packet, x).max_abs()
-        numeric = vector_derivative(packet, x, h=STEP_H).max_abs()
-        scale = max(1.0, packet(x).max_abs())
-        residuals += [analytic, numeric]
-        ratios += [analytic / ANALYTIC_TOL, numeric / (NUMERIC_TOL * scale * growth)]
+    xs = rng.uniform(-1, 1, (args.samples, 5))
+    analytic = np.max(np.abs(vector_derivative(packet, xs)), axis=-1)
+    numeric = np.max(np.abs(vector_derivative(packet, xs, h=STEP_H)), axis=-1)
+    scale = np.maximum(1.0, np.max(np.abs(packet(xs)), axis=-1))
+    for x, a, n in zip(xs, analytic, numeric):
         print(f"  x = {np.array2string(x, precision=3)}  "
-              f"analytic: {analytic:.2e}  numeric: {numeric:.2e}")
+              f"analytic: {a:.2e}  numeric: {n:.2e}")
     # np.max, not max: a NaN residual must fail
-    worst = float(np.max(residuals))
+    worst = float(np.max([analytic, numeric]))
+    ratios = [analytic / ANALYTIC_TOL, numeric / (NUMERIC_TOL * scale * growth)]
     worst_ratio = float(np.max(ratios))
     print(f"worst residual: {worst:.2e}  worst ratio to its bound: {worst_ratio:.2e}")
     return 0 if worst_ratio <= 1.0 else 1

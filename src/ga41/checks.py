@@ -256,19 +256,18 @@ def _check_exp_closed_forms(ctx) -> Iterator[float]:
             acc = acc + term
         return acc
 
+    # theta e12, theta e01, theta (e0 + e4), then a spatial bivector of norm |theta|
+    layouts = ([0b00110], [0b00011], [0b00001, 0b10000], [0b00110, 0b01010, 0b01100])
     for trial in range(24):
         theta = ctx.rng.uniform(0.1, 2.0) * (1 if trial % 2 else -1)
         kind = trial % 4
-        if kind == 0:
-            b = theta * e(1, 2)
-        elif kind == 1:
-            b = theta * e(0, 1)
-        elif kind == 2:
-            b = theta * (e(0) + e(4))
+        coeffs = np.zeros(N_BLADES)
+        if kind < 3:
+            coeffs[layouts[kind]] = theta
         else:
             c = ctx.rng.uniform(-1.0, 1.0, 3)
-            c *= theta / np.linalg.norm(c)
-            b = c[0] * e(1, 2) + c[1] * e(1, 3) + c[2] * e(2, 3)
+            coeffs[layouts[kind]] = c * (theta / np.linalg.norm(c))
+        b = Multivector._wrap(coeffs)
         yield (b.exp() - series(b)).max_abs()
 
 
@@ -278,12 +277,11 @@ def _check_exp_closed_forms(ctx) -> Iterator[float]:
     1e-12,
 )
 def _check_rotor_unitarity(ctx) -> Iterator[float]:
-    spatial_pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    bivector_masks = [(1 << i) | (1 << j) for i in range(1, 5) for j in range(i + 1, 5)]
     for _ in range(100):
-        b = Multivector.from_scalar(0.0)
-        for i, j in spatial_pairs:
-            b = b + ctx.rng.uniform(-1.5, 1.5) * e(i, j)
-        rotor = (-0.5 * b).exp()
+        coeffs = np.zeros(N_BLADES)
+        coeffs[bivector_masks] = ctx.rng.uniform(-1.5, 1.5, 6)
+        rotor = (-0.5 * Multivector._wrap(coeffs)).exp()
         yield (rotor.reverse() * rotor - ONE).max_abs()
 
 

@@ -119,8 +119,11 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
     energy = k.energy
     p = np.array(k.momentum)
     amp = energy * IDENTITY + build_dirac_operator(k)
+    x = np.asarray(points, dtype=float)
+    if x.shape[-1:] not in ((4,), (5,)):
+        raise ValueError(f"points must have shape (..., 4) or (..., 5), got shape {x.shape}")
     # all points at once; p.x is a one-row matmul per point, as np.dot
-    x = np.asarray(points, dtype=float)[..., :4].reshape(-1, 4)
+    x = x[..., :4].reshape(-1, 4)
     wave = amp * np.exp(1j * (energy * x[:, 0] - (p @ x[:, 1:4, None])[:, 0]))[:, None, None]
     # i d/dt + i alpha^m d/dx^m + m beta, with the phase derivatives
     out = 1j * (1j * energy) * wave + k.mass * BETA @ wave
@@ -132,13 +135,13 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
 
 def _column_parts(system: DiracSystem, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude coefficients and phase gradient of one eigencolumn's wave."""
-    if index not in range(4):
-        raise ValueError("column index must be 0..3")
-    selector = np.zeros((4, 4), dtype=complex)
-    selector[index, index] = 1.0
+    integer = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+    if not (integer and 0 <= index < 4):
+        raise ValueError(f"column index must be an integer 0..3, got {index!r}")
+    column = np.zeros((4, 4), dtype=complex)
+    column[:, index] = system.psi_bar[:, index]
     lam = float(np.real(system.lam[index, index]))
-    amplitude = from_matrix(np.asarray(system.psi_bar) @ selector)
-    return amplitude.coeffs, np.array([-lam, *system.k.momentum, 0.0])
+    return from_matrix(column).coeffs, np.array([-lam, *system.k.momentum, 0.0])
 
 
 def column_wave(system: DiracSystem, index: int) -> MultivectorField:

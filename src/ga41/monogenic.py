@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +34,9 @@ AXES = 5
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
 _RECIPROCAL_ROWS = np.array([v.coeffs for v in RECIPROCAL_VECTORS])
 _MASS_AXIS = (PSEUDOSCALAR * e_upper(4)).coeffs  # the mass term's factor on the field
+#: blade masks of (E, p1, p2, p3, m) in the vector u and in the wave amplitude
+_VECTOR_LAYOUT = [0b00001, 0b00010, 0b00100, 0b01000, 0b10000]
+_AMPLITUDE_LAYOUT = [0b00000, 0b00011, 0b00101, 0b01001, 0b10001]
 
 
 def _square(v: float) -> float:
@@ -92,18 +94,21 @@ class MomentumVector:
     @property
     def vector(self) -> Multivector:
         """u = E e0 + p_k ek + m e4; squares to the null gap."""
-        out = self.energy * e(0) + self.mass * e(4)
-        for k, q in enumerate(self.momentum):
-            out = out + q * e(k + 1)
-        return out
+        return self._placed(_VECTOR_LAYOUT)
 
     @property
     def amplitude(self) -> Multivector:
         """Wave amplitude E + p_k e0k + m e04, equal to u times -e0."""
-        out = self.energy * ONE + self.mass * e(0, 4)
-        for k, q in enumerate(self.momentum):
-            out = out + q * e(0, k + 1)
-        return out
+        return self._placed(_AMPLITUDE_LAYOUT)
+
+    def _placed(self, masks: list[int]) -> Multivector:
+        """(E, p1, p2, p3, m) at the given blade masks, zero elsewhere."""
+        values = np.array([self.energy, *self.momentum, self.mass])
+        row = np.full(N_BLADES, -0.0)
+        row[masks] = values
+        # + 0.0 turns -0.0 into 0.0, as the sum of the five terms x * blade
+        # does unless all five numbers carry a minus sign
+        return Multivector._wrap(row + (-0.0 if np.signbit(values).all() else 0.0))
 
 
 def _points(x) -> np.ndarray:
@@ -235,8 +240,11 @@ def _stencil(f: Callable, x: np.ndarray, h: float, axes=range(AXES), center: boo
 
 
 def _axis_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis -2 in index order, starting from zero."""
-    return reduce(np.add, terms if terms.ndim == 2 else np.moveaxis(terms, -2, 0), 0.0)
+    """Sum of the rows (..., n, k), k > 1, over axis -2 in index order,
+    starting from zero.  numpy adds along an axis that is not innermost
+    in memory one slice after another, so the rows are held C-contiguous;
+    + 0.0 gives the zero sign of a sum that starts from zero."""
+    return np.ascontiguousarray(terms).sum(axis=-2) + 0.0
 
 
 def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.ndarray:
@@ -392,8 +400,7 @@ def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
         powers = np.cumprod(np.concatenate([np.ones_like(x)] + [x] * degree, axis=-1), axis=-1)
         mono = factors * powers[:, 0, expos[:, 0]] * powers[:, 1, expos[:, 1]]
         mono = mono * powers[:, 2, expos[:, 2]]
-        rows = reduce(np.add, mono.T[:, :, None] * coeffs[:, None], np.zeros((len(x), N_BLADES)))
-        return rows.reshape(xs.shape[:-1] + (N_BLADES,))
+        return _axis_sum(mono[:, :, None] * coeffs).reshape(xs.shape[:-1] + (N_BLADES,))
 
     # d/dx_a: factor = exponent of x_a, which drops by one; axes 0 and 4 give zero
     lowered = [(expos[:, a], np.maximum(expos - np.eye(3, dtype=int)[a], 0)) for a in range(3)]
@@ -436,14 +443,18 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
 
 
 def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
-    """Product of a spatial factor and a (t, x4) plane wave with E^2 = m^2
-    for finite E and m (ValueError otherwise, also when E^2 overflows).
+    """Product of a spatial factor and a (t, x4) plane wave with k = (E, m),
+    E^2 = m^2 for finite E and m (ValueError otherwise, also when E^2
+    overflows).
 
     The spatial factor must commute with the index-0 and index-4
     generators (checked on a sample grid); together with spatial
     monogenicity this makes the product monogenic in all five axes
     without spreading.
     """
+    k = np.asarray(k, dtype=float)
+    if k.shape != (2,):
+        raise ValueError(f"separable factor takes exactly (E, m), got shape {k.shape}")
     energy, mass = float(k[0]), float(k[1])
     on_shell = abs(energy * energy - mass * mass) <= 1e-12 * max(1.0, energy * energy)
     if not (math.isfinite(energy) and math.isfinite(mass) and on_shell):

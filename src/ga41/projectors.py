@@ -101,47 +101,23 @@ def helicity_project(psi_bar: np.ndarray, sign: int) -> np.ndarray:
 # -- generators of the unitary group ------------------------------------
 
 
-def _sym(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    m[j, i] = 1.0
-    return m
-
-
-def _asym(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = -1.0j
-    m[j, i] = 1.0j
-    return m
-
-
 def su4_generators() -> tuple[np.ndarray, ...]:
     """The fifteen traceless self-adjoint 4x4 generators in the
-    standard order: off-diagonal pairs interleaved with the three
-    diagonal generators."""
-    diag3 = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-    diag8 = (np.diag([1.0, 1.0, -2.0, 0.0]) * _INV_SQRT3).astype(complex)
-    diag15 = (np.diag([1.0, 1.0, 1.0, -3.0]) * _INV_SQRT6).astype(complex)
-    mats = (
-        _sym(4, 0, 1),
-        _asym(4, 0, 1),
-        diag3,
-        _sym(4, 0, 2),
-        _asym(4, 0, 2),
-        _sym(4, 1, 2),
-        _asym(4, 1, 2),
-        diag8,
-        _sym(4, 0, 3),
-        _asym(4, 0, 3),
-        _sym(4, 1, 3),
-        _asym(4, 1, 3),
-        _sym(4, 2, 3),
-        _asym(4, 2, 3),
-        diag15,
-    )
-    for m in mats:
-        m.setflags(write=False)
-    return mats
+    standard order: for n = 1, 2, 3 the symmetric and antisymmetric
+    pair of each entry (i, n), i < n, then the n-th diagonal generator,
+    ones before -n on the diagonal, scaled by 1, 1/sqrt3 or 1/sqrt6."""
+    gens = np.zeros((15, 4, 4), dtype=complex)
+    g = 0
+    for n, scale in ((1, 1.0), (2, _INV_SQRT3), (3, _INV_SQRT6)):
+        for i in range(n):
+            gens[g, i, n] = gens[g, n, i] = 1.0
+            gens[g + 1, i, n], gens[g + 1, n, i] = -1.0j, 1.0j
+            g += 2
+        gens[g, range(n), range(n)] = scale
+        gens[g, n, n] = -n * scale
+        g += 1
+    gens.setflags(write=False)
+    return tuple(gens)
 
 
 def _diagonal_generators(f1, f2, f3, f4):
@@ -232,28 +208,14 @@ def conjugated_unit_quadruple(unitary: np.ndarray) -> IdempotentSet:
     return IdempotentSet("custom", tuple(els))
 
 
-def _sequential_trace(m: np.ndarray) -> complex:
-    # index-order summation; np.trace may reorder and lose the exact
-    # cancellation of the sqrt-scaled diagonal entries
-    total = 0.0 + 0.0j
-    for v in np.diag(m):
-        total += complex(v)
-    return total
-
-
 def _diagonalizing_permutation(images) -> np.ndarray:
     """Permutation matrix p with p^H image_k p = e_kk, from the
     position of each image's unit diagonal entry."""
-    positions = []
-    for img in images:
-        diag = np.real(np.diag(img))
-        pos = int(np.argmax(diag))
-        positions.append(pos)
+    positions = [int(np.argmax(np.real(np.diag(img)))) for img in images]
     if sorted(positions) != [0, 1, 2, 3]:
         raise ArithmeticError("images are not distinct diagonal units")
     perm = np.zeros((4, 4), dtype=complex)
-    for k, pos in enumerate(positions):
-        perm[pos, k] = 1.0
+    perm[positions, range(4)] = 1.0
     return perm
 
 
@@ -268,7 +230,9 @@ def verify_su4_generators(thetas=(0.3, 1.0)) -> dict:
     generators hold exactly in that permuted frame.
     """
     gens = su4_generators()
-    traceless = all(_sequential_trace(g) == 0.0 for g in gens)
+    # cumsum adds the diagonal in index order; np.trace may reorder and
+    # lose the exact cancellation of the sqrt-scaled diagonal entries
+    traceless = all(np.cumsum(np.diag(g))[-1] == 0.0 for g in gens)
     self_adjoint = all(np.array_equal(g, g.conj().T) for g in gens)
     exp_zero = all(
         np.array_equal(expm(0.0j * g), np.eye(4, dtype=complex)) for g in gens

@@ -231,3 +231,22 @@ def test_column_wave_validation():
         column_wave(system, 4)
     with pytest.raises(ValueError):
         column_wave(system, -1)
+
+
+def test_geometric_matrix_crosscheck_rejects_malformed_points():
+    exact = MomentumVector(5.0, (3.0, 0.0, 0.0), 4.0)
+    for shape in ((4, 3), (2, 6), (7,)):
+        with pytest.raises(ValueError, match="shape"):
+            geometric_matrix_crosscheck(exact, np.zeros(shape))
+    # four-vectors (t, x1, x2, x3) and five-axis points are both accepted
+    four = geometric_matrix_crosscheck(exact, np.zeros((2, 3, 4)))
+    assert four == geometric_matrix_crosscheck(exact, np.zeros((2, 3, 5)))
+
+
+def test_column_wave_rejects_a_non_integer_index():
+    k = MomentumVector(1.0, (0.0, 0.0, 0.0), 1.0)
+    system = order_eigensystem(dirac_system(k))
+    for index in (1.0, True, False, "1", None):
+        with pytest.raises(ValueError):
+            column_wave(system, index)
+    assert column_wave(system, np.int64(2))(np.zeros(5)) == column_wave(system, 2)(np.zeros(5))

@@ -639,3 +639,11 @@ def test_fueter_variables_span_the_polynomial_basis(degree):
     )
     rank = np.linalg.matrix_rank
     assert rank(oracle) == rank(basis) == rank(np.vstack([oracle, basis])) == 4 * (degree + 1)
+
+
+def test_separable_wavepacket_takes_exactly_energy_and_mass():
+    spatial = monogenic_polynomials_3d(1)[0]
+    for k in ((1.0, 1.0, 99.0), (2.0,), (), 1.0, "11", [[1.0, 1.0]]):
+        with pytest.raises(ValueError, match=r"\(E, m\)"):
+            separable_wavepacket(spatial, k)
+    assert separable_wavepacket(spatial, np.array([1.0, 1.0])) is not None

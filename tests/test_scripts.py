@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ga41 import ONE, MomentumVector, plane_wave
+from ga41 import MomentumVector, plane_wave
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -112,7 +112,8 @@ def test_demo_fails_on_a_nan_residual(demo, capsys, monkeypatch):
     real = demo.vector_derivative
 
     def nan_when_numeric(field, x, h=None):
-        return ONE * math.nan if h is not None else real(field, x)
+        out = real(field, x, h=h)
+        return out * math.nan if h is not None else out
 
     monkeypatch.setattr(demo, "vector_derivative", nan_when_numeric)
     assert demo.main(["--samples", "2"]) == 1
