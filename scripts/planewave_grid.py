@@ -45,28 +45,31 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    try:
-        k = MomentumVector.from_mass_momentum(
-            (args.p1, args.p2, args.p3), args.mass,
-            negative_energy=args.negative_energy,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def checked_inputs(args):
+    """The momentum and the two grid axes; ValueError on bad input."""
+    k = MomentumVector.from_mass_momentum(
+        (args.p1, args.p2, args.p3), args.mass,
+        negative_energy=args.negative_energy,
+    )
     try:
         axes = tuple(int(a) for a in args.axes.split(","))
     except ValueError:
         axes = ()
     if len(axes) != 2 or axes[0] == axes[1] or not all(0 <= a <= 4 for a in axes):
-        print("error: --axes needs two distinct indices in 0..4", file=sys.stderr)
-        return 2
+        raise ValueError("--axes needs two distinct indices in 0..4")
     if args.points < 1:
-        print("error: --points must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--points must be at least 1")
     if not math.isfinite(args.extent):
-        print("error: --extent must be finite", file=sys.stderr)
+        raise ValueError("--extent must be finite")
+    return k, axes
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    try:
+        k, axes = checked_inputs(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     wave = plane_wave(k)
     ticks = np.linspace(-args.extent, args.extent, args.points)

@@ -46,6 +46,15 @@ def describe_basis(degree: int) -> None:
         print(f"  [{i:2d}] {tag}  value at probe: {f(probe)}  residual: {residual:.2e}")
 
 
+def checked_inputs(args):
+    """The packet and the sample generator; ValueError on bad input."""
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    spatial = monogenic_polynomials_3d(args.degree)[0]
+    packet = separable_wavepacket(spatial, (args.mass, args.mass))
+    return packet, np.random.default_rng(args.seed)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="separable wavepacket demo")
     parser.add_argument("--degree", type=int, default=2,
@@ -56,13 +65,8 @@ def main(argv=None) -> int:
                         help="random sample points (default 5)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
     try:
-        spatial = monogenic_polynomials_3d(args.degree)[0]
-        packet = separable_wavepacket(spatial, (args.mass, args.mass))
-        rng = np.random.default_rng(args.seed)
+        packet, rng = checked_inputs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -392,9 +392,14 @@ def outer(a, b) -> Multivector:
     return _promote(a) ^ _promote(b)
 
 
+def _scalar_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Scalar parts of the products of rows (..., 32), each rounding as np.dot."""
+    return ((a * _SQUARE_SIGNS)[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def scalar_product(a: Multivector, b: Multivector) -> float:
     """Scalar part of the geometric product ab."""
-    return float(np.dot(a._c * _SQUARE_SIGNS, b._c))
+    return float(_scalar_products(a._c, b._c))
 
 
 def commutator(a: Multivector, b: Multivector) -> Multivector:
@@ -446,6 +451,12 @@ def e_upper(*indices: int) -> Multivector:
     flips = sum(1 for k in indices if k == 0)
     base = e(*indices)
     return -base if flips & 1 else base
+
+
+def _integer(value, allowed, message: str) -> None:
+    """Raise ValueError(message) unless value is an integer, not a bool, in allowed."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value not in allowed:
+        raise ValueError(message)
 
 
 def _worst(samples) -> float:

@@ -31,8 +31,8 @@ from .algebra import (
     N_BLADES,
     ONE,
     PSEUDOSCALAR,
-    _SQUARE_SIGNS,
     _product,
+    _scalar_products,
     _worst,
     blade_product,
     e,
@@ -53,7 +53,6 @@ from .matrices import (
     _BLADE_ROWS,
     _from_matrices,
     _to_matrices,
-    to_matrix,
 )
 from .monogenic import (
     MomentumVector,
@@ -136,6 +135,17 @@ def _residuals(*diffs: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1).ravel()
 
 
+def _clifford(pairs: np.ndarray, metric: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """|X_a X_b + X_b X_a - 2 metric[a, b] unit| per pair of the table pairs[a, b] = X_a X_b."""
+    gaps = pairs + pairs.swapaxes(0, 1) - np.multiply.outer(2.0 * metric, unit)
+    return _residuals(gaps.reshape(-1, unit.size))
+
+
+def _commutators(pairs: np.ndarray) -> np.ndarray:
+    """|X_a X_b - X_b X_a| for every ordered pair of the table pairs[a, b] = X_a X_b."""
+    return _residuals((pairs - pairs.swapaxes(0, 1)).reshape(len(pairs) ** 2, -1))
+
+
 def _random_momentum(rng, min_mass=0.01, min_p=0.0) -> MomentumVector:
     mass = rng.uniform(min_mass, 5.0)
     direction = rng.normal(size=3)
@@ -177,11 +187,8 @@ def _check_blade_squares(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_anticommutation(ctx) -> Iterator[float]:
-    for a in range(5):
-        for b in range(5):
-            lhs = e(a) * e(b) + e(b) * e(a)
-            rhs = Multivector.from_scalar(2.0 * ETA[a, b])
-            yield (lhs - rhs).max_abs()
+    rows = np.array([e(a).coeffs for a in range(5)])
+    yield from _clifford(_product(_FULL, rows[:, None], rows[None]), ETA, ONE.coeffs)
 
 
 @_register(
@@ -203,11 +210,8 @@ def _check_associativity(ctx) -> Iterator[float]:
 )
 def _check_pseudoscalar_centrality(ctx) -> Iterator[float]:
     yield (PSEUDOSCALAR * PSEUDOSCALAR + ONE).max_abs()
-    for mask in range(N_BLADES):
-        coeffs = np.zeros(N_BLADES)
-        coeffs[mask] = 1.0
-        b = Multivector(coeffs)
-        yield (PSEUDOSCALAR * b - b * PSEUDOSCALAR).max_abs()
+    blades, unit = np.eye(N_BLADES), PSEUDOSCALAR.coeffs
+    yield from _residuals(_product(_FULL, unit, blades) - _product(_FULL, blades, unit))
 
 
 @_register(
@@ -321,13 +325,8 @@ def _check_phi_round_trip(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_dirac_pauli_relations(ctx) -> Iterator[float]:
-    yield float(np.max(np.abs(BETA @ BETA - IDENTITY)))
-    for m in range(3):
-        yield float(np.max(np.abs(ALPHA[m] @ BETA + BETA @ ALPHA[m])))
-        for n in range(3):
-            want = 2.0 * (1.0 if m == n else 0.0) * IDENTITY
-            got = ALPHA[m] @ ALPHA[n] + ALPHA[n] @ ALPHA[m]
-            yield float(np.max(np.abs(got - want)))
+    images = np.array([*ALPHA, BETA])
+    yield from _clifford(images[:, None] @ images[None], np.eye(4), IDENTITY)
 
 
 @_register(
@@ -336,18 +335,12 @@ def _check_dirac_pauli_relations(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_sigma_clifford_relations(ctx) -> Iterator[float]:
+    images = np.array(RECIPROCAL_IMAGES)
+    pairs = images[:, None] @ images[None]
     # ETA is its own inverse, so it holds the raised-index metric too
-    for a in range(5):
-        for b in range(5):
-            got = RECIPROCAL_IMAGES[a] @ RECIPROCAL_IMAGES[b]
-            got = got + RECIPROCAL_IMAGES[b] @ RECIPROCAL_IMAGES[a]
-            want = 2.0 * ETA[a, b] * IDENTITY
-            yield float(np.max(np.abs(got - want)))
-    for m in range(3):
-        got = RECIPROCAL_IMAGES[m + 1] @ RECIPROCAL_IMAGES[0]
-        yield float(np.max(np.abs(got - ALPHA[m])))
-    got = RECIPROCAL_IMAGES[4] @ RECIPROCAL_IMAGES[0]
-    yield float(np.max(np.abs(got - BETA)))
+    yield from _clifford(pairs, ETA, IDENTITY)
+    # sigma^m sigma^0 = alpha_m and sigma^4 sigma^0 = beta
+    yield from _residuals(pairs[1:, 0] - np.array([*ALPHA, BETA]))
 
 
 @_register(
@@ -517,13 +510,9 @@ def _check_idempotent_sets(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_projector_commutation(ctx) -> Iterator[float]:
-    for a, b in COMMUTING_PAIRS:
-        yield (a * b - b * a).max_abs()
-    for s in (build_f_set(), build_e_set()):
-        for i in range(4):
-            for j in range(4):
-                fi, fj = s.elements[i], s.elements[j]
-                yield (fi * fj - fj * fi).max_abs()
+    for group in (*COMMUTING_PAIRS, build_f_set().elements, build_e_set().elements):
+        rows = np.array([x.coeffs for x in group])
+        yield from _commutators(_product(_FULL, rows[:, None], rows[None]))
 
 
 @_register(
@@ -532,9 +521,8 @@ def _check_projector_commutation(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_triblade_squares(ctx) -> Iterator[float]:
-    for pair in COMMUTING_PAIRS:
-        for b in pair:
-            yield (b * b - ONE).max_abs()
+    rows = np.array([b.coeffs for pair in COMMUTING_PAIRS for b in pair])
+    yield from _residuals(_product(_FULL, rows, rows) - ONE.coeffs)
 
 
 @_register(
@@ -556,11 +544,8 @@ def _check_sets_not_aligned(ctx) -> Iterator[float]:
     1e-10,
 )
 def _check_custom_quadruple_generators(ctx) -> Iterator[float]:
-    patterns = (
-        np.array([0.0, 0.0, 1.0, 1.0]),
-        np.array([0.0, 1.0, 1.0, 4.0]) / 3.0,
-        np.array([1.0, 1.0, 1.0, 9.0]) / 6.0,
-    )
+    # the squared spectra of the three diagonal generators
+    patterns = np.array([[0, 0, 1, 1], [0, 1, 1, 4], [1, 1, 1, 9]]) / [[1.0], [3.0], [6.0]]
     for _ in range(5):
         raw = ctx.rng.normal(size=(4, 4)) + 1j * ctx.rng.normal(size=(4, 4))
         q, r = np.linalg.qr(raw)
@@ -568,17 +553,14 @@ def _check_custom_quadruple_generators(ctx) -> Iterator[float]:
         quadruple = conjugated_unit_quadruple(q)
         report = validate_idempotent_set(quadruple, tol=1e-10)
         yield from (report[p] for p in ("idempotency", "orthogonality", "completeness"))
-        gens = idempotents_to_generators(quadruple)
-        images = [to_matrix(g) for g in gens]
-        for img, pattern in zip(images, patterns):
-            yield abs(complex(np.trace(img)))
-            yield float(np.max(np.abs(img - img.conj().T)))
-            vals = np.linalg.eigvalsh(img @ img)
-            yield float(np.max(np.abs(vals - pattern)))
-        for i in range(3):
-            for j in range(3):
-                comm = images[i] @ images[j] - images[j] @ images[i]
-                yield float(np.max(np.abs(comm)))
+        images = _to_matrices(np.array([g.coeffs for g in idempotents_to_generators(quadruple)]))
+        pairs = images[:, None] @ images[None]
+        yield from _residuals(
+            np.trace(images, axis1=1, axis2=2),
+            images - images.conj().swapaxes(1, 2),
+            np.linalg.eigvalsh(pairs[range(3), range(3)]) - patterns,
+        )
+        yield from _commutators(pairs)
 
 
 # -- frames and gauge -----------------------------------------------------
@@ -622,8 +604,8 @@ def _check_frame_duality(ctx) -> Iterator[float]:
     reciprocal = np.array([[v.coeffs for v in f.reciprocal] for f in frames])
     metric = np.array([f.metric for f in frames])
 
-    def gram(a, b):  # scalar parts of a_i b_j, each rounding as scalar_product's dot
-        return ((a * _SQUARE_SIGNS)[:, :, None, None, :] @ b[:, None, :, :, None])[..., 0, 0]
+    def gram(a, b):  # scalar parts of a_i b_j, each as scalar_product
+        return _scalar_products(a[:, :, None], b[:, None])
 
     yield from np.abs(gram(vectors, vectors) - metric).ravel()
     yield from np.abs(gram(reciprocal, vectors) - np.eye(5)).ravel()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PSEUDOSCALAR, _worst, e
-from .matrices import ALPHA, BETA, IDENTITY, from_matrix, to_matrix
+from .algebra import PSEUDOSCALAR, _integer, _worst, e
+from .matrices import ALPHA, BETA, IDENTITY, _half_projector, from_matrix, to_matrix
 from .monogenic import MomentumVector, MultivectorField, harmonic_field
 
 #: images of pseudoscalar * e23, * e31, * e12: the spin-axis matrices
@@ -76,11 +76,11 @@ def _eigencolumns(k: MomentumVector, a_bar: np.ndarray) -> np.ndarray:
     energy = k.energy
     if energy == 0.0:
         raise ValueError("the momentum operator vanishes at E = 0")
-    energy_split = a_bar / energy
-    spin = _spin_operator(k)
+    energy_halves, spin_halves = (
+        [_half_projector(m, sign) for sign in (1, -1)] for m in (a_bar / energy, _spin_operator(k))
+    )
     psi = np.empty((4, 4), dtype=complex)
-    for j, (eps, sigma) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-        proj = (IDENTITY + eps * energy_split) @ (IDENTITY + sigma * spin) / 4.0
+    for j, proj in enumerate(a @ b for a in energy_halves for b in spin_halves):
         col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
         lead = col[int(np.argmax(np.abs(col)))]
         col = col * (np.conj(lead) / abs(lead))
@@ -135,9 +135,7 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
 
 def _column_parts(system: DiracSystem, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude coefficients and phase gradient of one eigencolumn's wave."""
-    integer = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
-    if not (integer and 0 <= index < 4):
-        raise ValueError(f"column index must be an integer 0..3, got {index!r}")
+    _integer(index, range(4), f"column index must be an integer 0..3, got {index!r}")
     column = np.zeros((4, 4), dtype=complex)
     column[:, index] = system.psi_bar[:, index]
     lam = float(np.real(system.lam[index, index]))

@@ -71,6 +71,11 @@ def sigma_matrix(index: int) -> np.ndarray:
     return RECIPROCAL_IMAGES[index].copy()
 
 
+def _half_projector(m: np.ndarray, sign: int) -> np.ndarray:
+    """(1 + sign m) / 2, a projector when m squares to the identity."""
+    return (IDENTITY + sign * m) / 2.0
+
+
 #: images of the direct (lower-index) basis vectors
 GENERATOR_IMAGES = (-RECIPROCAL_IMAGES[0],) + RECIPROCAL_IMAGES[1:]
 

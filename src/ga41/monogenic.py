@@ -22,6 +22,8 @@ from .algebra import (
     ONE,
     PSEUDOSCALAR,
     _FULL,
+    _VECTOR_MASKS,
+    _integer,
     _product,
     blade_product,
     e,
@@ -34,8 +36,7 @@ AXES = 5
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
 _RECIPROCAL_ROWS = np.array([v.coeffs for v in RECIPROCAL_VECTORS])
 _MASS_AXIS = (PSEUDOSCALAR * e_upper(4)).coeffs  # the mass term's factor on the field
-#: blade masks of (E, p1, p2, p3, m) in the vector u and in the wave amplitude
-_VECTOR_LAYOUT = [0b00001, 0b00010, 0b00100, 0b01000, 0b10000]
+#: blade masks of (E, p1, p2, p3, m) in the wave amplitude (in u: _VECTOR_MASKS)
 _AMPLITUDE_LAYOUT = [0b00000, 0b00011, 0b00101, 0b01001, 0b10001]
 
 
@@ -94,7 +95,7 @@ class MomentumVector:
     @property
     def vector(self) -> Multivector:
         """u = E e0 + p_k ek + m e4; squares to the null gap."""
-        return self._placed(_VECTOR_LAYOUT)
+        return self._placed(_VECTOR_MASKS)
 
     @property
     def amplitude(self) -> Multivector:
@@ -204,7 +205,10 @@ def plane_wave_variant(
     k: MomentumVector, time_sign: int = 1, mass_sign: int = 1
 ) -> MultivectorField:
     """Same amplitude with the time and mass phase terms optionally
-    flipped; only the (+1, +1) choice is monogenic away from p = 0."""
+    flipped; only the (+1, +1) choice is monogenic away from p = 0.  Each
+    sign must be the integer +1 or -1 (ValueError otherwise)."""
+    for name, sign in (("time_sign", time_sign), ("mass_sign", mass_sign)):
+        _integer(sign, (1, -1), f"{name} must be +1 or -1, got {sign!r}")
     return harmonic_field(k.amplitude, k.phase_gradient * [time_sign, 1, 1, 1, mass_sign])
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, ONE, _worst, e_upper
-from .matrices import BETA, IDENTITY, from_matrix, sigma_matrix, to_matrix
+from .algebra import _FULL, Multivector, ONE, _integer, _product, _worst, e_upper
+from .matrices import BETA, IDENTITY, _half_projector, from_matrix, sigma_matrix, to_matrix
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 _INV_SQRT6 = 1.0 / math.sqrt(6.0)
@@ -64,15 +64,14 @@ def build_e_set() -> IdempotentSet:
 
 
 def validate_idempotent_set(s: IdempotentSet, tol: float = 0.0) -> dict:
-    """Residuals of idempotency, pairwise orthogonality, and
-    completeness; ok means every residual is within tol."""
-    els = s.elements
-    idem = _worst((f * f - f).max_abs() for f in els)
-    ortho = _worst(
-        (els[i] * els[j]).max_abs() for i in range(4) for j in range(4) if i != j
-    )
-    total = els[0] + els[1] + els[2] + els[3]
-    complete = (total - ONE).max_abs()
+    """Residuals of idempotency, pairwise orthogonality, and completeness,
+    all from one table f_i f_j; ok means every residual is within tol."""
+    f = np.array([x.coeffs for x in s.elements])
+    table, diagonal = _product(_FULL, f[:, None], f[None]), np.eye(4, dtype=bool)
+    idem = float(np.max(np.abs(table[diagonal] - f)))
+    ortho = float(np.max(np.abs(table[~diagonal])))
+    # the rows summed in order, as f_0 + f_1 + f_2 + f_3
+    complete = float(np.max(np.abs(f.sum(axis=0) - ONE.coeffs)))
     worst = _worst((idem, ortho, complete))
     return {
         "name": s.name,
@@ -86,16 +85,14 @@ def validate_idempotent_set(s: IdempotentSet, tol: float = 0.0) -> dict:
 def energy_project(psi_bar: np.ndarray, sign: int) -> np.ndarray:
     """Right-multiply the eigencolumn matrix by the image of
     (1 + sign * raised e40) / 2, keeping one energy pair."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return np.asarray(psi_bar, dtype=complex) @ ((IDENTITY + sign * BETA) / 2.0)
+    _integer(sign, (1, -1), "sign must be +1 or -1")
+    return np.asarray(psi_bar, dtype=complex) @ _half_projector(BETA, sign)
 
 
 def helicity_project(psi_bar: np.ndarray, sign: int) -> np.ndarray:
     """Right-multiply by the image of (1 + sign * raised e3) / 2."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return np.asarray(psi_bar, dtype=complex) @ ((IDENTITY + sign * sigma_matrix(3)) / 2.0)
+    _integer(sign, (1, -1), "sign must be +1 or -1")
+    return np.asarray(psi_bar, dtype=complex) @ _half_projector(sigma_matrix(3), sign)
 
 
 # -- generators of the unitary group ------------------------------------

@@ -29,7 +29,16 @@ from ga41 import (
     scalar_product,
 )
 
-from ga41.algebra import _FULL, _INNER, _OUTER, _product, _worst
+from ga41.algebra import (
+    _FULL,
+    _INNER,
+    _OUTER,
+    _SQUARE_SIGNS,
+    _integer,
+    _product,
+    _scalar_products,
+    _worst,
+)
 
 N = 32
 METRIC = (-1, 1, 1, 1, 1)
@@ -318,6 +327,28 @@ def test_scalar_product_is_symmetric_scalar_part():
     a, b = random_mv(rng), random_mv(rng)
     assert scalar_product(a, b) == pytest.approx((a * b).scalar, abs=1e-13)
     assert scalar_product(a, b) == pytest.approx(scalar_product(b, a), abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coeff_rows)
+def test_scalar_product_rounds_as_dot_of_the_signed_row(rows):
+    # one kernel for one pair and for a batch, each with np.dot's bits
+    a, b = np.array(rows), np.array(rows[::-1])
+    want = [float(np.dot(x * _SQUARE_SIGNS, y)).hex() for x, y in zip(a, b)]
+    got = [scalar_product(Multivector(x), Multivector(y)).hex() for x, y in zip(a, b)]
+    assert got == want
+    assert [float(v).hex() for v in _scalar_products(a, b)] == want
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, -1.0, 2, 0, "1", None, np.bool_(True)])
+def test_integer_rule_rejects_bools_floats_and_values_outside(value):
+    with pytest.raises(ValueError, match="^must be a sign$"):
+        _integer(value, (1, -1), "must be a sign")
+
+
+@pytest.mark.parametrize("value", [1, -1, np.int64(-1), np.int8(1), np.uint8(1)])
+def test_integer_rule_accepts_python_and_numpy_integers(value):
+    _integer(value, (1, -1), "must be a sign")
 
 
 def test_commutator():

@@ -217,6 +217,22 @@ def test_phase_sign_exclusivity_at_rest():
         assert vector_derivative(bad, x).max_abs() > 0.1 * scale
 
 
+@pytest.mark.parametrize("which", ["time_sign", "mass_sign"])
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 2, 0, 3, 0.5])
+def test_plane_wave_variant_takes_only_the_integers_plus_and_minus_one(which, sign):
+    k = MomentumVector.from_mass_momentum((1.0, 0.5, -0.3), 1.2)
+    with pytest.raises(ValueError, match=f"^{which} must be"):
+        plane_wave_variant(k, **{which: sign})
+
+
+@pytest.mark.parametrize("which", ["time_sign", "mass_sign"])
+def test_plane_wave_variant_takes_numpy_integer_signs(which):
+    k = MomentumVector.from_mass_momentum((1.0, 0.5, -0.3), 1.2)
+    x = np.array([0.2, 0.4, -0.3, 0.1, 0.5])
+    got = plane_wave_variant(k, **{which: np.int64(-1)})(x)
+    assert got.coeffs.tobytes() == plane_wave_variant(k, **{which: -1})(x).coeffs.tobytes()
+
+
 def test_reduced_vector_derivative_matches_full():
     k = MomentumVector.from_mass_momentum((1.0, 1.0, 1.0), 2.5)
     wave = plane_wave(k)

@@ -162,6 +162,25 @@ def test_helicity_projection_complementary():
         energy_project(system.psi_bar, 2)
 
 
+def _psi_bar():
+    k = MomentumVector.from_mass_momentum((0.5, -1.0, 0.25), 1.0)
+    return order_eigensystem(dirac_system(k)).psi_bar
+
+
+@pytest.mark.parametrize("project", [energy_project, helicity_project])
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 2, 0])
+def test_projections_take_only_the_integers_plus_and_minus_one(project, sign):
+    psi = _psi_bar()
+    with pytest.raises(ValueError, match="sign must be"):
+        project(psi, sign)
+
+
+@pytest.mark.parametrize("project", [energy_project, helicity_project])
+def test_projections_take_numpy_integer_signs(project):
+    psi = _psi_bar()
+    assert project(psi, np.int64(-1)).tobytes() == project(psi, -1).tobytes()
+
+
 def sequential_trace(m):
     total = 0.0 + 0.0j
     for v in np.diag(m):

@@ -1,0 +1,150 @@
+"""The Clifford, commutation and idempotent relation checks: each compares
+one product table with its expected table, and each fails when one thing it
+rests on is broken (negative controls)."""
+
+import math
+from collections import Counter
+
+import pytest
+
+from ga41 import Multivector, checks, projectors
+from ga41.algebra import e, e_upper
+from ga41.checks import check_definitions, run_checks
+from ga41.matrices import ALPHA, RECIPROCAL_IMAGES
+
+
+def _flipped_vector_cell():
+    # the sign of e0 e1 in the full product table: e0 e1 = -e01 would make
+    # e0 e1 + e1 e0 = -2 e01
+    full = checks._FULL.copy()
+    full[0b00011, 0b00001] *= -1.0
+    return full
+
+
+def _swapped_images(i, j):
+    images = list(RECIPROCAL_IMAGES)
+    images[i], images[j] = images[j], images[i]
+    return tuple(images)
+
+
+def _scaled_image(index, factor):
+    images = list(RECIPROCAL_IMAGES)
+    images[index] = images[index] * factor
+    return tuple(images)
+
+
+def _doubled_first_generator(real):
+    def generators(quadruple):
+        l3, l8, l15 = real(quadruple)
+        return 2.0 * l3, l8, l15
+
+    return generators
+
+
+ANTICOMMUTING = (e_upper(3), e_upper(0, 3))
+
+#: (check, name patched in ga41.checks, replacement from the real value)
+MUTATIONS = (
+    ("anticommutation", "_FULL", lambda real: _flipped_vector_cell()),
+    ("pseudoscalar_centrality", "PSEUDOSCALAR", lambda real: e(0, 1, 2, 3)),
+    ("dirac_pauli_relations", "ALPHA", lambda real: (ALPHA[0], ALPHA[0], ALPHA[2])),
+    # the Clifford relation holds for any order of the spatial images; the
+    # links sigma^m sigma^0 = alpha_m do not
+    ("sigma_clifford_relations", "RECIPROCAL_IMAGES", lambda real: _swapped_images(1, 2)),
+    ("sigma_clifford_relations", "RECIPROCAL_IMAGES", lambda real: _scaled_image(3, 1j)),
+    # raised e3 and e03 anticommute
+    ("projector_commutation", "COMMUTING_PAIRS", lambda real: (ANTICOMMUTING, real[1])),
+    # e_upper(0, 1) would not do: it squares to +1 too
+    ("triblade_squares", "COMMUTING_PAIRS", lambda real: ((e_upper(1, 2), real[0][1]), real[1])),
+    ("custom_quadruple_generators", "idempotents_to_generators", _doubled_first_generator),
+)
+
+
+@pytest.mark.parametrize("name, target, replace", MUTATIONS)
+def test_relation_check_fails_when_what_it_rests_on_is_broken(monkeypatch, name, target, replace):
+    assert run_checks([name], seed=0)[0].status == "pass"
+    monkeypatch.setattr(checks, target, replace(getattr(checks, target)))
+    result = run_checks([name], seed=0)[0]
+    assert result.status == "fail"
+    assert result.residual > 0.0
+
+
+def test_a_nan_image_makes_the_sigma_relations_nan(monkeypatch):
+    monkeypatch.setattr(checks, "RECIPROCAL_IMAGES", _scaled_image(2, math.nan))
+    result = run_checks(["sigma_clifford_relations"], seed=0)[0]
+    assert result.status == "fail"
+    assert math.isnan(result.residual)
+
+
+#: (check, _clifford calls, _commutators calls, _product calls, Multivector
+#: products, samples): one table per relation, whatever the number of pairs;
+#: the Multivector products build the quadruples and scale the generators
+RELATION_CHECKS = (
+    ("anticommutation", 1, 0, 1, 0, 25),
+    ("pseudoscalar_centrality", 0, 0, 2, 1, 33),
+    ("dirac_pauli_relations", 1, 0, 0, 0, 16),
+    ("sigma_clifford_relations", 1, 0, 0, 0, 29),
+    ("projector_commutation", 0, 4, 4, 16, 2 * 4 + 2 * 16),
+    ("triblade_squares", 0, 0, 1, 0, 4),
+    ("custom_quadruple_generators", 0, 5, 10, 10, 5 * (3 + 3 * 3 + 9)),
+)
+
+
+@pytest.mark.parametrize(
+    "name, clifford, commutators, products, mv_products, samples", RELATION_CHECKS
+)
+def test_relation_checks_state_each_relation_once_per_table(
+    monkeypatch, name, clifford, commutators, products, mv_products, samples
+):
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args):
+            calls[label] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for label in ("_clifford", "_commutators", "_product"):
+        monkeypatch.setattr(checks, label, counted(label, getattr(checks, label)))
+    monkeypatch.setattr(projectors, "_product", counted("_product", projectors._product))
+    monkeypatch.setattr(Multivector, "__mul__", counted("__mul__", Multivector.__mul__))
+    definition = next(d for d in check_definitions() if d.name == name)
+    got = list(definition.run(checks.CheckContext(checks._check_rng(0, name), 1e-3)))
+    assert len(got) == samples
+    want = Counter(
+        _clifford=clifford, _commutators=commutators, _product=products, __mul__=mv_products
+    )
+    assert calls == +want
+
+
+def test_idempotent_relations_come_from_one_product_table(monkeypatch):
+    calls = Counter()
+    real = projectors._product
+
+    def counted(*args):
+        calls["_product"] += 1
+        return real(*args)
+
+    quadruple = projectors.build_f_set()
+    monkeypatch.setattr(projectors, "_product", counted)
+    monkeypatch.setattr(Multivector, "__mul__", None)
+    report = projectors.validate_idempotent_set(quadruple)
+    assert calls == Counter(_product=1)
+    assert report == {
+        "name": "f-set",
+        "idempotency": 0.0,
+        "orthogonality": 0.0,
+        "completeness": 0.0,
+        "ok": True,
+    }
+
+
+def test_idempotent_relations_keep_a_nan():
+    elements = list(projectors.build_e_set().elements)
+    coeffs = elements[1].coeffs.copy()
+    coeffs[5] = math.nan
+    elements[1] = Multivector(coeffs)
+    report = projectors.validate_idempotent_set(projectors.IdempotentSet("nan", tuple(elements)))
+    assert all(math.isnan(report[p]) for p in ("idempotency", "orthogonality", "completeness"))
+    assert report["ok"] is False

@@ -1,6 +1,7 @@
 """The plotting and demo scripts: defaults, output shape, exit codes."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import math
@@ -29,6 +30,11 @@ def grid():
 @pytest.fixture(scope="module")
 def demo():
     return _load("wavepacket_demo")
+
+
+@pytest.fixture(scope="module")
+def digest():
+    return _load("report_digest")
 
 
 def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
@@ -118,3 +124,30 @@ def test_demo_fails_on_a_nan_residual(demo, capsys, monkeypatch):
     monkeypatch.setattr(demo, "vector_derivative", nan_when_numeric)
     assert demo.main(["--samples", "2"]) == 1
     assert "worst residual: nan" in capsys.readouterr().out
+
+
+def test_digest_hashes_the_reports_of_seeds_0_to_39_then_three_steps(digest, capsys, monkeypatch):
+    runs = []
+
+    def run_checks(seed=0, step_h=1e-3):
+        runs.append((seed, step_h))
+        return [f"résumé {seed} {step_h}"]
+
+    def report_json(results, seed, omit_timings=False):
+        assert omit_timings is True
+        return f"{results[0]} seed={seed};"
+
+    monkeypatch.setattr(digest, "run_checks", run_checks)
+    monkeypatch.setattr(digest, "report_json", report_json)
+    assert digest.main([]) == 0
+    want = [(s, 1e-3) for s in range(40)] + [(3, 1e-4), (3, 5e-4), (3, 2e-3)]
+    assert runs == want
+    text = "".join(f"résumé {s} {h} seed={s};" for s, h in want)
+    assert capsys.readouterr().out == hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
+
+
+def test_digest_takes_no_arguments(digest, capsys):
+    assert digest.main(["--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
