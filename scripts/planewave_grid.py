@@ -9,7 +9,7 @@ in one call of the vector derivative.
 
 Exit codes: 0 on success, 2 on bad input (an off-shell or non-finite
 momentum, axes that are not two distinct indices in 0..4, fewer than one
-point per axis, a non-finite extent).
+point per axis, a non-finite extent or one whose grid is not finite).
 """
 
 import argparse
@@ -46,7 +46,8 @@ def parse_args(argv=None):
 
 
 def checked_inputs(args):
-    """The momentum and the two grid axes; ValueError on bad input."""
+    """The momentum, the two grid axes and the grid ticks; ValueError on
+    bad input."""
     k = MomentumVector.from_mass_momentum(
         (args.p1, args.p2, args.p3), args.mass,
         negative_energy=args.negative_energy,
@@ -61,18 +62,22 @@ def checked_inputs(args):
         raise ValueError("--points must be at least 1")
     if not math.isfinite(args.extent):
         raise ValueError("--extent must be finite")
-    return k, axes
+    # numpy warns on the way to an overflowing step; the check below says it once
+    with np.errstate(over="ignore", invalid="ignore"):
+        ticks = np.linspace(-args.extent, args.extent, args.points)
+    if not np.isfinite(ticks).all():
+        raise ValueError("--extent is too large: the grid it spans is not finite")
+    return k, axes, ticks
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        k, axes = checked_inputs(args)
+        k, axes, ticks = checked_inputs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wave = plane_wave(k)
-    ticks = np.linspace(-args.extent, args.extent, args.points)
     points = np.zeros((args.points**2, 5))
     points[:, axes[0]] = np.repeat(ticks, args.points)
     points[:, axes[1]] = np.tile(ticks, args.points)

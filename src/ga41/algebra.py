@@ -27,10 +27,15 @@ GRADES = tuple(m.bit_count() for m in range(N_BLADES))
 _VECTOR_MASKS = [1 << k for k in range(5)]
 
 
+def _integer(value, allowed, message: str) -> None:
+    """Raise ValueError(message) unless value is an integer, not a bool, in allowed."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value not in allowed:
+        raise ValueError(message)
+
+
 def blade_grade(mask: int) -> int:
     """Number of generator factors in the blade with the given mask."""
-    if not 0 <= mask < N_BLADES:
-        raise ValueError(f"blade mask out of range: {mask}")
+    _integer(mask, range(N_BLADES), f"blade mask out of range: {mask}")
     return GRADES[mask]
 
 
@@ -42,8 +47,9 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     sequence with the metric signs of annihilated repeated factors (only
     the index-0 generator contributes -1).
     """
-    if not 0 <= a < N_BLADES or not 0 <= b < N_BLADES:
-        raise ValueError(f"blade mask out of range: ({a}, {b})")
+    message = f"blade mask out of range: ({a}, {b})"
+    _integer(a, range(N_BLADES), message)
+    _integer(b, range(N_BLADES), message)
     swaps = 0
     t = a >> 1
     while t:
@@ -57,8 +63,7 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
 
 def blade_name(mask: int) -> str:
     """Text name of a basis blade: "1", "e0", "e13", ..., "e01234"."""
-    if not 0 <= mask < N_BLADES:
-        raise ValueError(f"blade mask out of range: {mask}")
+    _integer(mask, range(N_BLADES), f"blade mask out of range: {mask}")
     if mask == 0:
         return "1"
     return "e" + "".join(str(k) for k in range(5) if mask >> k & 1)
@@ -151,16 +156,14 @@ class Multivector:
         return float(self._c[0])
 
     def coeff(self, mask: int) -> float:
-        if not 0 <= mask < N_BLADES:
-            raise ValueError(f"blade mask out of range: {mask}")
+        _integer(mask, range(N_BLADES), f"blade mask out of range: {mask}")
         return float(self._c[mask])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._c)))
 
     def grade_part(self, r: int) -> "Multivector":
-        if not 0 <= r <= 5:
-            raise ValueError(f"grade out of range: {r}")
+        _integer(r, range(6), f"grade out of range: {r}")
         return Multivector._wrap(np.where(_GRADE_IS[r], self._c, 0.0))
 
     def grades(self) -> set[int]:
@@ -437,8 +440,7 @@ def e(*indices: int) -> Multivector:
     sign = 1
     mask = 0
     for k in indices:
-        if not 0 <= k <= 4:
-            raise ValueError(f"basis index out of range: {k}")
+        _integer(k, range(5), f"basis index out of range: {k}")
         s, mask = blade_product(mask, 1 << k)
         sign *= s
     c = np.zeros(N_BLADES)
@@ -451,12 +453,6 @@ def e_upper(*indices: int) -> Multivector:
     flips = sum(1 for k in indices if k == 0)
     base = e(*indices)
     return -base if flips & 1 else base
-
-
-def _integer(value, allowed, message: str) -> None:
-    """Raise ValueError(message) unless value is an integer, not a bool, in allowed."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value not in allowed:
-        raise ValueError(message)
 
 
 def _worst(samples) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES
+from .algebra import Multivector, N_BLADES, _integer
 
 IDENTITY = np.eye(4, dtype=complex)
 
@@ -66,8 +66,7 @@ RECIPROCAL_IMAGES = (
 
 def sigma_matrix(index: int) -> np.ndarray:
     """Frozen matrix image of the raised-index unit vector (copy)."""
-    if not 0 <= index <= 4:
-        raise ValueError(f"basis index out of range: {index}")
+    _integer(index, range(5), f"basis index out of range: {index}")
     return RECIPROCAL_IMAGES[index].copy()
 
 

@@ -31,6 +31,7 @@ from .algebra import (
 )
 
 AXES = 5
+_ALL_AXES = tuple(range(AXES))
 
 #: reciprocal orthonormal basis: index 0 flips sign under (-++++)
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
@@ -216,17 +217,25 @@ def vector_derivative(
     field: MultivectorField,
     x,
     h: float | None = None,
-    indices: tuple[int, ...] = (0, 1, 2, 3, 4),
+    indices: tuple[int, ...] = _ALL_AXES,
 ) -> Multivector | np.ndarray:
     """Sum of reciprocal basis vectors times partial derivatives: a
     Multivector at one point (5,), rows (..., 32) at points (..., 5), each
     row equal to its one-point call bit for bit.
 
     h = None uses the field's analytic derivative; a positive h uses
-    second-order central differences.  ``indices`` restricts the sum,
-    e.g. (1, 2, 3) for the purely spatial operator.
+    second-order central differences.  ``indices`` restricts the sum to
+    distinct axes in 0..4, e.g. (1, 2, 3) for the purely spatial
+    operator; any other index raises ValueError.
     """
     x = _points(x)
+    if indices is not _ALL_AXES:  # the default needs no check
+        indices = tuple(indices)
+        message = f"indices must be distinct integers in 0..4, got {indices!r}"
+        for a in indices:
+            _integer(a, range(AXES), message)
+        if len(set(indices)) < len(indices):
+            raise ValueError(message)
     return _result(x, _derivative_sum(field, x, h, _RECIPROCAL_ROWS, indices))
 
 

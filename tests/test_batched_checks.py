@@ -1,0 +1,165 @@
+"""Sampled checks that evaluate all their samples on the row kernels: each
+yields the samples of its old per-sample loop byte for byte, in order, from
+a fixed number of kernel calls; the blade-image check compares one exact
+Gram matrix with 4 I."""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from ga41 import Multivector, ONE, checks
+from ga41.algebra import e
+from ga41.checks import CheckContext, _check_rng, check_definitions, run_checks
+from ga41.dirac import build_dirac_operator
+from ga41.monogenic import MomentumVector
+from ga41.projectors import build_e_set, build_f_set
+
+# -- the per-sample loops the checks replaced, kept as references ----------
+
+
+def _old_exp_closed_forms(ctx):
+    def series(b):
+        term = ONE
+        acc = ONE
+        for n in range(1, 31):
+            term = term * b * (1.0 / n)
+            acc = acc + term
+        return acc
+
+    layouts = ([0b00110], [0b00011], [0b00001, 0b10000], [0b00110, 0b01010, 0b01100])
+    for trial in range(24):
+        theta = ctx.rng.uniform(0.1, 2.0) * (1 if trial % 2 else -1)
+        kind = trial % 4
+        coeffs = np.zeros(32)
+        if kind < 3:
+            coeffs[layouts[kind]] = theta
+        else:
+            c = ctx.rng.uniform(-1.0, 1.0, 3)
+            coeffs[layouts[kind]] = c * (theta / np.linalg.norm(c))
+        b = Multivector(coeffs)
+        yield (b.exp() - series(b)).max_abs()
+
+
+def _old_rotor_unitarity(ctx):
+    bivector_masks = [(1 << i) | (1 << j) for i in range(1, 5) for j in range(i + 1, 5)]
+    for _ in range(100):
+        coeffs = np.zeros(32)
+        coeffs[bivector_masks] = ctx.rng.uniform(-1.5, 1.5, 6)
+        rotor = (-0.5 * Multivector(coeffs)).exp()
+        yield (rotor.reverse() * rotor - ONE).max_abs()
+
+
+def _old_null_annihilation(ctx):
+    for energy, p, mass in checks.NULL_QUADRUPLES:
+        k = MomentumVector(energy, p, mass)
+        u = k.vector
+        yield (u * u).max_abs()
+        yield (u * k.amplitude).max_abs()
+        yield (k.amplitude - u * (-1.0 * e(0))).max_abs()
+
+
+def _old_dirac_spectrum(ctx):
+    for _ in range(200):
+        k = checks._random_momentum(ctx.rng, min_mass=0.05)
+        vals = np.linalg.eigvalsh(build_dirac_operator(k))
+        want = np.array([-k.energy, -k.energy, k.energy, k.energy])
+        yield float(np.max(np.abs(vals - want)))
+
+
+def _old_sets_not_aligned(ctx):
+    fs, es = build_f_set(), build_e_set()
+    products = (fi * ej for fi in fs.elements for ej in es.elements)
+    found = any(p.max_abs() > 0.0 and (p * p - p).max_abs() > 0.0 for p in products)
+    yield 0.0 if found else 1.0
+
+
+OLD_LOOPS = {
+    "exp_closed_forms": _old_exp_closed_forms,
+    "rotor_unitarity": _old_rotor_unitarity,
+    "null_annihilation": _old_null_annihilation,
+    "dirac_spectrum": _old_dirac_spectrum,
+    "sets_not_aligned": _old_sets_not_aligned,
+}
+
+
+def _context(name, seed):
+    return CheckContext(_check_rng(seed, name), 1e-3)
+
+
+def _samples(name, seed=0):
+    definition = next(d for d in check_definitions() if d.name == name)
+    return np.fromiter(definition.run(_context(name, seed)), dtype=float)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", list(OLD_LOOPS))
+def test_batched_samples_are_the_old_loops_samples_byte_for_byte(name, seed):
+    want = np.fromiter(OLD_LOOPS[name](_context(name, seed)), dtype=float)
+    assert _samples(name, seed).tobytes() == want.tobytes()
+
+
+#: (check, checks._product calls, eigvalsh calls, samples)
+BATCHED_CHECKS = (
+    ("exp_closed_forms", 30, 0, 24),
+    ("rotor_unitarity", 1, 0, 100),
+    ("null_annihilation", 3, 0, 18),
+    ("sets_not_aligned", 2, 0, 1),
+    ("dirac_spectrum", 0, 1, 200),
+    ("blade_images_span", 0, 0, 32),
+)
+
+
+@pytest.mark.parametrize("name, products, eigvalsh, samples", BATCHED_CHECKS)
+def test_batched_checks_make_a_fixed_number_of_kernel_calls(
+    monkeypatch, name, products, eigvalsh, samples
+):
+    calls = Counter()
+    # products inside Multivector.exp and the quadruple builders are theirs
+    inside = []
+
+    def counted(label, fn):
+        def wrapper(*args):
+            if not inside:
+                calls[label] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def shielded(fn):
+        def wrapper(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(checks, "_product", counted("_product", checks._product))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted("matrix_rank", np.linalg.matrix_rank))
+    for method in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Multivector, method, counted(method, getattr(Multivector, method)))
+    monkeypatch.setattr(Multivector, "exp", shielded(Multivector.exp))
+    for builder in ("build_f_set", "build_e_set"):
+        monkeypatch.setattr(checks, builder, shielded(getattr(checks, builder)))
+    assert _samples(name).size == samples
+    # null_annihilation scales e0 by -1 once, for all six quadruples
+    scalings = 1 if name == "null_annihilation" else 0
+    want = Counter(_product=products, eigvalsh=eigvalsh, __rmul__=scalings)
+    assert calls == +want
+
+
+def test_the_blade_images_span_check_is_their_exact_gram_matrix():
+    assert _samples("blade_images_span").tobytes() == np.zeros(32).tobytes()
+
+
+def test_a_nan_blade_row_makes_the_span_check_nan(monkeypatch):
+    rows = checks._BLADE_ROWS.copy()
+    rows[7, 3] = math.nan
+    monkeypatch.setattr(checks, "_BLADE_ROWS", rows)
+    result = run_checks(["blade_images_span"], seed=0)[0]
+    assert result.status == "fail"
+    assert math.isnan(result.residual)

@@ -5,9 +5,10 @@ rests on is broken (negative controls)."""
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from ga41 import Multivector, checks, projectors
+from ga41 import ONE, Multivector, checks, projectors
 from ga41.algebra import e, e_upper
 from ga41.checks import check_definitions, run_checks
 from ga41.matrices import ALPHA, RECIPROCAL_IMAGES
@@ -31,6 +32,11 @@ def _scaled_image(index, factor):
     images = list(RECIPROCAL_IMAGES)
     images[index] = images[index] * factor
     return tuple(images)
+
+
+def _with_exp(real, exp):
+    """The Multivector class with its exponential replaced."""
+    return type("MutantMultivector", (real,), {"__slots__": (), "exp": exp})
 
 
 def _doubled_first_generator(real):
@@ -57,6 +63,15 @@ MUTATIONS = (
     # e_upper(0, 1) would not do: it squares to +1 too
     ("triblade_squares", "COMMUTING_PAIRS", lambda real: ((e_upper(1, 2), real[0][1]), real[1])),
     ("custom_quadruple_generators", "idempotents_to_generators", _doubled_first_generator),
+    # the sampled checks evaluated on the row kernels
+    ("null_annihilation", "e", lambda real: e_upper),
+    ("sets_not_aligned", "build_e_set", lambda real: projectors.build_f_set),
+    ("exp_closed_forms", "Multivector", lambda real: _with_exp(real, lambda b: ONE + b)),
+    ("rotor_unitarity", "Multivector", lambda real: _with_exp(real, lambda b: 2.0 * real.exp(b))),
+    ("rotor_unitarity", "_REVERSE_SIGNS", lambda real: np.ones_like(real)),
+    ("dirac_spectrum", "build_dirac_operator", lambda real: lambda k: 2.0 * real(k)),
+    # a repeated blade image: its Gram entry with the first is 4, not 0
+    ("blade_images_span", "_BLADE_ROWS", lambda real: np.concatenate([real[:1], real[:-1]])),
 )
 
 

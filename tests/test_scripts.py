@@ -5,7 +5,9 @@ import hashlib
 import importlib.util
 import io
 import math
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +37,11 @@ def demo():
 @pytest.fixture(scope="module")
 def digest():
     return _load("report_digest")
+
+
+@pytest.fixture(scope="module")
+def sample_digest():
+    return _load("sample_digest")
 
 
 def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
@@ -68,6 +75,27 @@ def test_grid_rejects_bad_counts_and_extents(grid, capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("extent", ["1e308", "-1e308", "1.7976931348623157e308"])
+@pytest.mark.parametrize("points", ["1", "9"])
+def test_grid_rejects_an_extent_whose_grid_is_not_finite(grid, capsys, extent, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        args = ["0", "0", "0", "1", f"--extent={extent}", "--points", points, "--residuals"]
+        assert grid.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --extent is too large: the grid it spans is not finite\n"
+
+
+def test_grid_spans_the_largest_finite_extents(grid, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid.main(["0", "0", "0", "1", "--extent", "8e307", "--residuals"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 82
+    assert sorted({float(row[0]) for row in rows[1:]}) == [k * 2e307 for k in range(-4, 5)]
 
 
 def test_demo_defaults_pass(demo, capsys):
@@ -148,6 +176,37 @@ def test_digest_hashes_the_reports_of_seeds_0_to_39_then_three_steps(digest, cap
 
 def test_digest_takes_no_arguments(digest, capsys):
     assert digest.main(["--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_sample_digest_hashes_each_checks_samples_of_seeds_0_to_39(
+    sample_digest, capsys, monkeypatch
+):
+    def definition(name, offsets):
+        def run(ctx):  # the stub generator is the seed itself
+            yield from (ctx.rng + offset for offset in offsets)
+            yield ctx.step_h
+
+        return SimpleNamespace(name=name, run=run)
+
+    checks = (("zeta", (0.5, -0.5)), ("alpha", (-1.0,)), ("step", ()))
+    monkeypatch.setattr(sample_digest, "_check_rng", lambda seed, name: seed)
+    monkeypatch.setattr(
+        sample_digest, "check_definitions", lambda: tuple(definition(*c) for c in checks)
+    )
+    assert sample_digest.main([]) == 0
+    want = []
+    for name, offsets in checks:
+        samples = [[s + offset for offset in offsets] + [1e-3] for s in range(40)]
+        digest = hashlib.sha256(np.array(samples, dtype=float).tobytes()).hexdigest()
+        want.append(f"{name} {digest}")
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_sample_digest_takes_no_arguments(sample_digest, capsys):
+    assert sample_digest.main(["--seed", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
