@@ -27,15 +27,18 @@ GRADES = tuple(m.bit_count() for m in range(N_BLADES))
 _VECTOR_MASKS = [1 << k for k in range(5)]
 
 
-def _integer(value, allowed, message: str) -> None:
-    """Raise ValueError(message) unless value is an integer, not a bool, in allowed."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value not in allowed:
-        raise ValueError(message)
+def _integer(value, allowed, message: str, *shown) -> None:
+    """Raise ValueError(message.format(*shown)) unless value is an integer,
+    not a bool, in allowed; the text is formatted only on failure."""
+    if type(value) is int or not isinstance(value, bool) and isinstance(value, (int, np.integer)):
+        if value in allowed:
+            return
+    raise ValueError(message.format(*shown))
 
 
 def blade_grade(mask: int) -> int:
     """Number of generator factors in the blade with the given mask."""
-    _integer(mask, range(N_BLADES), f"blade mask out of range: {mask}")
+    _integer(mask, range(N_BLADES), "blade mask out of range: {}", mask)
     return GRADES[mask]
 
 
@@ -47,9 +50,9 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     sequence with the metric signs of annihilated repeated factors (only
     the index-0 generator contributes -1).
     """
-    message = f"blade mask out of range: ({a}, {b})"
-    _integer(a, range(N_BLADES), message)
-    _integer(b, range(N_BLADES), message)
+    message = "blade mask out of range: ({}, {})"
+    _integer(a, range(N_BLADES), message, a, b)
+    _integer(b, range(N_BLADES), message, a, b)
     swaps = 0
     t = a >> 1
     while t:
@@ -63,7 +66,7 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
 
 def blade_name(mask: int) -> str:
     """Text name of a basis blade: "1", "e0", "e13", ..., "e01234"."""
-    _integer(mask, range(N_BLADES), f"blade mask out of range: {mask}")
+    _integer(mask, range(N_BLADES), "blade mask out of range: {}", mask)
     if mask == 0:
         return "1"
     return "e" + "".join(str(k) for k in range(5) if mask >> k & 1)
@@ -156,14 +159,14 @@ class Multivector:
         return float(self._c[0])
 
     def coeff(self, mask: int) -> float:
-        _integer(mask, range(N_BLADES), f"blade mask out of range: {mask}")
+        _integer(mask, range(N_BLADES), "blade mask out of range: {}", mask)
         return float(self._c[mask])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._c)))
 
     def grade_part(self, r: int) -> "Multivector":
-        _integer(r, range(6), f"grade out of range: {r}")
+        _integer(r, range(6), "grade out of range: {}", r)
         return Multivector._wrap(np.where(_GRADE_IS[r], self._c, 0.0))
 
     def grades(self) -> set[int]:
@@ -440,9 +443,9 @@ def e(*indices: int) -> Multivector:
     sign = 1
     mask = 0
     for k in indices:
-        _integer(k, range(5), f"basis index out of range: {k}")
-        s, mask = blade_product(mask, 1 << k)
-        sign *= s
+        _integer(k, range(5), "basis index out of range: {}", k)
+        sign *= _SIGNS[mask, 1 << k]
+        mask ^= 1 << k
     c = np.zeros(N_BLADES)
     c[mask] = sign
     return Multivector._wrap(c)

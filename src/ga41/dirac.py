@@ -135,7 +135,7 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
 
 def _column_parts(system: DiracSystem, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude coefficients and phase gradient of one eigencolumn's wave."""
-    _integer(index, range(4), f"column index must be an integer 0..3, got {index!r}")
+    _integer(index, range(4), "column index must be an integer 0..3, got {!r}", index)
     column = np.zeros((4, 4), dtype=complex)
     column[:, index] = system.psi_bar[:, index]
     lam = float(np.real(system.lam[index, index]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,21 +25,6 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
 
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class RefractiveIndex:
-    """Coefficient tensor n, constant or point-dependent; column a of
-    n(x) holds the components of the frame vector g_a."""
-
-    tensor: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-    def at(self, x) -> np.ndarray:
-        raw = self.tensor(np.asarray(x, dtype=float)) if callable(self.tensor) else self.tensor
-        mat = np.asarray(raw, dtype=float)
-        if mat.shape != (AXES, AXES):
-            raise ValueError("index tensor must be 5x5")
-        return mat
 
 
 @dataclass(frozen=True)
@@ -68,11 +53,15 @@ def _vectors(components) -> tuple[Multivector, ...]:
 def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
     """Frame of a coefficient tensor at a point.
 
-    Raises ValueError when the tensor is singular (condition estimate
-    included) or when the induced metric breaks the (-++++) signature
-    pattern on its diagonal.
+    ``n`` is a 5x5 array, constant, or a callable of the point that
+    returns one; column a of n(x) holds the components of the frame
+    vector g_a.  Raises ValueError when the tensor is not 5x5, when it is
+    singular (condition estimate included) or when the induced metric
+    breaks the (-++++) signature pattern on its diagonal.
     """
-    mat = (n if isinstance(n, RefractiveIndex) else RefractiveIndex(n)).at(x)
+    mat = np.asarray(n(np.asarray(x, dtype=float)) if callable(n) else n, dtype=float)
+    if mat.shape != (AXES, AXES):
+        raise ValueError("index tensor must be 5x5")
     cond = float(np.linalg.cond(mat))
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise ValueError(f"index tensor is singular (condition estimate {cond:.3e})")

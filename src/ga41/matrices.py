@@ -66,7 +66,7 @@ RECIPROCAL_IMAGES = (
 
 def sigma_matrix(index: int) -> np.ndarray:
     """Frozen matrix image of the raised-index unit vector (copy)."""
-    _integer(index, range(5), f"basis index out of range: {index}")
+    _integer(index, range(5), "basis index out of range: {}", index)
     return RECIPROCAL_IMAGES[index].copy()
 
 

@@ -209,7 +209,7 @@ def plane_wave_variant(
     flipped; only the (+1, +1) choice is monogenic away from p = 0.  Each
     sign must be the integer +1 or -1 (ValueError otherwise)."""
     for name, sign in (("time_sign", time_sign), ("mass_sign", mass_sign)):
-        _integer(sign, (1, -1), f"{name} must be +1 or -1, got {sign!r}")
+        _integer(sign, (1, -1), "{} must be +1 or -1, got {!r}", name, sign)
     return harmonic_field(k.amplitude, k.phase_gradient * [time_sign, 1, 1, 1, mass_sign])
 
 
@@ -230,12 +230,15 @@ def vector_derivative(
     """
     x = _points(x)
     if indices is not _ALL_AXES:  # the default needs no check
-        indices = tuple(indices)
-        message = f"indices must be distinct integers in 0..4, got {indices!r}"
+        message = "indices must be distinct integers in 0..4, got {!r}"
+        try:
+            indices = tuple(indices)
+        except TypeError:  # not iterable
+            raise ValueError(message.format(indices)) from None
         for a in indices:
-            _integer(a, range(AXES), message)
+            _integer(a, range(AXES), message, indices)
         if len(set(indices)) < len(indices):
-            raise ValueError(message)
+            raise ValueError(message.format(indices))
     return _result(x, _derivative_sum(field, x, h, _RECIPROCAL_ROWS, indices))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _FULL, Multivector, ONE, _integer, _product, _worst, e_upper
-from .matrices import BETA, IDENTITY, _half_projector, from_matrix, sigma_matrix, to_matrix
+from .matrices import BETA, IDENTITY, _from_matrices, _half_projector, sigma_matrix, to_matrix
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 _INV_SQRT6 = 1.0 / math.sqrt(6.0)
@@ -197,12 +197,10 @@ def conjugated_unit_quadruple(unitary: np.ndarray) -> IdempotentSet:
         raise ValueError("unitary must be 4x4")
     if not np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10:  # NaN fails too
         raise ValueError("matrix is not unitary")
-    els = []
-    for i in range(4):
-        sel = np.zeros((4, 4), dtype=complex)
-        sel[i, i] = 1.0
-        els.append(from_matrix(u @ sel @ u.conj().T))
-    return IdempotentSet("custom", tuple(els))
+    selectors = np.zeros((4, 4, 4), dtype=complex)  # selector k is e_kk
+    selectors[range(4), range(4), range(4)] = 1.0
+    rows = _from_matrices(u @ selectors @ u.conj().T)
+    return IdempotentSet("custom", tuple(Multivector._wrap(row) for row in rows))
 
 
 def _diagonalizing_permutation(images) -> np.ndarray:

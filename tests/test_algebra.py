@@ -1,5 +1,6 @@
 """Core multivector arithmetic against an independent slow oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -349,6 +350,42 @@ def test_integer_rule_rejects_bools_floats_and_values_outside(value):
 @pytest.mark.parametrize("value", [1, -1, np.int64(-1), np.int8(1), np.uint8(1)])
 def test_integer_rule_accepts_python_and_numpy_integers(value):
     _integer(value, (1, -1), "must be a sign")
+
+
+class _RecordedMessage:
+    """A message template that records each time it is formatted."""
+
+    def __init__(self):
+        self.calls = []
+
+    def format(self, *shown):
+        self.calls.append(shown)
+        return f"bad: {shown!r}"
+
+
+def test_integer_rule_formats_its_message_only_on_failure():
+    message = _RecordedMessage()
+    for value in (0, 4, np.int64(3), np.int8(0), np.uint8(4), np.intp(2)):
+        _integer(value, range(5), message, value, "extra")
+    assert message.calls == []
+    for value in (5, -1, True, np.True_, 1.0, np.float64(2.0), None, "1"):
+        with pytest.raises(ValueError, match=r"^bad: "):
+            _integer(value, range(5), message, value)
+    assert len(message.calls) == 8
+
+
+def test_e_signs_match_a_blade_product_loop_on_every_index_tuple():
+    # every tuple of up to five indices in 0..4, repeats and all orders
+    tuples = [t for n in range(6) for t in itertools.product(range(5), repeat=n)]
+    assert len(tuples) == 3906
+    for indices in tuples:
+        sign, mask = 1, 0
+        for k in indices:
+            s, mask = blade_product(mask, 1 << k)
+            sign *= s
+        want = np.zeros(32)
+        want[mask] = sign
+        assert e(*indices).coeffs.tobytes() == want.tobytes(), indices
 
 
 def test_commutator():

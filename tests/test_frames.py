@@ -14,7 +14,6 @@ from ga41.frames import (
     ETA,
     Frame,
     GaugeField,
-    RefractiveIndex,
     build_frame,
     covariant_derivative,
     em_frame,
@@ -77,14 +76,39 @@ def test_build_frame_validation():
 
 
 def test_refractive_index_callable():
-    n = RefractiveIndex(lambda x: np.eye(5) * (1.0 + 0.1 * float(x[1])))
+    def n(x):
+        return np.eye(5) * (1.0 + 0.1 * float(x[1]))
+
     near = build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0))
     far = build_frame(n, x=(0.0, 1.0, 0.0, 0.0, 0.0))
     assert (near.vectors[1] - e(1)).max_abs() == 0.0
     assert (far.vectors[1] - 1.1 * e(1)).max_abs() <= 1e-15
-    bad = RefractiveIndex(lambda x: np.eye(4))
     with pytest.raises(ValueError):
-        build_frame(bad)
+        build_frame(lambda x: np.eye(4))
+
+
+def _frame_bytes(frame):
+    rows = [v.coeffs for v in frame.vectors + frame.reciprocal]
+    return b"".join(a.tobytes() for a in (frame.metric, frame.inverse_metric, *rows))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_build_frame_takes_an_array_or_a_callable_returning_it(seed):
+    n = well_conditioned(np.random.default_rng(seed))
+    x = (0.3, -0.2, 0.1, 0.0, 0.5)
+    seen = []
+
+    def at(point):
+        seen.append(point)
+        return n
+
+    assert _frame_bytes(build_frame(at, x)) == _frame_bytes(build_frame(n, x))
+    assert len(seen) == 1 and seen[0].dtype == float and seen[0].tolist() == list(x)
+    for bad in (np.eye(4), np.eye(4).tolist()):
+        with pytest.raises(ValueError, match="^index tensor must be 5x5$"):
+            build_frame(lambda point: bad, x)
+        with pytest.raises(ValueError, match="^index tensor must be 5x5$"):
+            build_frame(bad, x)
 
 
 def test_gauge_field_constant_potential():

@@ -82,6 +82,15 @@ def test_vector_derivative_rejects_bad_index_sets(indices, h):
         vector_derivative(WAVE, X, h=h, indices=indices)
 
 
+@pytest.mark.parametrize("indices", [1, None, np.int64(2), 2.0])
+def test_vector_derivative_rejects_an_index_set_that_is_not_iterable(indices):
+    message = f"indices must be distinct integers in 0..4, got {indices!r}"
+    with pytest.raises(ValueError) as info:
+        vector_derivative(WAVE, X, indices=indices)
+    assert str(info.value) == message
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 @pytest.mark.parametrize("h", [None, 1e-3])
 def test_vector_derivative_takes_numpy_integer_indices(h):
     for indices in ((1, 2, 3), (4, 0), (2,), ()):

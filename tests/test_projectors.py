@@ -1,10 +1,14 @@
 """Idempotent quadruples, induced projections, and unitary generators."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from ga41 import MomentumVector, Multivector, ONE, e_upper, to_matrix
+from ga41 import matrices, projectors
 from ga41.dirac import dirac_system, order_eigensystem
+from ga41.matrices import from_matrix
 from ga41.projectors import (
     COMMUTING_PAIRS,
     IdempotentSet,
@@ -289,6 +293,43 @@ def test_conjugated_unit_quadruple():
     l3, l8, l15 = idempotents_to_generators(quadruple)
     vals = np.sort(np.linalg.eigvalsh(to_matrix(l3)))
     assert np.max(np.abs(vals - np.array([-1.0, 0.0, 0.0, 1.0]))) <= 1e-10
+
+
+def _seeded_unitaries(count):
+    rng = np.random.default_rng(59)
+    for _ in range(count):
+        raw = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+        yield np.linalg.qr(raw)[0]
+
+
+def test_conjugated_unit_quadruple_equals_one_map_per_selector():
+    for unitary in _seeded_unitaries(200):
+        want = []
+        for i in range(4):
+            sel = np.zeros((4, 4), dtype=complex)
+            sel[i, i] = 1.0
+            want.append(from_matrix(unitary @ sel @ unitary.conj().T))
+        got = conjugated_unit_quadruple(unitary).elements
+        assert [f.coeffs.tobytes() for f in got] == [f.coeffs.tobytes() for f in want]
+
+
+def test_conjugated_unit_quadruple_maps_its_four_images_in_one_call(monkeypatch):
+    calls = Counter()
+    real = matrices._from_matrices
+
+    def counted(m):
+        calls["_from_matrices", np.shape(m)] += 1
+        return real(m)
+
+    def forbidden(m):
+        calls["from_matrix"] += 1
+        return Multivector._wrap(real(np.asarray(m, dtype=complex)))
+
+    monkeypatch.setattr(projectors, "_from_matrices", counted)
+    monkeypatch.setattr(matrices, "_from_matrices", counted)
+    monkeypatch.setattr(matrices, "from_matrix", forbidden)
+    conjugated_unit_quadruple(next(_seeded_unitaries(1)))
+    assert calls == Counter({("_from_matrices", (4, 4, 4)): 1})
 
 
 def test_conjugated_unit_quadruple_validation():

@@ -36,12 +36,7 @@ def demo():
 
 @pytest.fixture(scope="module")
 def digest():
-    return _load("report_digest")
-
-
-@pytest.fixture(scope="module")
-def sample_digest():
-    return _load("sample_digest")
+    return _load("digest")
 
 
 def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
@@ -154,7 +149,8 @@ def test_demo_fails_on_a_nan_residual(demo, capsys, monkeypatch):
     assert "worst residual: nan" in capsys.readouterr().out
 
 
-def test_digest_hashes_the_reports_of_seeds_0_to_39_then_three_steps(digest, capsys, monkeypatch):
+def _stub_reports(digest, monkeypatch):
+    """Stub the verify runs; return the runs made and the expected line."""
     runs = []
 
     def run_checks(seed=0, step_h=1e-3):
@@ -167,23 +163,14 @@ def test_digest_hashes_the_reports_of_seeds_0_to_39_then_three_steps(digest, cap
 
     monkeypatch.setattr(digest, "run_checks", run_checks)
     monkeypatch.setattr(digest, "report_json", report_json)
-    assert digest.main([]) == 0
     want = [(s, 1e-3) for s in range(40)] + [(3, 1e-4), (3, 5e-4), (3, 2e-3)]
-    assert runs == want
     text = "".join(f"résumé {s} {h} seed={s};" for s, h in want)
-    assert capsys.readouterr().out == hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
+    return runs, want, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_digest_takes_no_arguments(digest, capsys):
-    assert digest.main(["--seed", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+def _stub_registry(digest, monkeypatch):
+    """Stub the registry; return the expected ``name digest`` lines."""
 
-
-def test_sample_digest_hashes_each_checks_samples_of_seeds_0_to_39(
-    sample_digest, capsys, monkeypatch
-):
     def definition(name, offsets):
         def run(ctx):  # the stub generator is the seed itself
             yield from (ctx.rng + offset for offset in offsets)
@@ -192,21 +179,46 @@ def test_sample_digest_hashes_each_checks_samples_of_seeds_0_to_39(
         return SimpleNamespace(name=name, run=run)
 
     checks = (("zeta", (0.5, -0.5)), ("alpha", (-1.0,)), ("step", ()))
-    monkeypatch.setattr(sample_digest, "_check_rng", lambda seed, name: seed)
+    monkeypatch.setattr(digest, "_check_rng", lambda seed, name: seed)
     monkeypatch.setattr(
-        sample_digest, "check_definitions", lambda: tuple(definition(*c) for c in checks)
+        digest, "check_definitions", lambda: tuple(definition(*c) for c in checks)
     )
-    assert sample_digest.main([]) == 0
     want = []
     for name, offsets in checks:
         samples = [[s + offset for offset in offsets] + [1e-3] for s in range(40)]
-        digest = hashlib.sha256(np.array(samples, dtype=float).tobytes()).hexdigest()
-        want.append(f"{name} {digest}")
-    assert capsys.readouterr().out.splitlines() == want
+        sha = hashlib.sha256(np.array(samples, dtype=float).tobytes()).hexdigest()
+        want.append(f"{name} {sha}")
+    return want
 
 
-def test_sample_digest_takes_no_arguments(sample_digest, capsys):
-    assert sample_digest.main(["--seed", "3"]) == 2
+def test_digest_hashes_the_reports_of_seeds_0_to_39_then_three_steps(digest, capsys, monkeypatch):
+    runs, want, report = _stub_reports(digest, monkeypatch)
+    _stub_registry(digest, monkeypatch)
+    assert digest.main([]) == 0
+    assert runs == want
+    assert capsys.readouterr().out.splitlines()[0] == report
+
+
+def test_digest_hashes_each_checks_samples_of_seeds_0_to_39(digest, capsys, monkeypatch):
+    _stub_reports(digest, monkeypatch)
+    want = _stub_registry(digest, monkeypatch)
+    assert digest.main([]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == want
+
+
+def test_digest_prints_the_report_line_then_one_line_per_check(digest, capsys, monkeypatch):
+    _, _, report = _stub_reports(digest, monkeypatch)
+    lines = _stub_registry(digest, monkeypatch)
+    assert digest.main([]) == 0
+    out = capsys.readouterr().out
+    assert out == "\n".join([report, *lines]) + "\n"
+    # registry order, not sorted: the stub lists zeta before alpha
+    assert [line.split(" ")[0] for line in out.splitlines()[1:]] == ["zeta", "alpha", "step"]
+    assert all(len(line.split(" ")[-1]) == 64 for line in out.splitlines())
+
+
+def test_digest_takes_no_arguments(digest, capsys):
+    assert digest.main(["--seed", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
