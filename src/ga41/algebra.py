@@ -111,6 +111,50 @@ def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ki,...ki->...k", table, a[..., None, :] * b.take(_XOR, axis=-1))
 
 
+def _exp_rows(rows: np.ndarray) -> np.ndarray:
+    """Exponentials of the rows (n, 32), by the rules of Multivector.exp,
+    which is the one-row case.
+
+    A closed form is computed row by row with math's functions (numpy's
+    cosh and sinh round differently).  The series rows are summed
+    together, and each stops at its own term by the 1e-14 rule; a finished
+    row leaves the batch only when some row finishes.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("exponential undefined: non-finite coefficient")
+    sq = _product(_FULL, rows, rows)
+    mags = np.abs(sq)
+    closed = mags[:, 1:].max(axis=1) <= 1e-12 * mags.max(axis=1)
+    out = np.empty_like(rows)
+    for i in closed.nonzero()[0]:
+        s = sq[i, 0]
+        if s == 0.0:
+            out[i] = ONE.coeffs + rows[i]
+            continue
+        theta = math.sqrt(abs(s))
+        cos, sin = (math.cos, math.sin) if s < 0.0 else (math.cosh, math.sinh)
+        try:
+            out[i] = rows[i] * (sin(theta) / theta)
+            out[i, 0] += cos(theta)
+        except OverflowError:
+            raise ValueError(f"exponential overflows: argument squares to {s:.3e}") from None
+    (live,) = (~closed).nonzero()
+    b = rows[live]
+    term = acc = ONE.coeffs
+    for k in range(1, 65):
+        if not live.size:
+            return out
+        term = _product(_FULL, term, b) / k
+        acc = acc + term
+        done = np.abs(term).max(axis=1) <= 1e-14 * np.abs(acc).max(axis=1)
+        if done.any():
+            out[live[done]] = acc[done]
+            live, b, term, acc = live[~done], b[~done], term[~done], acc[~done]
+    if live.size:
+        raise ArithmeticError("multivector exponential series did not converge in 64 terms")
+    return out
+
+
 _REVERSE_SIGNS = np.array([(-1.0) ** (g * (g - 1) // 2) for g in GRADES])
 _GRADE_IS = [np.array([g == r for g in GRADES]) for r in range(6)]
 
@@ -205,33 +249,10 @@ class Multivector:
         hyperbolic for s > 0, and 1 + a in the nilpotent limit s = 0; a
         hyperbolic form beyond double range raises ValueError.
         Otherwise the power series is summed to relative tolerance
-        1e-14 with a 64-term cap.  A non-finite coefficient raises
-        ValueError.
+        1e-14 with a 64-term cap, past which ArithmeticError is raised.
+        A non-finite coefficient raises ValueError.
         """
-        if not np.isfinite(self._c).all():
-            raise ValueError("exponential undefined: non-finite coefficient")
-        sq = (self * self)._c
-        s = sq[0]
-        rest = float(np.max(np.abs(sq[1:])))
-        if rest <= 1e-12 * float(np.max(np.abs(sq))):
-            if s == 0.0:
-                return ONE + self
-            if s < 0.0:
-                theta = math.sqrt(-s)
-                return math.cos(theta) + self * (math.sin(theta) / theta)
-            theta = math.sqrt(s)
-            try:
-                return math.cosh(theta) + self * (math.sinh(theta) / theta)
-            except OverflowError:
-                raise ValueError(f"exponential overflows: argument squares to {s:.3e}") from None
-        acc = ONE
-        term = ONE
-        for k in range(1, 65):
-            term = term * self / k
-            acc = acc + term
-            if term.max_abs() <= 1e-14 * acc.max_abs():
-                return acc
-        raise ArithmeticError("multivector exponential series did not converge in 64 terms")
+        return Multivector._wrap(_exp_rows(self._c[None])[0])
 
     # -- arithmetic ----------------------------------------------------
 

@@ -43,11 +43,50 @@ class Frame:
             object.__setattr__(self, name, arr)
 
 
-def _vectors(components) -> tuple[Multivector, ...]:
+def _vector_rows(components: np.ndarray) -> np.ndarray:
+    """Rows (..., 32) of the vectors with e-basis components (..., 5)."""
+    rows = np.zeros(components.shape[:-1] + (N_BLADES,))
+    rows[..., _VECTOR_MASKS] = components
+    return rows + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def _vectors(components: np.ndarray) -> tuple[Multivector, ...]:
     """One vector per row of e-basis components."""
-    rows = np.zeros((len(components), N_BLADES))
-    rows[:, _VECTOR_MASKS] = components
-    return tuple(Multivector._wrap(row) for row in rows + 0.0)  # + 0.0 turns -0.0 into 0.0
+    return tuple(map(Multivector._wrap, _vector_rows(components)))
+
+
+def _frames(mats: np.ndarray) -> tuple:
+    """build_frame's rules and arithmetic on the tensors (n, 5, 5), each
+    tensor as its one-tensor call computes it.
+
+    Returns the condition estimates (NaN for a non-finite tensor), the
+    message of the first rule each tensor breaks (None when it breaks
+    none), and for the tensors that break none, in order: the rows
+    (m, 5, 32) of their frame vectors, their metrics and inverse metrics
+    (m, 5, 5), and the rows of their reciprocal vectors.
+    """
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    cond = np.full(len(mats), math.nan)
+    cond[finite] = np.linalg.cond(mats[finite])
+    regular = cond <= _COND_LIMIT  # False for an infinite or NaN estimate
+    mat = mats[regular]
+    metric = mat.swapaxes(1, 2) @ ETA @ mat
+    diagonal = np.diagonal(metric, axis1=1, axis2=2)
+    signed = np.zeros(len(mats), dtype=bool)
+    signed[regular] = ~((diagonal[:, 0] >= 0) | (diagonal[:, 1:] <= 0).any(axis=1))
+    faults = [
+        None if ok
+        else "index tensor must be finite" if not f
+        else f"index tensor is singular (condition estimate {c:.3e})" if not r
+        else "frame breaks the (-++++) signature pattern"
+        for ok, f, r, c in zip(signed, finite, regular, cond)
+    ]
+    kept = signed[regular]
+    mat, metric = mat[kept], metric[kept]
+    inverse_metric = np.linalg.inv(metric)
+    recip_coeffs = inverse_metric @ mat.swapaxes(1, 2)  # row a: g^a in e-basis components
+    vectors, reciprocal = _vector_rows(mat.swapaxes(1, 2)), _vector_rows(recip_coeffs)
+    return cond, faults, vectors, metric, inverse_metric, reciprocal
 
 
 def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
@@ -55,22 +94,25 @@ def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
 
     ``n`` is a 5x5 array, constant, or a callable of the point that
     returns one; column a of n(x) holds the components of the frame
-    vector g_a.  Raises ValueError when the tensor is not 5x5, when it is
-    singular (condition estimate included) or when the induced metric
-    breaks the (-++++) signature pattern on its diagonal.
+    vector g_a.  Raises ValueError when the point is not 5 finite
+    coordinates, when the tensor is not 5x5, when it is not finite, when
+    it is singular (condition estimate included) or when the induced
+    metric breaks the (-++++) signature pattern on its diagonal.
     """
-    mat = np.asarray(n(np.asarray(x, dtype=float)) if callable(n) else n, dtype=float)
+    try:
+        point = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        point = None
+    if point is None or point.shape != (AXES,) or not np.isfinite(point).all():
+        raise ValueError("point must be 5 finite coordinates")
+    mat = np.asarray(n(point) if callable(n) else n, dtype=float)
     if mat.shape != (AXES, AXES):
         raise ValueError("index tensor must be 5x5")
-    cond = float(np.linalg.cond(mat))
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
-        raise ValueError(f"index tensor is singular (condition estimate {cond:.3e})")
-    metric = mat.T @ ETA @ mat
-    if metric[0, 0] >= 0 or any(metric[i, i] <= 0 for i in range(1, AXES)):
-        raise ValueError("frame breaks the (-++++) signature pattern")
-    inverse_metric = np.linalg.inv(metric)
-    recip_coeffs = inverse_metric @ mat.T  # row a: g^a in e-basis components
-    return Frame(_vectors(mat.T), metric, inverse_metric, _vectors(recip_coeffs))
+    _, (fault,), vectors, metric, inverse_metric, reciprocal = _frames(mat[None])
+    if fault is not None:
+        raise ValueError(fault)
+    vectors, reciprocal = (tuple(map(Multivector._wrap, rows[0])) for rows in (vectors, reciprocal))
+    return Frame(vectors, metric[0], inverse_metric[0], reciprocal)
 
 
 @dataclass(frozen=True)
@@ -221,7 +263,6 @@ def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> fl
     rotors = _rotor_rows(_stacked(field.phase, x))
     # sum over a < 4 of g_a e^a, raised by ETA
     raised = _stacked(field.phase_gradient_at, x, (AXES,))[:, :4] @ ETA[:4]
-    grads = np.array([v.coeffs for v in _vectors(raised)])
-    turned = _product(_FULL, _product(_FULL, PSEUDOSCALAR.coeffs, grads), psi(x))
+    turned = _product(_FULL, _product(_FULL, PSEUDOSCALAR.coeffs, _vector_rows(raised)), psi(x))
     rhs = _product(_FULL, vector_derivative(psi, x), rotors) + _product(_FULL, turned, rotors)
     return _worst(np.max(np.abs(vector_derivative(rotated, x) - rhs), axis=-1))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,12 +30,14 @@ from ga41 import (
     rotate,
     scalar_product,
 )
+from ga41.checks import _check_rng
 
 from ga41.algebra import (
     _FULL,
     _INNER,
     _OUTER,
     _SQUARE_SIGNS,
+    _exp_rows,
     _integer,
     _product,
     _scalar_products,
@@ -491,6 +494,96 @@ def test_rotor_unitarity():
                 b = b + float(rng.uniform(-1.5, 1.5)) * e(i, j)
         rotor = mv_exp(-0.5 * b)
         assert (reverse(rotor) * rotor - ONE).max_abs() <= 1e-12
+
+
+# -- the exponential row kernel against the per-row loop it replaced --------
+
+
+def _loop_exp(b):
+    """The exponential as one Multivector at a time, term by term."""
+    if not np.isfinite(b.coeffs).all():
+        raise ValueError("exponential undefined: non-finite coefficient")
+    sq = (b * b).coeffs
+    s = sq[0]
+    if float(np.max(np.abs(sq[1:]))) <= 1e-12 * float(np.max(np.abs(sq))):
+        if s == 0.0:
+            return ONE + b
+        if s < 0.0:
+            theta = math.sqrt(-s)
+            return math.cos(theta) + b * (math.sin(theta) / theta)
+        theta = math.sqrt(s)
+        return math.cosh(theta) + b * (math.sinh(theta) / theta)
+    acc = term = ONE
+    for k in range(1, 65):
+        term = term * b / k
+        acc = acc + term
+        if term.max_abs() <= 1e-14 * acc.max_abs():
+            return acc
+    raise ArithmeticError("multivector exponential series did not converge in 64 terms")
+
+
+SPATIAL_PLANES = [(1 << i) | (1 << j) for i in range(1, 5) for j in range(i + 1, 5)]
+ALL_PLANES = [(1 << i) | (1 << j) for i in range(5) for j in range(i + 1, 5)]
+
+
+def _rotor_rows(seed):
+    """The exponents of the rotor_unitarity check at a seed."""
+    coeffs = np.zeros((100, N))
+    coeffs[:, SPATIAL_PLANES] = _check_rng(seed, "rotor_unitarity").uniform(-1.5, 1.5, (100, 6))
+    return -0.5 * coeffs
+
+
+def _loop_rows(rows):
+    return np.array([_loop_exp(Multivector(row)).coeffs for row in rows])
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40), range(40, 60)])
+def test_exp_rows_equal_the_loop_on_the_rotor_rows(seeds):
+    for seed in seeds:
+        rows = _rotor_rows(seed)
+        assert _exp_rows(rows).tobytes() == _loop_rows(rows).tobytes(), seed
+
+
+def _mixed_rows():
+    """Rows for every branch, shuffled: rotation and boost planes (s < 0,
+    s > 0), null vectors with a -0.0 (s = 0), bivectors with e0 parts and
+    dense rows (series)."""
+    rng = np.random.default_rng(17)
+    rows = np.zeros((5, 60, N))
+    rows[0, :, 0b00110] = rng.uniform(-3.0, 3.0, 60)
+    rows[1, :, 0b00011] = rng.uniform(-3.0, 3.0, 60)
+    rows[2, :, 0b00001] = rows[2, :, 0b10000] = rng.uniform(-3.0, 3.0, 60)
+    rows[2, :, 0b00100] = -0.0
+    rows[3][:, ALL_PLANES] = rng.uniform(-1.5, 1.5, (60, 10))
+    rows[4] = rng.uniform(-0.5, 0.5, (60, N))
+    return rng.permutation(rows.reshape(-1, N))
+
+
+def test_exp_rows_equal_the_loop_on_every_branch():
+    rows = _mixed_rows()
+    sq = _product(_FULL, rows, rows)
+    scalar = np.max(np.abs(sq[:, 1:]), axis=1) <= 1e-12 * np.max(np.abs(sq), axis=1)
+    branches = Counter(np.where(scalar, np.sign(sq[:, 0]), 2.0).tolist())
+    assert branches == {-1.0: 60, 1.0: 60, 0.0: 60, 2.0: 120}
+    want = _loop_rows(rows)
+    assert _exp_rows(rows).tobytes() == want.tobytes()
+    assert [Multivector(row).exp().coeffs.tobytes() for row in rows] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize(
+    "bad, error, match",
+    [
+        (Multivector(np.where(np.arange(N) == 3, math.nan, 0.0)), ValueError, "non-finite"),
+        (1000.0 * e(0, 1), ValueError, "overflows: argument squares to 1.000e\\+06"),
+        (40.0 * ONE + 40.0 * e(0), ArithmeticError, "64 terms"),
+    ],
+)
+def test_one_bad_row_raises_for_the_batch(bad, error, match):
+    rows = np.concatenate([_mixed_rows()[:50], bad.coeffs[None], _rotor_rows(0)])
+    with pytest.raises(error, match=match):
+        _exp_rows(rows)
+    with pytest.raises(error, match=match):
+        bad.exp()
 
 
 def test_parse_round_trip_random():

@@ -3,6 +3,7 @@ yields the samples of its old per-sample loop byte for byte, in order, from
 a fixed number of kernel calls; the blade-image check compares one exact
 Gram matrix with 4 I."""
 
+import contextlib
 import math
 from collections import Counter
 
@@ -12,8 +13,10 @@ import pytest
 from ga41 import Multivector, ONE, checks
 from ga41.algebra import e
 from ga41.checks import CheckContext, _check_rng, check_definitions, run_checks
+from ga41.algebra import _scalar_products
 from ga41.dirac import build_dirac_operator
-from ga41.monogenic import MomentumVector
+from ga41.frames import build_frame
+from ga41.monogenic import MomentumVector, _axis_sum
 from ga41.projectors import build_e_set, build_f_set
 
 # -- the per-sample loops the checks replaced, kept as references ----------
@@ -75,12 +78,39 @@ def _old_sets_not_aligned(ctx):
     yield 0.0 if found else 1.0
 
 
+def _old_frame_duality(ctx, accept=lambda n: True):
+    # one build_frame call per accepted candidate; the residuals as the check
+    # evaluates them
+    frames = []
+    for _ in range(1000):
+        n = np.eye(5) + ctx.rng.uniform(-0.2, 0.2, (5, 5))
+        if np.linalg.cond(n) <= 100 and accept(n):
+            with contextlib.suppress(ValueError):
+                frames.append(build_frame(n))
+        if len(frames) == 100:
+            break
+    vectors = np.array([[v.coeffs for v in f.vectors] for f in frames])
+    reciprocal = np.array([[v.coeffs for v in f.reciprocal] for f in frames])
+    metric = np.array([f.metric for f in frames])
+    inverse = np.array([f.inverse_metric for f in frames])
+
+    def gram(a, b):
+        return _scalar_products(a[:, :, None], b[:, None])
+
+    yield from np.abs(gram(vectors, vectors) - metric).ravel()
+    yield from np.abs(gram(reciprocal, vectors) - np.eye(5)).ravel()
+    yield from np.abs(gram(reciprocal, reciprocal) - inverse).ravel()
+    combo = _axis_sum(metric[..., None] * reciprocal[:, None])
+    yield from np.max(np.abs(combo - vectors), axis=-1).ravel()
+
+
 OLD_LOOPS = {
     "exp_closed_forms": _old_exp_closed_forms,
     "rotor_unitarity": _old_rotor_unitarity,
     "null_annihilation": _old_null_annihilation,
     "dirac_spectrum": _old_dirac_spectrum,
     "sets_not_aligned": _old_sets_not_aligned,
+    "frame_duality": _old_frame_duality,
 }
 
 
@@ -163,3 +193,53 @@ def test_a_nan_blade_row_makes_the_span_check_nan(monkeypatch):
     result = run_checks(["blade_images_span"], seed=0)[0]
     assert result.status == "fail"
     assert math.isnan(result.residual)
+
+
+@pytest.mark.parametrize("name", ["exp_closed_forms", "rotor_unitarity"])
+def test_the_exponential_checks_make_one_kernel_call(monkeypatch, name):
+    calls = Counter()
+    real_rows, real_exp = checks._exp_rows, Multivector.exp
+
+    def rows(batch):
+        calls["_exp_rows", len(batch)] += 1
+        return real_rows(batch)
+
+    def exp(self):
+        calls["exp"] += 1
+        return real_exp(self)
+
+    monkeypatch.setattr(checks, "_exp_rows", rows)
+    monkeypatch.setattr(Multivector, "exp", exp)
+    samples = _samples(name)
+    assert calls == Counter({("_exp_rows", samples.size): 1})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_frame_duality_builds_its_frames_in_one_kernel_call(monkeypatch, seed):
+    calls = []
+    real = checks._frames
+
+    def frames(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(checks, "_frames", frames)
+    assert _samples("frame_duality", seed).size == 100 * (3 * 25 + 5)
+    assert calls == [100]
+
+
+def test_frame_duality_accepts_the_first_candidates_in_draw_order(monkeypatch):
+    # a quarter of the candidates read as ill-conditioned, so a second chunk
+    # is needed, and the samples are those of the loop with the same rule
+    real = checks._frames
+    calls = []
+
+    def picky(mats):
+        calls.append(len(mats))
+        cond, *rest = real(mats)
+        return (np.where(mats[:, 0, 0] > 1.1, 1e3, cond), *rest)
+
+    monkeypatch.setattr(checks, "_frames", picky)
+    want = _old_frame_duality(_context("frame_duality", 0), accept=lambda n: n[0, 0] <= 1.1)
+    assert _samples("frame_duality").tobytes() == np.fromiter(want, dtype=float).tobytes()
+    assert calls == [100, 100]

@@ -14,6 +14,7 @@ from ga41.frames import (
     ETA,
     Frame,
     GaugeField,
+    _frames,
     build_frame,
     covariant_derivative,
     em_frame,
@@ -109,6 +110,79 @@ def test_build_frame_takes_an_array_or_a_callable_returning_it(seed):
             build_frame(lambda point: bad, x)
         with pytest.raises(ValueError, match="^index tensor must be 5x5$"):
             build_frame(bad, x)
+
+
+def _loop_frame(n):
+    """build_frame's arithmetic on one tensor, as numpy's one-matrix calls."""
+    cond = np.linalg.cond(n)
+    if not cond <= 1e12:
+        return cond, f"index tensor is singular (condition estimate {cond:.3e})"
+    metric = n.T @ ETA @ n
+    if metric[0, 0] >= 0 or any(metric[i, i] <= 0 for i in range(1, 5)):
+        return cond, "frame breaks the (-++++) signature pattern"
+    inverse = np.linalg.inv(metric)
+    return cond, (metric, inverse, inverse @ n.T)
+
+
+def _rows(components):
+    rows = np.zeros((5, 32))
+    rows[:, [1, 2, 4, 8, 16]] = components
+    return rows + 0.0  # no -0.0 coefficient
+
+
+def test_stacked_frames_equal_the_one_tensor_arithmetic():
+    rng = np.random.default_rng(71)
+    # spreads up to 0.8 break the signature rule now and then; one tensor
+    # has -0.0 entries, one is singular and one is not finite
+    tensors = np.eye(5) + rng.uniform(-1.0, 1.0, (400, 5, 5)) * np.repeat([0.2, 0.8], 200)[:, None, None]
+    tensors[3] = np.where(np.eye(5) == 1.0, 1.0, -0.0)  # its rows get no -0.0
+    tensors[7, :, 2] = 0.0
+    tensors[11, 3, 1] = math.inf
+    cond, faults, vectors, metric, inverse, reciprocal = _frames(tensors)
+    kept = 0
+    for i, n in enumerate(tensors):
+        if i == 11:
+            assert math.isnan(cond[i]) and faults[i] == "index tensor must be finite"
+            continue
+        want_cond, want = _loop_frame(n)
+        assert cond[i].tobytes() == want_cond.tobytes()
+        if isinstance(want, str):
+            assert faults[i] == want
+            continue
+        assert faults[i] is None
+        assert metric[kept].tobytes() == want[0].tobytes()
+        assert inverse[kept].tobytes() == want[1].tobytes()
+        assert reciprocal[kept].tobytes() == _rows(want[2]).tobytes()
+        assert vectors[kept].tobytes() == _rows(n.T).tobytes()
+        kept += 1
+    assert 200 < kept < 399 and len(vectors) == len(reciprocal) == kept
+    assert faults.count("frame breaks the (-++++) signature pattern") == 399 - kept - 1
+
+
+def test_build_frame_rejects_a_non_finite_tensor():
+    for bad in (math.nan, math.inf, -math.inf):
+        n = np.eye(5)
+        n[2, 3] = bad
+        with pytest.raises(ValueError, match="^index tensor must be finite$"):
+            build_frame(n)
+        with pytest.raises(ValueError, match="^index tensor must be finite$"):
+            build_frame(lambda x: n, (0.1, 0.2, 0.3, 0.4, 0.5))
+
+
+@pytest.mark.parametrize(
+    "x", ["abc", None, object(), 1.0, (1.0, 2.0), [[0.0] * 5], (0.0, 0.0, math.nan, 0.0, 0.0), [math.inf] * 5]
+)
+def test_build_frame_rejects_a_point_that_is_not_five_finite_coordinates(x):
+    seen = []
+
+    def at(point):
+        seen.append(point)
+        return np.eye(5)
+
+    for n in (np.eye(5), at):
+        with pytest.raises(ValueError, match="^point must be 5 finite coordinates$"):
+            build_frame(n, x)
+    assert seen == []
 
 
 def test_gauge_field_constant_potential():

@@ -34,9 +34,17 @@ def _scaled_image(index, factor):
     return tuple(images)
 
 
-def _with_exp(real, exp):
-    """The Multivector class with its exponential replaced."""
-    return type("MutantMultivector", (real,), {"__slots__": (), "exp": exp})
+def _frames_with(change):
+    """The frame kernel with change applied to its inverse metrics and reciprocal rows."""
+
+    def mutant(real):
+        def frames(mats):
+            cond, faults, vectors, metric, inverse, reciprocal = real(mats)
+            return (cond, faults, vectors, metric, *change(inverse, reciprocal))
+
+        return frames
+
+    return mutant
 
 
 def _doubled_first_generator(real):
@@ -66,12 +74,14 @@ MUTATIONS = (
     # the sampled checks evaluated on the row kernels
     ("null_annihilation", "e", lambda real: e_upper),
     ("sets_not_aligned", "build_e_set", lambda real: projectors.build_f_set),
-    ("exp_closed_forms", "Multivector", lambda real: _with_exp(real, lambda b: ONE + b)),
-    ("rotor_unitarity", "Multivector", lambda real: _with_exp(real, lambda b: 2.0 * real.exp(b))),
+    ("exp_closed_forms", "_exp_rows", lambda real: lambda rows: ONE.coeffs + rows),
+    ("rotor_unitarity", "_exp_rows", lambda real: lambda rows: 2.0 * real(rows)),
     ("rotor_unitarity", "_REVERSE_SIGNS", lambda real: np.ones_like(real)),
     ("dirac_spectrum", "build_dirac_operator", lambda real: lambda k: 2.0 * real(k)),
     # a repeated blade image: its Gram entry with the first is 4, not 0
     ("blade_images_span", "_BLADE_ROWS", lambda real: np.concatenate([real[:1], real[:-1]])),
+    ("frame_duality", "_frames", _frames_with(lambda inv, rec: (inv, rec[:, ::-1]))),
+    ("frame_duality", "_frames", _frames_with(lambda inv, rec: (inv * (1.0 + 1e-9), rec))),
 )
 
 
