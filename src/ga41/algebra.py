@@ -103,12 +103,33 @@ _INNER = np.where(_OUT == np.abs(_LEFT - _RIGHT), _FULL, 0.0)
 _OUTER = np.where(_OUT == _LEFT + _RIGHT, _FULL, 0.0)
 
 
+def _gather(b: np.ndarray) -> np.ndarray:
+    """The right factors b[i^k] of every term, at [..., k, i]: a new array."""
+    return b.take(_XOR, axis=-1)
+
+
 def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # rows (..., 32) pair up; each a[i] b[i^k] is rounded before the signed
     # sum and no multiply-add is fused, so a row of a batch equals the
     # single product, *, ^ and | round their shared terms alike and
-    # a * b == (a | b) + (a ^ b) holds exactly for vectors
-    return np.einsum("ki,...ki->...k", table, a[..., None, :] * b.take(_XOR, axis=-1))
+    # a * b == (a | b) + (a ^ b) holds exactly for vectors.  The terms
+    # are formed in the gathered b when a, of the same dtype, broadcasts
+    # onto b's rows; when b is the smaller operand or the dtypes mix they
+    # go to a new array.  Builtin dtypes are singletons, so `is` is the
+    # test, and a miss only costs that array
+    gathered = _gather(b)
+    fits = a.dtype is gathered.dtype and (
+        a.ndim == 1 or a.shape[:-1] == b.shape[b.ndim - a.ndim : -1]
+    )
+    return _contract(table, a, gathered, gathered if fits else None)
+
+
+def _contract(
+    table: np.ndarray, a: np.ndarray, gathered: np.ndarray, terms: np.ndarray | None
+) -> np.ndarray:
+    """sum_i table[k, i] a[..., i] gathered[..., k, i], each term rounded
+    alone; the terms are formed in `terms`, or in a new array if None."""
+    return np.einsum("ki,...ki->...k", table, np.multiply(a[..., None, :], gathered, out=terms))
 
 
 def _exp_rows(rows: np.ndarray) -> np.ndarray:
@@ -118,7 +139,9 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
     A closed form is computed row by row with math's functions (numpy's
     cosh and sinh round differently).  The series rows are summed
     together, and each stops at its own term by the 1e-14 rule; a finished
-    row leaves the batch only when some row finishes.
+    row leaves the batch only when some row finishes.  The live rows are
+    gathered once per live set, and every term is formed in one buffer;
+    both shrink with the rows.
     """
     if not np.isfinite(rows).all():
         raise ValueError("exponential undefined: non-finite coefficient")
@@ -139,17 +162,20 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
         except OverflowError:
             raise ValueError(f"exponential overflows: argument squares to {s:.3e}") from None
     (live,) = (~closed).nonzero()
-    b = rows[live]
+    gathered = _gather(rows[live])
+    terms = np.empty(gathered.shape)
     term = acc = ONE.coeffs
     for k in range(1, 65):
         if not live.size:
             return out
-        term = _product(_FULL, term, b) / k
+        term = _contract(_FULL, term, gathered, terms) / k
         acc = acc + term
         done = np.abs(term).max(axis=1) <= 1e-14 * np.abs(acc).max(axis=1)
         if done.any():
             out[live[done]] = acc[done]
-            live, b, term, acc = live[~done], b[~done], term[~done], acc[~done]
+            live, term, acc = live[~done], term[~done], acc[~done]
+            gathered = _gather(rows[live])
+            terms = terms[: live.size]
     if live.size:
         raise ArithmeticError("multivector exponential series did not converge in 64 terms")
     return out

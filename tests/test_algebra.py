@@ -30,6 +30,7 @@ from ga41 import (
     rotate,
     scalar_product,
 )
+from ga41 import algebra
 from ga41.checks import _check_rng
 
 from ga41.algebra import (
@@ -37,6 +38,7 @@ from ga41.algebra import (
     _INNER,
     _OUTER,
     _SQUARE_SIGNS,
+    _XOR,
     _exp_rows,
     _integer,
     _product,
@@ -204,6 +206,86 @@ def test_batched_kernel_rows_equal_single_products(left, data, op):
     assert [row.tobytes() for row in _product(_TABLES[op], a, b)] == single
     assert [row.tobytes() for row in _product(_TABLES[op], a[0], b[:1])] == single[:1]
     assert [row.tobytes() for row in _product(_TABLES[op], a[:1], b[0])] == single[:1]
+
+
+def _one_liner(table, a, b):
+    """The kernel as a single expression: the terms in a second array."""
+    return np.einsum("ki,...ki->...k", table, a[..., None, :] * b.take(_XOR, axis=-1))
+
+
+#: (a shape, b shape) as the callers pair them, n the batch: rows with
+#: rows, a constant row on either side, the reciprocal rows against a
+#: point's differences, and the pair tables
+_LAYOUTS = [
+    lambda n: ((n, N), (n, N)),
+    lambda n: ((N,), (n, N)),
+    lambda n: ((n, N), (N,)),
+    lambda n: ((5, N), (n, 5, N)),
+    lambda n: ((5, 1, N), (1, 5, N)),
+    lambda n: ((1, 5, N), (1, 1, N)),
+    lambda n: ((N,), (N,)),
+]
+
+
+def _cells(rng, shape, special):
+    """Normal cells with a -0.0 in every fourth; `special` adds a NaN, an
+    inf and a -inf at random cells."""
+    x = rng.normal(size=shape)
+    x.reshape(-1)[::4] = -0.0
+    if special and x.size:
+        for value in (math.nan, math.inf, -math.inf):
+            x.reshape(-1)[rng.integers(x.size)] = value
+    return x
+
+
+@pytest.mark.parametrize("layout", range(len(_LAYOUTS)))
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("op", "*^|")
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("readonly", [False, True])
+def test_kernel_equals_the_one_liner_byte_for_byte(layout, n, op, special, readonly):
+    rng = np.random.default_rng([layout, n, int(special)])
+    a_shape, b_shape = _LAYOUTS[layout](n)
+    a, b = _cells(rng, a_shape, special), _cells(rng, b_shape, special)
+    a.flags.writeable = b.flags.writeable = not readonly
+    a_bytes, b_bytes = a.tobytes(), b.tobytes()
+    with np.errstate(all="ignore"):
+        got, want = _product(_TABLES[op], a, b), _one_liner(_TABLES[op], a, b)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert special == bool(np.isnan(got).any()) or got.size == 0
+    assert (a.tobytes(), b.tobytes()) == (a_bytes, b_bytes)
+
+
+@pytest.mark.parametrize("op", "*^|")
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("readonly", [False, True])
+def test_kernel_equals_the_one_liner_on_a_row_times_itself(op, special, readonly):
+    rows = _cells(np.random.default_rng(3), (6, N), special)
+    rows.flags.writeable = not readonly
+    saved = rows.tobytes()
+    with np.errstate(all="ignore"):
+        got, want = _product(_TABLES[op], rows, rows), _one_liner(_TABLES[op], rows, rows)
+        assert got.tobytes() == want.tobytes()
+        assert _product(_TABLES[op], rows[0], rows[0]).tobytes() == want[0].tobytes()
+    assert rows.tobytes() == saved
+
+
+@pytest.mark.parametrize(
+    "a_type, b_type", [(np.int64, np.int64), (float, np.int64), (np.int64, float)]
+)
+@pytest.mark.parametrize("layout", range(len(_LAYOUTS)))
+def test_kernel_takes_integer_and_mixed_rows_as_the_one_liner(a_type, b_type, layout):
+    rng = np.random.default_rng(layout)
+    a_shape, b_shape = _LAYOUTS[layout](4)
+    a = rng.integers(-9, 10, a_shape).astype(a_type)
+    b = rng.integers(-9, 10, b_shape).astype(b_type)
+    for table in _TABLES.values():
+        got, want = _product(table, a, b), _one_liner(table, a, b)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        # integer cells multiply exactly: the float rows give the same product
+        assert np.array_equal(got, _product(table, a.astype(float), b.astype(float)))
 
 
 def test_products_match_dense_reference_within_rounding():
@@ -535,6 +617,39 @@ def _rotor_rows(seed):
 
 def _loop_rows(rows):
     return np.array([_loop_exp(Multivector(row)).coeffs for row in rows])
+
+
+def _series_length(b):
+    """The term at which the series of b stops, one Multivector at a time."""
+    acc = term = ONE
+    for k in range(1, 65):
+        term = term * b / k
+        acc = acc + term
+        if term.max_abs() <= 1e-14 * acc.max_abs():
+            return k
+    raise ArithmeticError("no convergence")
+
+
+def test_exp_rows_gathers_the_exponents_once_per_live_set(monkeypatch):
+    rows = _rotor_rows(0)
+    lengths = [_series_length(Multivector(row)) for row in rows]
+    gathered, real = [], algebra._gather
+
+    def counted(b):
+        gathered.append(len(b))
+        return real(b)
+
+    monkeypatch.setattr("ga41.algebra._gather", counted)
+    got = _exp_rows(rows)
+    # the square gathers all the rows, then each live set once: the 100
+    # series rows and what is left after each of the shrinks, one per
+    # distinct stopping term, down to none
+    assert gathered[0] == 100
+    live = [sum(length > k for length in lengths) for k in [0, *sorted(set(lengths))]]
+    assert gathered[1:] == live
+    assert live[0] == 100 and live[-1] == 0
+    assert len(gathered) - 1 < max(lengths)
+    assert got.tobytes() == _loop_rows(rows).tobytes()
 
 
 @pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40), range(40, 60)])
