@@ -31,13 +31,14 @@ from .algebra import (
     ONE,
     PSEUDOSCALAR,
     _exp_rows,
+    _norms,
     _product,
     _scalar_products,
     _worst,
     blade_product,
     e,
 )
-from .dirac import _column_parts, build_dirac_operator, dirac_system, order_eigensystem
+from .dirac import _check_ordered, _column_parts, _eigensystems, _operators
 from .frames import (
     ETA,
     GaugeField,
@@ -58,11 +59,10 @@ from .monogenic import (
     MomentumVector,
     harmonic_field,
     laplacian,
-    plane_wave,
     reduced_vector_derivative,
     vector_derivative,
 )
-from .monogenic import _axis_sum
+from .monogenic import _axis_sum, _momentum_rows, _squares
 from .projectors import (
     COMMUTING_PAIRS,
     build_e_set,
@@ -146,22 +146,43 @@ def _commutators(pairs: np.ndarray) -> np.ndarray:
     return _residuals((pairs - pairs.swapaxes(0, 1)).reshape(len(pairs) ** 2, -1))
 
 
-def _random_momentum(rng, min_mass=0.01, min_p=0.0) -> MomentumVector:
-    mass = rng.uniform(min_mass, 5.0)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    radius = rng.uniform(min_p, 4.9)
-    return MomentumVector.from_mass_momentum(radius * direction, mass)
+def _random_momentum(rng, min_mass=0.01, min_p=0.0) -> tuple:
+    """The draws of one random momentum, in stream order: the mass, a
+    direction and a radius."""
+    return rng.uniform(min_mass, 5.0), rng.normal(size=3), rng.uniform(min_p, 4.9)
+
+
+def _momenta(draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momentum rows (n, 5), wave amplitudes and phase gradients of the
+    draws of _random_momentum: the momentum is the direction scaled to
+    unit length, then by the radius, all in one kernel call."""
+    masses, directions, radii = (np.array(d) for d in zip(*draws))
+    units = directions / _norms(directions)[:, None]
+    return _momentum_rows(radii[:, None] * units, masses)
+
+
+def _random_momenta(rng, count: int, **momentum_kw):
+    """Rows, wave amplitudes and phase gradients of count random momenta."""
+    return _momenta([_random_momentum(rng, **momentum_kw) for _ in range(count)])
+
+
+def _ordered_eigensystems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a_bar, psi_bar and lam of momentum rows, with the guards of
+    order_eigensystem on every row."""
+    systems = _eigensystems(rows)
+    _check_ordered(rows[:, 0], systems[2])
+    return systems
 
 
 def _momenta_and_points(ctx, count: int, shape: tuple, **momentum_kw):
-    """count momenta, each drawn before its points (*shape, 5), and their plane-wave rows."""
-    momenta, points = [], []
-    for _ in range(count):
-        momenta.append(_random_momentum(ctx.rng, **momentum_kw))
-        points.append(ctx.rng.uniform(-1.0, 1.0, shape + (5,)))
-    amplitudes = np.array([k.amplitude.coeffs for k in momenta])
-    return momenta, amplitudes, np.array([k.phase_gradient for k in momenta]), np.array(points)
+    """count momenta, each drawn before its points (*shape, 5): their rows,
+    plane-wave amplitudes and phase gradients, and the points."""
+    draws = [
+        (_random_momentum(ctx.rng, **momentum_kw), ctx.rng.uniform(-1.0, 1.0, shape + (5,)))
+        for _ in range(count)
+    ]
+    momenta, points = zip(*draws)
+    return (*_momenta(momenta), np.array(points))
 
 
 # -- algebra core --------------------------------------------------------
@@ -429,10 +450,9 @@ def _check_phase_sign_exclusivity(ctx) -> Iterator[float]:
     1e-10,
 )
 def _check_dirac_spectrum(ctx) -> Iterator[float]:
-    momenta = [_random_momentum(ctx.rng, min_mass=0.05) for _ in range(200)]
-    vals = np.linalg.eigvalsh(np.array([build_dirac_operator(k) for k in momenta]))
-    want = np.array([k.energy for k in momenta])[:, None] * [-1.0, -1.0, 1.0, 1.0]
-    yield from _residuals(vals - want)
+    rows, _, _ = _random_momenta(ctx.rng, 200, min_mass=0.05)
+    vals = np.linalg.eigvalsh(_operators(rows))
+    yield from _residuals(vals - rows[:, :1] * [-1.0, -1.0, 1.0, 1.0])
 
 
 @_register(
@@ -441,12 +461,11 @@ def _check_dirac_spectrum(ctx) -> Iterator[float]:
     1e-10,
 )
 def _check_lambda_involution(ctx) -> Iterator[float]:
-    for _ in range(50):
-        k = _random_momentum(ctx.rng, min_mass=0.05)
-        system = order_eigensystem(dirac_system(k))
-        lam_inv = np.diag(1.0 / np.diag(system.lam))
-        diff = k.energy**2 * lam_inv - system.lam
-        yield float(np.max(np.abs(diff)))
+    rows, _, _ = _random_momenta(ctx.rng, 50, min_mass=0.05)
+    lam = np.diagonal(_ordered_eigensystems(rows)[2], axis1=1, axis2=2)
+    # off the diagonal both terms are exact zeros; E^2 is Python's square
+    diff = _squares(rows[:, 0])[:, None] * (1.0 / lam) - lam
+    yield from np.max(np.abs(diff), axis=1)
 
 
 @_register(
@@ -455,14 +474,13 @@ def _check_lambda_involution(ctx) -> Iterator[float]:
     0.0,
 )
 def _check_psi_determinism(ctx) -> Iterator[float]:
-    for _ in range(5):
-        k = _random_momentum(ctx.rng, min_mass=0.05)
-        first = order_eigensystem(dirac_system(k))
-        second = order_eigensystem(dirac_system(k))
-        same = np.array_equal(first.psi_bar, second.psi_bar) and np.array_equal(
-            first.lam, second.lam
-        )
-        yield 0.0 if same else 1.0
+    rows, _, _ = _random_momenta(ctx.rng, 5, min_mass=0.05)
+    (_, first_psi, first_lam), (_, second_psi, second_lam) = (
+        _ordered_eigensystems(rows) for _ in range(2)
+    )
+    # a NaN compares unequal, so it fails
+    same = (first_psi == second_psi).all(axis=(1, 2)) & (first_lam == second_lam).all(axis=(1, 2))
+    yield from np.where(same, 0.0, 1.0)
 
 
 @_register(
@@ -473,10 +491,11 @@ def _check_psi_determinism(ctx) -> Iterator[float]:
 def _check_dirac_column_fields(ctx) -> Iterator[float]:
     # per momentum two points for each of its four eigencolumns
     momenta, _, _, points = _momenta_and_points(ctx, 20, (4, 2), min_mass=0.05)
-    systems = (order_eigensystem(dirac_system(k)) for k in momenta)
-    amplitudes, grads = zip(*(_column_parts(s, index) for s in systems for index in range(4)))
-    masses = np.repeat([k.mass for k in momenta], 4)[:, None]
-    waves = harmonic_field(np.array(amplitudes), np.array(grads))
+    _, psi_bar, lam = _ordered_eigensystems(momenta)
+    lam = np.real(np.diagonal(lam, axis1=1, axis2=2))
+    amplitudes, grads = _column_parts(psi_bar, lam, momenta[:, 1:4])
+    masses = np.repeat(momenta[:, 4], 4)[:, None]
+    waves = harmonic_field(amplitudes.reshape(-1, N_BLADES), grads.reshape(-1, 5))
     rows = reduced_vector_derivative(waves, points.reshape(-1, 2, 5), masses)
     yield from _residuals(rows.reshape(-1, N_BLADES))
 
@@ -564,17 +583,17 @@ def _gauge_cases(ctx, min_mass: float):
     cases, drawn in the order momentum, phase coefficients, potential,
     points."""
     for _ in range(2):
-        k = _random_momentum(ctx.rng, min_mass=min_mass)
+        rows, amplitudes, grads = _random_momenta(ctx.rng, 1, min_mass=min_mass)
         coefs = ctx.rng.uniform(-0.8, 0.8, 4)
         potential = ctx.rng.uniform(-1.0, 1.0, 4)
         field = GaugeField(
             potential,
             charge=-1.0,
-            mass=k.mass,
+            mass=rows[0, 4],
             phase=lambda x, c=coefs: float(c @ x[:4]),
             phase_gradient=lambda x, c=coefs: np.array([*c, 0.0]),
         )
-        yield plane_wave(k), field, ctx.rng.uniform(-1.0, 1.0, (3, 5))
+        yield harmonic_field(amplitudes[0], grads[0]), field, ctx.rng.uniform(-1.0, 1.0, (3, 5))
 
 
 @_register(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PSEUDOSCALAR, _integer, _worst, e
-from .matrices import ALPHA, BETA, IDENTITY, _half_projector, from_matrix, to_matrix
+from .algebra import PSEUDOSCALAR, _integer, _norms, _worst, e
+from .matrices import ALPHA, BETA, IDENTITY, _from_matrices, _half_projector, to_matrix
 from .monogenic import MomentumVector, MultivectorField, harmonic_field
 
 #: images of pseudoscalar * e23, * e31, * e12: the spin-axis matrices
@@ -42,50 +42,79 @@ class DiracSystem:
             object.__setattr__(self, name, arr)
 
 
+#: the images alpha^1..3 and beta, the spin-axis images, and the signs of
+#: the two half projectors and of lam's diagonal
+_OPERATOR_STACK = np.array([*ALPHA, BETA])
+_SPIN_STACK = np.array(SPIN_IMAGES)
+_HALF_SIGNS = np.array([1, -1])[:, None, None]
+_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[:, 0] + terms[:, 1] + ..., added left to right; numpy's sum
+    over the axis gives some zeros the other sign."""
+    out = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        out = out + terms[:, j]
+    return out
+
+
+def _operators(rows: np.ndarray) -> np.ndarray:
+    """The operators p_m alpha^m + m beta (n, 4, 4) of momentum rows (n, 5)."""
+    return _in_order(rows[:, 1:, None, None] * _OPERATOR_STACK)
+
+
 def build_dirac_operator(k: MomentumVector) -> np.ndarray:
-    p1, p2, p3 = k.momentum
-    return p1 * ALPHA[0] + p2 * ALPHA[1] + p3 * ALPHA[2] + k.mass * BETA
+    return _operators(k._row[None])[0]
 
 
 def dirac_system(k: MomentumVector) -> DiracSystem:
     """Eigensystem of the momentum operator from its closed-form
-    projectors, in the column order of :func:`_eigencolumns`, with
+    projectors, in the column order of :func:`_eigensystems`, with
     lam = E * diag(1, 1, -1, -1).  Raises ValueError at E = 0."""
-    a_bar = build_dirac_operator(k)
-    lam = np.diag([k.energy, k.energy, -k.energy, -k.energy]).astype(complex)
-    return DiracSystem(k, a_bar, _eigencolumns(k, a_bar), lam)
+    a_bar, psi_bar, lam = _eigensystems(k._row[None])
+    return DiracSystem(k, a_bar[0], psi_bar[0], lam[0])
 
 
-def _spin_operator(k: MomentumVector) -> np.ndarray:
-    p = np.array(k.momentum)
-    norm = float(np.linalg.norm(p))
-    if norm == 0.0:
-        return SPIN_IMAGES[2].copy()
-    unit = p / norm
-    return unit[0] * SPIN_IMAGES[0] + unit[1] * SPIN_IMAGES[1] + unit[2] * SPIN_IMAGES[2]
+def _eigensystems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigensystems of momentum rows (n, 5) = (E, p1, p2, p3, m): the
+    operators a_bar, the unit eigencolumns psi_bar ordered (+E spin +1,
+    +E spin -1, -E spin +1, -E spin -1), each with its largest component
+    made real positive, and lam = E diag(1, 1, -1, -1), each (n, 4, 4).
+    Raises ValueError if E = 0 on any row.
 
-
-def _eigencolumns(k: MomentumVector, a_bar: np.ndarray) -> np.ndarray:
-    """Unit eigencolumns ordered (+E spin +1, +E spin -1, -E spin +1,
-    -E spin -1), each with its largest component made real positive.
-
-    A^2 = E^2 and the spin operator S commutes with A, so
-    (1 + eps A/E)/2 (1 + sigma S)/2 projects onto one column; its
-    largest-norm column is taken.
+    A^2 = E^2 and the spin operator S (along p, or e3 at p = 0) commutes
+    with A, so (1 + eps A/E)/2 (1 + sigma S)/2 projects onto one column;
+    its largest-norm column is taken.  Every step is elementwise, a sum
+    in the one-momentum order or one stacked matmul, and each norm is
+    np.linalg.norm's (`_norms`), so a row equals its one-momentum system
+    bit for bit.
     """
-    energy = k.energy
-    if energy == 0.0:
+    n = len(rows)
+    energy = rows[:, 0]
+    if (energy == 0.0).any():
         raise ValueError("the momentum operator vanishes at E = 0")
-    energy_halves, spin_halves = (
-        [_half_projector(m, sign) for sign in (1, -1)] for m in (a_bar / energy, _spin_operator(k))
-    )
-    psi = np.empty((4, 4), dtype=complex)
-    for j, proj in enumerate(a @ b for a in energy_halves for b in spin_halves):
-        col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
-        lead = col[int(np.argmax(np.abs(col)))]
-        col = col * (np.conj(lead) / abs(lead))
-        psi[:, j] = col / np.linalg.norm(col)
-    return psi
+    a_bar = _operators(rows)
+    p = rows[:, 1:4]
+    norm = _norms(p)
+    rest = norm == 0.0
+    unit = p / np.where(rest, 1.0, norm)[:, None]
+    spin = _in_order(unit[:, :, None, None] * _SPIN_STACK)
+    spin[rest] = _SPIN_STACK[2]
+    # the halves of A/E and of S, (n, 2, 2, 4, 4), then their four products
+    halves = np.stack([a_bar / energy[:, None, None], spin], axis=1)
+    halves = _half_projector(halves[:, :, None], _HALF_SIGNS)
+    proj = (halves[:, 0, :, None] @ halves[:, 1, None, :]).reshape(4 * n, 4, 4)
+    # the largest column of each projector, by np.linalg.norm(proj, axis=0)
+    at = np.arange(4 * n)
+    cols = proj[at, :, np.argmax(np.sqrt((proj.conj() * proj).real.sum(axis=-2)), axis=-1)]
+    lead = cols[at, np.argmax(np.abs(cols), axis=-1)]
+    cols = cols * (np.conj(lead) / np.abs(lead))[:, None]
+    psi_bar = np.empty((n, 4, 4), dtype=complex)
+    psi_bar.swapaxes(-1, -2)[...] = (cols / _norms(cols)[:, None]).reshape(n, 4, 4)
+    lam = np.zeros((n, 16), dtype=complex)
+    lam[:, ::5] = energy[:, None] * _LAM_SIGNS
+    return a_bar, psi_bar, lam.reshape(n, 4, 4)
 
 
 def order_eigensystem(system: DiracSystem) -> DiracSystem:
@@ -98,13 +127,19 @@ def order_eigensystem(system: DiracSystem) -> DiracSystem:
     Raises ValueError unless E > 0 and ArithmeticError unless the
     spectrum is a doubled +-E pair.
     """
-    energy = system.k.energy
-    if energy <= 0:
-        raise ValueError("ordering requires the positive-energy branch")
-    vals = np.real(np.diag(system.lam))
-    if np.count_nonzero(vals > 0) != 2 or np.count_nonzero(vals <= 0) != 2:
-        raise ArithmeticError("spectrum is not a doubled +-E pair")
+    _check_ordered(np.array([system.k.energy]), system.lam[None])
     return system
+
+
+def _check_ordered(energy: np.ndarray, lam: np.ndarray) -> None:
+    """The guards of :func:`order_eigensystem`, with its messages, on every
+    row: energies (n,) and eigenvalue matrices (n, 4, 4)."""
+    if (energy <= 0).any():
+        raise ValueError("ordering requires the positive-energy branch")
+    vals = np.real(np.diagonal(lam, axis1=-2, axis2=-1))
+    # two positive and two non-positive eigenvalues; a NaN is neither
+    if ((vals > 0).sum(axis=-1) != 2).any() or ((vals <= 0).sum(axis=-1) != 2).any():
+        raise ArithmeticError("spectrum is not a doubled +-E pair")
 
 
 def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
@@ -133,17 +168,28 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
     return _worst([head, *np.max(np.abs(out), axis=(1, 2))])
 
 
-def _column_parts(system: DiracSystem, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude coefficients and phase gradient of one eigencolumn's wave."""
-    _integer(index, range(4), "column index must be an integer 0..3, got {!r}", index)
-    column = np.zeros((4, 4), dtype=complex)
-    column[:, index] = system.psi_bar[:, index]
-    lam = float(np.real(system.lam[index, index]))
-    return from_matrix(column).coeffs, np.array([-lam, *system.k.momentum, 0.0])
+def _column_parts(
+    psi_bar: np.ndarray, lam: np.ndarray, momentum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude rows (..., 4, 32) and phase gradients (..., 4, 5) of the
+    waves of the four eigencolumns of psi_bar (..., 4, 4), with real
+    eigenvalues lam (..., 4) and momenta (..., 3): column j kept in place
+    and the others zeroed, through the inverse matrix map, and the
+    gradient (-lam_j, p1, p2, p3, 0)."""
+    columns = np.zeros(psi_bar.shape[:-2] + (4, 4, 4), dtype=complex)
+    for j in range(4):
+        columns[..., j, :, j] = psi_bar[..., :, j]
+    grads = np.zeros(lam.shape + (5,))
+    grads[..., 0] = -lam
+    grads[..., 1:4] = momentum[..., None, :]
+    return _from_matrices(columns), grads
 
 
 def column_wave(system: DiracSystem, index: int) -> MultivectorField:
     """Multivector wave of one eigencolumn: the inverse matrix map of
     the column (kept in place, others zeroed) times the plane phase of
     its eigenvalue."""
-    return harmonic_field(*_column_parts(system, index))
+    _integer(index, range(4), "column index must be an integer 0..3, got {!r}", index)
+    lam = np.real(np.diag(system.lam))
+    amplitudes, grads = _column_parts(system.psi_bar, lam, np.array(system.k.momentum))
+    return harmonic_field(amplitudes[index], grads[index])

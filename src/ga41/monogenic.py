@@ -41,11 +41,74 @@ _MASS_AXIS = (PSEUDOSCALAR * e_upper(4)).coeffs  # the mass term's factor on the
 _AMPLITUDE_LAYOUT = [0b00000, 0b00011, 0b00101, 0b01001, 0b10001]
 
 
+#: signs taking (E, p1, p2, p3, m) to the phase gradient (-E, p1, p2, p3, m)
+_PHASE_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
+
+
 def _square(v: float) -> float:
     try:
         return v**2
     except OverflowError:
         raise ValueError(f"{v!r} is too large to square") from None
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """v**2 of each value as Python takes it, by libm's pow, which rounds
+    differently from v * v (numpy's square) on some values."""
+    return np.array([_square(v) for v in values.tolist()], dtype=float)
+
+
+def _momentum_squares(p: np.ndarray) -> np.ndarray:
+    """|p|^2 of momenta (n, 3), summed in index order as Python's sum; one
+    that overflows is inf."""
+    with np.errstate(over="ignore"):
+        return p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] + p[:, 2] * p[:, 2]
+
+
+def _null_gaps(rows: np.ndarray, mass_squares=None) -> tuple[np.ndarray, np.ndarray]:
+    """E^2 - |p|^2 - m^2 of momentum rows (n, 5) = (E, p1, p2, p3, m), and
+    E^2; mass_squares, when given, are the masses' _squares."""
+    energy_squares = _squares(rows[:, 0])
+    if mass_squares is None:
+        mass_squares = _squares(rows[:, 4])
+    return energy_squares - _momentum_squares(rows[:, 1:4]) - mass_squares, energy_squares
+
+
+def _checked_momenta(rows: np.ndarray, mass_squares=None) -> np.ndarray:
+    """Momentum rows (n, 5), returned once every row is finite, has m >= 0
+    and is null within 1e-12 max(1, E^2); ValueError otherwise."""
+    if not np.isfinite(rows).all():
+        raise ValueError("energy, momentum and mass must be finite")
+    if (rows[:, 4] < 0).any():
+        raise ValueError("mass must be nonnegative")
+    gap, energy_squares = _null_gaps(rows, mass_squares)
+    off = np.abs(gap) > 1e-12 * np.maximum(1.0, energy_squares)
+    if off.any():
+        raise ValueError(f"momentum is not null: E^2 - p^2 - m^2 = {gap[off][0]:.3e}")
+    return rows
+
+
+def _placed_rows(rows: np.ndarray, masks: list[int]) -> np.ndarray:
+    """Momentum rows (..., 5) at the given blade masks, zero elsewhere."""
+    out = np.full(rows.shape[:-1] + (N_BLADES,), -0.0)
+    out[..., masks] = rows
+    # + 0.0 turns -0.0 into 0.0, as the sum of the five terms x * blade
+    # does unless all five numbers of the row carry a minus sign
+    return out + np.where(np.signbit(rows).all(axis=-1), -0.0, 0.0)[..., None]
+
+
+def _momentum_rows(momenta: np.ndarray, masses: np.ndarray):
+    """The momenta MomentumVector.from_mass_momentum builds from momenta
+    (n, 3) and masses (n,), as rows (n, 5) = (E, p1, p2, p3, m), with their
+    wave amplitudes (n, 32) and phase gradients (n, 5); each row equals its
+    one-momentum value bit for bit, and a row MomentumVector would reject
+    raises its ValueError."""
+    p = np.asarray(momenta, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    mass_squares = _squares(masses)
+    energy = np.sqrt(_momentum_squares(p) + mass_squares)
+    rows = _checked_momenta(np.column_stack([energy, p, masses]), mass_squares)
+    return rows, _placed_rows(rows, _AMPLITUDE_LAYOUT), rows * _PHASE_SIGNS
 
 
 @dataclass(frozen=True)
@@ -68,13 +131,7 @@ class MomentumVector:
         object.__setattr__(self, "momentum", p)
         object.__setattr__(self, "energy", float(self.energy))
         object.__setattr__(self, "mass", float(self.mass))
-        if not all(math.isfinite(v) for v in (self.energy, *p, self.mass)):
-            raise ValueError("energy, momentum and mass must be finite")
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
-        gap = self.null_gap
-        if abs(gap) > 1e-12 * max(1.0, self.energy**2):
-            raise ValueError(f"momentum is not null: E^2 - p^2 - m^2 = {gap:.3e}")
+        _checked_momenta(self._row[None])
 
     @classmethod
     def from_mass_momentum(
@@ -86,31 +143,27 @@ class MomentumVector:
 
     @property
     def null_gap(self) -> float:
-        return _square(self.energy) - sum(q * q for q in self.momentum) - _square(self.mass)
+        return float(_null_gaps(self._row[None])[0][0])
+
+    @property
+    def _row(self) -> np.ndarray:
+        """(E, p1, p2, p3, m) as one momentum row."""
+        return np.array([self.energy, *self.momentum, self.mass])
 
     @property
     def phase_gradient(self) -> np.ndarray:
         """Partial derivatives of the phase: (-E, p1, p2, p3, m)."""
-        return np.array([-self.energy, *self.momentum, self.mass])
+        return self._row * _PHASE_SIGNS
 
     @property
     def vector(self) -> Multivector:
         """u = E e0 + p_k ek + m e4; squares to the null gap."""
-        return self._placed(_VECTOR_MASKS)
+        return Multivector._wrap(_placed_rows(self._row, _VECTOR_MASKS))
 
     @property
     def amplitude(self) -> Multivector:
         """Wave amplitude E + p_k e0k + m e04, equal to u times -e0."""
-        return self._placed(_AMPLITUDE_LAYOUT)
-
-    def _placed(self, masks: list[int]) -> Multivector:
-        """(E, p1, p2, p3, m) at the given blade masks, zero elsewhere."""
-        values = np.array([self.energy, *self.momentum, self.mass])
-        row = np.full(N_BLADES, -0.0)
-        row[masks] = values
-        # + 0.0 turns -0.0 into 0.0, as the sum of the five terms x * blade
-        # does unless all five numbers carry a minus sign
-        return Multivector._wrap(row + (-0.0 if np.signbit(values).all() else 0.0))
+        return Multivector._wrap(_placed_rows(self._row, _AMPLITUDE_LAYOUT))
 
 
 def _points(x) -> np.ndarray:

@@ -508,6 +508,32 @@ def test_exp_series_fallback():
     assert (result - acc).max_abs() <= 1e-14
 
 
+def test_near_simple_bivectors_take_the_series():
+    # the square of 2 e12 + 1e-12 e34 is a scalar within 1e-12 but not within
+    # rounding; the closed form in that scalar would miss the e1234 term
+    # 1e-12 sin 2 and the e34 term's cos 2, about 9e-13 each, while the
+    # commuting planes factor exactly
+    b = 2.0 * e(1, 2) + 1e-12 * e(3, 4)
+    want = (math.cos(2.0) + math.sin(2.0) * e(1, 2)) * (1.0 + 1e-12 * e(3, 4))
+    assert (mv_exp(b) - want).max_abs() <= 1e-15
+    # at a large norm the series does not converge in 64 terms, as for any
+    # bivector of that norm whose square is not a scalar
+    for far in (30.0 * e(1, 2) + 1e-12 * e(3, 4), 30.0 * e(1, 2) + 1.0 * e(3, 4)):
+        with pytest.raises(ArithmeticError, match="64 terms"):
+            mv_exp(far)
+    # an exactly simple one keeps its closed form
+    rotor = math.cos(30.0) + math.sin(30.0) * e(1, 2)
+    assert (mv_exp(30.0 * e(1, 2)) - rotor).max_abs() <= 1e-15
+    # and so does a simple bivector u ^ v whose rounded coefficients leave a
+    # non-scalar part of a few units of 2**-52 in its square
+    u, v = e(1) + 0.3 * e(2) - 0.7 * e(3), 0.2 * e(1) - e(2) + 0.9 * e(4)
+    simple = 0.6 * (u ^ v)
+    sq = (simple * simple).coeffs
+    assert 0.0 < np.max(np.abs(sq[1:])) <= algebra._CLOSED_FORM_GAP * np.max(np.abs(sq))
+    theta = math.sqrt(-sq[0])
+    assert mv_exp(simple) == math.cos(theta) + simple * (math.sin(theta) / theta)
+
+
 def test_exp_divergent_raises():
     with pytest.raises(ArithmeticError):
         mv_exp(40.0 * ONE + 40.0 * e(0))
@@ -587,7 +613,8 @@ def _loop_exp(b):
         raise ValueError("exponential undefined: non-finite coefficient")
     sq = (b * b).coeffs
     s = sq[0]
-    if float(np.max(np.abs(sq[1:]))) <= 1e-12 * float(np.max(np.abs(sq))):
+    limit = algebra._CLOSED_FORM_GAP * max(1.0, math.sqrt(abs(s)))
+    if float(np.max(np.abs(sq[1:]))) <= limit * float(np.max(np.abs(sq))):
         if s == 0.0:
             return ONE + b
         if s < 0.0:
@@ -677,7 +704,8 @@ def _mixed_rows():
 def test_exp_rows_equal_the_loop_on_every_branch():
     rows = _mixed_rows()
     sq = _product(_FULL, rows, rows)
-    scalar = np.max(np.abs(sq[:, 1:]), axis=1) <= 1e-12 * np.max(np.abs(sq), axis=1)
+    limit = algebra._CLOSED_FORM_GAP * np.maximum(1.0, np.sqrt(np.abs(sq[:, 0])))
+    scalar = np.max(np.abs(sq[:, 1:]), axis=1) <= limit * np.max(np.abs(sq), axis=1)
     branches = Counter(np.where(scalar, np.sign(sq[:, 0]), 2.0).tolist())
     assert branches == {-1.0: 60, 1.0: 60, 0.0: 60, 2.0: 120}
     want = _loop_rows(rows)
@@ -774,3 +802,19 @@ def test_worst_is_max_on_finite_samples_and_nan_with_one_more(samples, data):
     assert type(got) is float and got == max(samples)
     at = data.draw(st.integers(0, len(samples)))
     assert math.isnan(_worst(samples[:at] + [math.nan] + samples[at:]))
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_row_norms_are_np_linalg_norm_byte_for_byte(complex_rows):
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(2000, 4)) * np.exp(rng.uniform(-30.0, 30.0, (2000, 1)))
+    if complex_rows:
+        rows = rows + 1j * rng.normal(size=(2000, 4))
+    rows[:3] = [0.0, -0.0, 5e-324, 0.0], [-0.0, -0.0, -0.0, -0.0], [1e-300, 0.0, 0.0, -1e-300]
+    # contiguous rows, and the rows of a strided view as a column slice gives them
+    wide = np.zeros((2000, 4, 2), dtype=rows.dtype)
+    wide[..., 0] = rows
+    for batch in (rows, wide[..., 0], rows[::-1]):
+        want = np.array([np.linalg.norm(row) for row in batch])
+        assert algebra._norms(batch).tobytes() == want.tobytes()
+        assert algebra._norms(batch.reshape(40, 50, 4)).tobytes() == want.reshape(40, 50).tobytes()

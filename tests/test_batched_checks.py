@@ -14,9 +14,16 @@ from ga41 import Multivector, ONE, checks
 from ga41.algebra import e
 from ga41.checks import CheckContext, _check_rng, check_definitions, run_checks
 from ga41.algebra import _scalar_products
-from ga41.dirac import build_dirac_operator
-from ga41.frames import build_frame
-from ga41.monogenic import MomentumVector, _axis_sum
+from ga41.dirac import build_dirac_operator, dirac_system, order_eigensystem
+from ga41.frames import GaugeField, build_frame, gauge_covariance_residual, phase_shift_residual
+from ga41.matrices import from_matrix
+from ga41.monogenic import (
+    MomentumVector,
+    _axis_sum,
+    harmonic_field,
+    plane_wave,
+    reduced_vector_derivative,
+)
 from ga41.projectors import build_e_set, build_f_set
 
 # -- the per-sample loops the checks replaced, kept as references ----------
@@ -63,9 +70,26 @@ def _old_null_annihilation(ctx):
         yield (k.amplitude - u * (-1.0 * e(0))).max_abs()
 
 
+def _old_random_momentum(rng, min_mass=0.01, min_p=0.0):
+    mass = rng.uniform(min_mass, 5.0)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    radius = rng.uniform(min_p, 4.9)
+    return MomentumVector.from_mass_momentum(radius * direction, mass)
+
+
+def _old_momenta_and_points(ctx, count, shape, **momentum_kw):
+    momenta, points = [], []
+    for _ in range(count):
+        momenta.append(_old_random_momentum(ctx.rng, **momentum_kw))
+        points.append(ctx.rng.uniform(-1.0, 1.0, shape + (5,)))
+    amplitudes = np.array([k.amplitude.coeffs for k in momenta])
+    return momenta, amplitudes, np.array([k.phase_gradient for k in momenta]), np.array(points)
+
+
 def _old_dirac_spectrum(ctx):
     for _ in range(200):
-        k = checks._random_momentum(ctx.rng, min_mass=0.05)
+        k = _old_random_momentum(ctx.rng, min_mass=0.05)
         vals = np.linalg.eigvalsh(build_dirac_operator(k))
         want = np.array([-k.energy, -k.energy, k.energy, k.energy])
         yield float(np.max(np.abs(vals - want)))
@@ -104,6 +128,68 @@ def _old_frame_duality(ctx, accept=lambda n: True):
     yield from np.max(np.abs(combo - vectors), axis=-1).ravel()
 
 
+def _old_lambda_involution(ctx):
+    for _ in range(50):
+        k = _old_random_momentum(ctx.rng, min_mass=0.05)
+        system = order_eigensystem(dirac_system(k))
+        lam_inv = np.diag(1.0 / np.diag(system.lam))
+        diff = k.energy**2 * lam_inv - system.lam
+        yield float(np.max(np.abs(diff)))
+
+
+def _old_psi_determinism(ctx):
+    for _ in range(5):
+        k = _old_random_momentum(ctx.rng, min_mass=0.05)
+        first = order_eigensystem(dirac_system(k))
+        second = order_eigensystem(dirac_system(k))
+        same = np.array_equal(first.psi_bar, second.psi_bar) and np.array_equal(
+            first.lam, second.lam
+        )
+        yield 0.0 if same else 1.0
+
+
+def _old_column_parts(system, index):
+    column = np.zeros((4, 4), dtype=complex)
+    column[:, index] = system.psi_bar[:, index]
+    lam = float(np.real(system.lam[index, index]))
+    return from_matrix(column).coeffs, np.array([-lam, *system.k.momentum, 0.0])
+
+
+def _old_dirac_column_fields(ctx):
+    momenta, _, _, points = _old_momenta_and_points(ctx, 20, (4, 2), min_mass=0.05)
+    systems = (order_eigensystem(dirac_system(k)) for k in momenta)
+    amplitudes, grads = zip(*(_old_column_parts(s, index) for s in systems for index in range(4)))
+    masses = np.repeat([k.mass for k in momenta], 4)[:, None]
+    waves = harmonic_field(np.array(amplitudes), np.array(grads))
+    rows = reduced_vector_derivative(waves, points.reshape(-1, 2, 5), masses)
+    yield from checks._residuals(rows.reshape(-1, 32))
+
+
+def _old_gauge_cases(ctx, min_mass):
+    for _ in range(2):
+        k = _old_random_momentum(ctx.rng, min_mass=min_mass)
+        coefs = ctx.rng.uniform(-0.8, 0.8, 4)
+        potential = ctx.rng.uniform(-1.0, 1.0, 4)
+        field = GaugeField(
+            potential,
+            charge=-1.0,
+            mass=k.mass,
+            phase=lambda x, c=coefs: float(c @ x[:4]),
+            phase_gradient=lambda x, c=coefs: np.array([*c, 0.0]),
+        )
+        yield plane_wave(k), field, ctx.rng.uniform(-1.0, 1.0, (3, 5))
+
+
+def _old_nonmonogenic_identity(ctx):
+    for wave, field, points in _old_gauge_cases(ctx, min_mass=0.1):
+        yield phase_shift_residual(wave, field, points)
+
+
+def _old_em_covariance(ctx):
+    for wave, field, points in _old_gauge_cases(ctx, min_mass=0.5):
+        yield gauge_covariance_residual(wave, field, points)
+
+
 OLD_LOOPS = {
     "exp_closed_forms": _old_exp_closed_forms,
     "rotor_unitarity": _old_rotor_unitarity,
@@ -111,6 +197,11 @@ OLD_LOOPS = {
     "dirac_spectrum": _old_dirac_spectrum,
     "sets_not_aligned": _old_sets_not_aligned,
     "frame_duality": _old_frame_duality,
+    "lambda_involution": _old_lambda_involution,
+    "psi_determinism": _old_psi_determinism,
+    "dirac_column_fields": _old_dirac_column_fields,
+    "nonmonogenic_identity": _old_nonmonogenic_identity,
+    "em_covariance": _old_em_covariance,
 }
 
 
@@ -128,6 +219,21 @@ def _samples(name, seed=0):
 def test_batched_samples_are_the_old_loops_samples_byte_for_byte(name, seed):
     want = np.fromiter(OLD_LOOPS[name](_context(name, seed)), dtype=float)
     assert _samples(name, seed).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "count, shape, kw",
+    [(100, (2,), {}), (5, (), {}), (50, (4, 2), {"min_mass": 0.1, "min_p": 0.1}),
+     (20, (4, 2), {"min_mass": 0.05})],
+)
+def test_momenta_and_points_are_the_old_draws_byte_for_byte(seed, count, shape, kw):
+    # the draws of monogenic_residual, derivative_order,
+    # phase_sign_exclusivity and dirac_column_fields
+    momenta, *want = _old_momenta_and_points(_context("x", seed), count, shape, **kw)
+    rows, *got = checks._momenta_and_points(_context("x", seed), count, shape, **kw)
+    assert rows.tobytes() == np.array([[k.energy, *k.momentum, k.mass] for k in momenta]).tobytes()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 #: (check, checks._product calls, eigvalsh calls, samples)
@@ -243,3 +349,57 @@ def test_frame_duality_accepts_the_first_candidates_in_draw_order(monkeypatch):
     want = _old_frame_duality(_context("frame_duality", 0), accept=lambda n: n[0, 0] <= 1.1)
     assert _samples("frame_duality").tobytes() == np.fromiter(want, dtype=float).tobytes()
     assert calls == [100, 100]
+
+
+#: (check, samples, the calls of the momentum, operator, eigensystem and
+#: inverse-map kernels with the shape of their first argument)
+EIGENSYSTEM_CHECKS = (
+    ("dirac_spectrum", 200, [("_momentum_rows", (200, 3)), ("_operators", (200, 5))]),
+    ("lambda_involution", 50, [("_momentum_rows", (50, 3)), ("_eigensystems", (50, 5))]),
+    (
+        "psi_determinism",
+        5,
+        [("_momentum_rows", (5, 3)), ("_eigensystems", (5, 5)), ("_eigensystems", (5, 5))],
+    ),
+    (
+        "dirac_column_fields",
+        20 * 4 * 2,
+        [
+            ("_momentum_rows", (20, 3)),
+            ("_eigensystems", (20, 5)),
+            ("_from_matrices", (20, 4, 4, 4)),
+        ],
+    ),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name, samples, kernels", EIGENSYSTEM_CHECKS)
+def test_eigensystem_checks_make_one_kernel_call_per_stage(
+    monkeypatch, seed, name, samples, kernels
+):
+    # however many momenta a check draws, each stage is one call on all of them
+    from ga41 import dirac, monogenic
+
+    calls = []
+
+    def counted(module, label):
+        real = getattr(module, label)
+
+        def wrapper(*args):
+            calls.append((label, args[0].shape))
+            return real(*args)
+
+        monkeypatch.setattr(module, label, wrapper)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-momentum constructor was called")
+
+    for label in ("_momentum_rows", "_eigensystems", "_operators"):
+        counted(checks, label)
+    counted(dirac, "_from_matrices")
+    monkeypatch.setattr(monogenic.MomentumVector, "__post_init__", forbidden)
+    for fn in ("dirac_system", "order_eigensystem", "build_dirac_operator"):
+        monkeypatch.setattr(dirac, fn, forbidden)
+    assert _samples(name, seed).size == samples
+    assert calls == kernels

@@ -1,11 +1,12 @@
 """Momentum-space wave operator: solver, ordering, and crosschecks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ga41 import MomentumVector
+from ga41 import MomentumVector, dirac
 from ga41.dirac import (
     DiracSystem,
     SPIN_IMAGES,
@@ -15,7 +16,8 @@ from ga41.dirac import (
     geometric_matrix_crosscheck,
     order_eigensystem,
 )
-from ga41.monogenic import reduced_vector_derivative
+from ga41.matrices import ALPHA, BETA, _half_projector, from_matrix
+from ga41.monogenic import harmonic_field, reduced_vector_derivative
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -165,20 +167,18 @@ def test_ordering_validation():
 
 
 def test_ordering_returns_the_closed_form_built_once(monkeypatch):
-    from ga41 import dirac
-
     calls = []
-    real = dirac._eigencolumns
+    real = dirac._eigensystems
 
-    def counted(k, a_bar):
-        calls.append(k)
-        return real(k, a_bar)
+    def counted(rows):
+        calls.append(rows.tolist())
+        return real(rows)
 
-    monkeypatch.setattr(dirac, "_eigencolumns", counted)
+    monkeypatch.setattr(dirac, "_eigensystems", counted)
     k = MomentumVector.from_mass_momentum((0.3, -1.2, 0.8), 0.7)
     system = dirac_system(k)
     assert order_eigensystem(system) is system
-    assert calls == [k]
+    assert calls == [[[k.energy, *k.momentum, k.mass]]]
 
 
 def test_phase_convention_leading_component():
@@ -250,3 +250,132 @@ def test_column_wave_rejects_a_non_integer_index():
         with pytest.raises(ValueError):
             column_wave(system, index)
     assert column_wave(system, np.int64(2))(np.zeros(5)) == column_wave(system, 2)(np.zeros(5))
+
+
+# -- the stacked eigensystem kernel against the per-momentum code it replaced
+
+
+def _old_operator(k):
+    p1, p2, p3 = k.momentum
+    return p1 * ALPHA[0] + p2 * ALPHA[1] + p3 * ALPHA[2] + k.mass * BETA
+
+
+def _old_spin_operator(k):
+    p = np.array(k.momentum)
+    norm = float(np.linalg.norm(p))
+    if norm == 0.0:
+        return SPIN_IMAGES[2].copy()
+    unit = p / norm
+    return unit[0] * SPIN_IMAGES[0] + unit[1] * SPIN_IMAGES[1] + unit[2] * SPIN_IMAGES[2]
+
+
+def _old_dirac_system(k):
+    """(a_bar, psi_bar, lam) of one momentum, one projector at a time."""
+    energy = k.energy
+    if energy == 0.0:
+        raise ValueError("the momentum operator vanishes at E = 0")
+    a_bar = _old_operator(k)
+    energy_halves, spin_halves = (
+        [_half_projector(m, sign) for sign in (1, -1)]
+        for m in (a_bar / energy, _old_spin_operator(k))
+    )
+    psi = np.empty((4, 4), dtype=complex)
+    for j, proj in enumerate(a @ b for a in energy_halves for b in spin_halves):
+        col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+        lead = col[int(np.argmax(np.abs(col)))]
+        col = col * (np.conj(lead) / abs(lead))
+        psi[:, j] = col / np.linalg.norm(col)
+    lam = np.diag([energy, energy, -energy, -energy]).astype(complex)
+    return a_bar, psi, lam
+
+
+def _pin_momenta():
+    """p = 0, p = -0.0, tiny and axis-aligned p, and random p, with masses
+    from 0 to 5, on both energy branches; E = 0 left out."""
+    rng = np.random.default_rng(18)
+    momenta = [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (1e-300, 0.0, 0.0),
+               (0.0, -5e-324, 0.0), (1e-300, -1e-300, 5e-324), (0.0, 0.0, 2.0), (0.0, -1.5, 0.0),
+               (3.0, 0.0, 0.0), (0.0, 0.0, -0.0)]
+    momenta += [tuple(rng.normal(size=3) * rng.uniform(0.0, 4.9)) for _ in range(60)]
+    out = []
+    for p in momenta:
+        for mass in (0.0, -0.0, 0.05, 1.0, 2.5, 5.0, float(rng.uniform(0.05, 5.0))):
+            for negative in (False, True):
+                k = MomentumVector.from_mass_momentum(p, mass, negative_energy=negative)
+                if k.energy != 0.0:
+                    out.append(k)
+    return out
+
+
+def _rows(momenta):
+    return np.array([[k.energy, *k.momentum, k.mass] for k in momenta])
+
+
+def _bytes(arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def test_the_eigensystem_kernel_equals_the_per_momentum_code_byte_for_byte():
+    momenta = _pin_momenta()
+    got = dirac._eigensystems(_rows(momenta))
+    assert all(a.shape == (len(momenta), 4, 4) and a.dtype == complex for a in got)
+    for i, k in enumerate(momenta):
+        want = _old_dirac_system(k)
+        assert _bytes(a[i] for a in got) == _bytes(want), k
+        system = dirac_system(k)
+        assert _bytes((system.a_bar, system.psi_bar, system.lam)) == _bytes(want), k
+        assert _bytes([build_dirac_operator(k)]) == _bytes(want[:1]), k
+
+
+def test_the_eigensystem_kernel_on_no_rows_and_one_row():
+    assert [a.shape for a in dirac._eigensystems(np.zeros((0, 5)))] == [(0, 4, 4)] * 3
+    k = MomentumVector.from_mass_momentum((0.3, -1.2, 0.8), 0.7)
+    assert _bytes(a[0] for a in dirac._eigensystems(_rows([k]))) == _bytes(_old_dirac_system(k))
+
+
+def test_the_eigensystem_kernel_raises_at_zero_energy_on_any_row():
+    good = MomentumVector.from_mass_momentum((0.3, -1.2, 0.8), 0.7)
+    rest = MomentumVector(0.0, (0.0, 0.0, 0.0), 0.0)
+    for momenta in ([rest], [good, rest], [good, good, rest, good]):
+        with pytest.raises(ValueError, match="vanishes at E = 0"):
+            dirac._eigensystems(_rows(momenta))
+
+
+def test_the_row_guards_are_those_of_order_eigensystem():
+    k = MomentumVector.from_mass_momentum((0.5, -1.0, 2.0), 1.0)
+    neg = MomentumVector.from_mass_momentum((0.5, -1.0, 2.0), 1.0, negative_energy=True)
+    rows = _rows([k, neg, k])
+    _, _, lam = dirac._eigensystems(rows)
+    dirac._check_ordered(rows[[0, 2], 0], lam[[0, 2]])
+    with pytest.raises(ValueError, match="positive-energy branch") as want:
+        order_eigensystem(dirac_system(neg))
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        dirac._check_ordered(rows[:, 0], lam)
+    for diag in ([1.0, 1.0, 1.0, -1.0], [1.0, math.nan, -1.0, -1.0]):
+        fake = DiracSystem(k, np.eye(4), np.eye(4), np.diag(diag))
+        with pytest.raises(ArithmeticError, match="doubled") as want:
+            order_eigensystem(fake)
+        bad = lam.copy()
+        bad[1] = fake.lam
+        with pytest.raises(ArithmeticError, match=re.escape(str(want.value))):
+            dirac._check_ordered(rows[[0, 0, 2], 0], bad)
+
+
+def test_the_column_parts_of_a_stack_are_each_system_s_own():
+    momenta = _pin_momenta()[::7]
+    _, psi, lam = dirac._eigensystems(_rows(momenta))
+    lam = np.real(np.diagonal(lam, axis1=1, axis2=2))
+    amplitudes, grads = dirac._column_parts(psi, lam, _rows(momenta)[:, 1:4])
+    assert amplitudes.shape == (len(momenta), 4, 32) and grads.shape == (len(momenta), 4, 5)
+    for i, k in enumerate(momenta):
+        system = dirac_system(k)
+        for index in range(4):
+            column = np.zeros((4, 4), dtype=complex)
+            column[:, index] = system.psi_bar[:, index]
+            want = from_matrix(column).coeffs
+            grad = np.array([-float(np.real(system.lam[index, index])), *k.momentum, 0.0])
+            assert _bytes([amplitudes[i, index], grads[i, index]]) == _bytes([want, grad])
+            field = column_wave(system, index)
+            assert _bytes([field(np.full(5, 0.3)).coeffs]) == _bytes(
+                [harmonic_field(want, grad)(np.full(5, 0.3)).coeffs]
+            )

@@ -78,11 +78,13 @@ def test_column_parts_match_the_selector_product():
                 if k.energy == 0.0:
                     continue
                 system = dirac_system(k)
+                lam = np.real(np.diag(system.lam))
+                amplitudes, _ = _column_parts(system.psi_bar, lam, np.array(k.momentum))
                 for index in range(4):
                     selector = np.zeros((4, 4), dtype=complex)
                     selector[index, index] = 1.0
                     want = from_matrix(np.asarray(system.psi_bar) @ selector).coeffs
-                    assert _same_bits(_column_parts(system, index)[0], want)
+                    assert _same_bits(amplitudes[index], want)
 
 
 def _sym(i, j):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ga41 import (
@@ -311,10 +311,53 @@ def test_grade_involution_image_is_the_conjugate_conjugated_by_d(coeffs):
     st.sampled_from([SPATIAL_PLANES, ALL_PLANES]),
     st.lists(st.floats(-1.5, 1.5), min_size=10, max_size=10),
 )
+# near-simple bivectors whose square is within 1e-12 of a scalar, but not
+# within rounding: e02 + e04 + 1e-12 e34 and e14 + 2.02e-13 e23
+@example(ALL_PLANES, [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-12])
+@example(SPATIAL_PLANES, [0.0, 0.0, 1.0, 2.02e-13, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 def test_exp_image_is_the_matrix_exponential(planes, values):
     coeffs = np.zeros(N)
     coeffs[planes] = values[: len(planes)]
     assert _exp_gap(Multivector(coeffs)) <= EXP_BOUND
+
+
+def _wedges(spread, norm, count=100):
+    """count rounded simple bivectors u ^ v scaled to the coefficient norm,
+    u standard normal and v = u + spread w with w standard normal: the
+    smaller the spread, the nearer parallel u and v and the larger the
+    non-scalar part that rounding leaves in the square."""
+    out = []
+    for u, w in np.random.default_rng(3).normal(size=(count, 2, 5)):
+        b = sum(x * e(i) for i, x in enumerate(u)) ^ sum(
+            x * e(i) for i, x in enumerate(u + spread * w)
+        )
+        out.append(b * (norm / np.linalg.norm(b.coeffs)))
+    return out
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("norm", [1.0, 4.7])
+def test_exp_of_drawn_wedges_is_the_matrix_exponential(norm, spread):
+    # the closed form where the gate admits it, the series elsewhere; a gate
+    # of 1e-12 on the square misses the bound on 56 (norm 1) and 73 (norm
+    # 4.7) of the 100 at spread 1e-4
+    assert max(_exp_gap(b) for b in _wedges(spread, norm)) <= EXP_BOUND
+
+
+@pytest.mark.parametrize(("spread", "raising"), [(1.0, 0), (1e-2, 1), (1e-4, 35)])
+def test_exp_of_drawn_wedges_at_norm_20(spread, raising):
+    # until non-simple bivectors get a closed form, a wedge the gate turns
+    # away from the closed form goes to the series, which at this norm
+    # either returns a finite value or raises its ArithmeticError; the
+    # nearer parallel u and v, the more of them raise
+    raised = 0
+    for b in _wedges(spread, 20.0):
+        try:
+            assert np.isfinite(b.exp().coeffs).all()
+        except ArithmeticError as err:
+            assert "64 terms" in str(err)
+            raised += 1
+    assert raised == raising
 
 
 def _ten_term_series(rows):

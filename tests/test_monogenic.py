@@ -14,6 +14,8 @@ from ga41 import MomentumVector, MultivectorField, Multivector, ONE, e, plane_wa
 from ga41.algebra import PSEUDOSCALAR
 from ga41.dirac import column_wave, dirac_system, order_eigensystem
 from ga41.frames import GaugeField, build_frame, covariant_derivative, gauge_transform
+from ga41 import monogenic
+from ga41.algebra import N_BLADES, _VECTOR_MASKS
 from ga41.monogenic import (
     FLAGGED_MASKS,
     harmonic_field,
@@ -663,3 +665,117 @@ def test_separable_wavepacket_takes_exactly_energy_and_mass():
         with pytest.raises(ValueError, match=r"\(E, m\)"):
             separable_wavepacket(spatial, k)
     assert separable_wavepacket(spatial, np.array([1.0, 1.0])) is not None
+
+
+# -- momenta as rows: one kernel call against the one-momentum constructors
+
+
+def _libm_squares_that_differ(count=6):
+    """Masses in [0.05, 5] whose Python square (libm pow) is not m * m."""
+    draws = np.random.default_rng(19).uniform(0.05, 5.0, 50_000).tolist()
+    found = [m for m in draws if m**2 != m * m]
+    assert len(found) >= count
+    return found[:count]
+
+
+def test_squares_are_python_s_not_numpy_s():
+    masses = np.array(_libm_squares_that_differ())
+    want = np.array([m**2 for m in masses.tolist()])
+    assert monogenic._squares(masses).tobytes() == want.tobytes()
+    # numpy's array square is m * m, which rounds differently here
+    assert not np.array_equal(masses**2, want)
+    assert monogenic._squares(np.zeros(0)).shape == (0,)
+    with pytest.raises(ValueError, match="too large to square"):
+        monogenic._squares(np.array([1.0, 1e200]))
+
+
+def _kernel_momenta():
+    rng = np.random.default_rng(20)
+    momenta = [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (1e-300, 0.0, -5e-324),
+               (0.0, 0.0, 2.0), (-3.0, -0.0, 0.0), (-1.0, -2.0, -2.0)]
+    momenta += [tuple(rng.normal(size=3) * rng.uniform(0.0, 4.9)) for _ in range(30)]
+    masses = [0.0, -0.0, 1e-300, 0.05, 1.0, 5.0, *_libm_squares_that_differ()]
+    return [(p, m) for p in momenta for m in masses]
+
+
+def test_momentum_rows_equal_the_one_momentum_values_byte_for_byte():
+    pairs = _kernel_momenta()
+    rows, amplitudes, grads = monogenic._momentum_rows(
+        np.array([p for p, _ in pairs]), np.array([m for _, m in pairs])
+    )
+    assert rows.shape == (len(pairs), 5) and amplitudes.shape == (len(pairs), N_BLADES)
+    for i, (p, m) in enumerate(pairs):
+        k = MomentumVector.from_mass_momentum(p, m)
+        assert rows[i].tobytes() == np.array([k.energy, *k.momentum, k.mass]).tobytes(), (p, m)
+        assert amplitudes[i].tobytes() == k.amplitude.coeffs.tobytes(), (p, m)
+        assert grads[i].tobytes() == k.phase_gradient.tobytes(), (p, m)
+
+
+def _old_placed(k, masks):
+    values = np.array([k.energy, *k.momentum, k.mass])
+    row = np.full(N_BLADES, -0.0)
+    row[masks] = values
+    return row + (-0.0 if np.signbit(values).all() else 0.0)
+
+
+def test_placed_rows_keep_the_signed_zero_rule_row_by_row():
+    # rows whose five numbers all carry a minus sign keep their -0.0 cells
+    momenta = [
+        MomentumVector(-0.0, (-0.0, -0.0, -0.0), -0.0),
+        MomentumVector(-math.sqrt(3.0), (-1.0, -1.0, -1.0), -0.0),
+        MomentumVector(-3.0, (-1.0, -2.0, -2.0), -0.0),
+        MomentumVector(-0.0, (0.0, -0.0, -0.0), -0.0),
+        MomentumVector(2.0, (0.0, -0.0, 0.0), 2.0),
+        MomentumVector(3.0, (-1.0, -2.0, -2.0), 0.0),
+        MomentumVector.from_mass_momentum((0.3, -1.2, 0.8), 0.7, negative_energy=True),
+    ]
+    rows = np.array([[k.energy, *k.momentum, k.mass] for k in momenta])
+    layouts = ((monogenic._AMPLITUDE_LAYOUT, "amplitude"), (_VECTOR_MASKS, "vector"))
+    for masks, attribute in layouts:
+        placed = monogenic._placed_rows(rows, masks)
+        for i, k in enumerate(momenta):
+            want = _old_placed(k, masks).tobytes()
+            assert placed[i].tobytes() == want
+            assert getattr(k, attribute).coeffs.tobytes() == want
+    assert np.signbit(monogenic._placed_rows(rows[:1], _VECTOR_MASKS)).all()
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [
+        ((math.nan, 0.0, 0.0), 1.0),
+        ((0.0, math.inf, 0.0), 1.0),
+        ((1e200, 0.0, 0.0), 1.0),
+        ((0.0, 0.0, 0.0), -1.0),
+        ((0.0, 0.0, 0.0), math.nan),
+        ((1.0, 0.0, 0.0), 1e200),
+    ],
+)
+def test_momentum_rows_reject_what_the_constructor_rejects(p, m):
+    with pytest.raises(ValueError) as want:
+        MomentumVector.from_mass_momentum(p, m)
+    good = ((0.3, -1.2, 0.8), 0.7)
+    with pytest.raises(ValueError) as got:
+        monogenic._momentum_rows(np.array([good[0], p, good[0]]), np.array([good[1], m, good[1]]))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (5.0, 3.0, 0.0, 0.0, 3.0),
+        (5.0, 3.0, 0.0, 0.0, -4.0),
+        (1e200, 0.0, 0.0, 0.0, 1.0),
+        (1.0, 1e200, 0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0, 0.0, math.inf),
+    ],
+)
+def test_checked_momenta_give_the_constructor_s_message(row):
+    with pytest.raises(ValueError) as want:
+        MomentumVector(row[0], row[1:4], row[4])
+    rows = np.array([(5.0, 3.0, 0.0, 0.0, 4.0), row])
+    with pytest.raises(ValueError) as got:
+        monogenic._checked_momenta(rows)
+    assert str(got.value) == str(want.value)
+    good = rows[:1]
+    assert monogenic._checked_momenta(good) is good

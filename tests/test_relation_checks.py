@@ -47,6 +47,36 @@ def _frames_with(change):
     return mutant
 
 
+def _eigensystems_with(change):
+    """The eigensystem kernel with change applied to its psi_bar and lam."""
+
+    def mutant(real):
+        def eigensystems(rows):
+            a_bar, psi_bar, lam = real(rows)
+            return (a_bar, *change(psi_bar, lam))
+
+        return eigensystems
+
+    return mutant
+
+
+def _second_call_one_unit_off(real):
+    """The eigensystem kernel whose second call moves one entry of each
+    psi_bar to the next float."""
+    calls = []
+
+    def eigensystems(rows):
+        a_bar, psi_bar, lam = real(rows)
+        calls.append(rows)
+        if len(calls) == 2:
+            psi_bar = psi_bar.copy()
+            corner = psi_bar[:, 0, 0]
+            psi_bar[:, 0, 0] = np.nextafter(corner.real, np.inf) + 1j * corner.imag
+        return a_bar, psi_bar, lam
+
+    return eigensystems
+
+
 def _doubled_first_generator(real):
     def generators(quadruple):
         l3, l8, l15 = real(quadruple)
@@ -77,7 +107,19 @@ MUTATIONS = (
     ("exp_closed_forms", "_exp_rows", lambda real: lambda rows: ONE.coeffs + rows),
     ("rotor_unitarity", "_exp_rows", lambda real: lambda rows: 2.0 * real(rows)),
     ("rotor_unitarity", "_REVERSE_SIGNS", lambda real: np.ones_like(real)),
-    ("dirac_spectrum", "build_dirac_operator", lambda real: lambda k: 2.0 * real(k)),
+    ("dirac_spectrum", "_operators", lambda real: lambda rows: 2.0 * real(rows)),
+    (
+        "lambda_involution",
+        "_eigensystems",
+        _eigensystems_with(lambda psi, lam: (psi, lam * (1.0 + 1e-9))),
+    ),
+    ("psi_determinism", "_eigensystems", _second_call_one_unit_off),
+    # the eigenvalues reordered (+E, -E, +E, -E): the phase of two columns flips
+    (
+        "dirac_column_fields",
+        "_eigensystems",
+        _eigensystems_with(lambda psi, lam: (psi, lam[:, [0, 2, 1, 3]][:, :, [0, 2, 1, 3]])),
+    ),
     # a repeated blade image: its Gram entry with the first is 4, not 0
     ("blade_images_span", "_BLADE_ROWS", lambda real: np.concatenate([real[:1], real[:-1]])),
     ("frame_duality", "_frames", _frames_with(lambda inv, rec: (inv, rec[:, ::-1]))),
