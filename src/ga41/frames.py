@@ -19,10 +19,12 @@ import numpy as np
 
 from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _product, _worst
 from .monogenic import AXES, MultivectorField, vector_derivative
-from .monogenic import _derivative_sum, _points, _result, _stacked, _stencil
+from .monogenic import _ALL_AXES, _derivative_sum, _points, _result, _stacked, _stencil
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
+#: signs raising the four potential components: ETA's diagonal
+_RAISE_SIGNS = np.diagonal(ETA)[:4]
 
 _COND_LIMIT = 1e12
 
@@ -48,11 +50,6 @@ def _vector_rows(components: np.ndarray) -> np.ndarray:
     rows = np.zeros(components.shape[:-1] + (N_BLADES,))
     rows[..., _VECTOR_MASKS] = components
     return rows + 0.0  # + 0.0 turns -0.0 into 0.0
-
-
-def _vectors(components: np.ndarray) -> tuple[Multivector, ...]:
-    """One vector per row of e-basis components."""
-    return tuple(map(Multivector._wrap, _vector_rows(components)))
 
 
 def _frames(mats: np.ndarray) -> tuple:
@@ -89,6 +86,17 @@ def _frames(mats: np.ndarray) -> tuple:
     return cond, faults, vectors, metric, inverse_metric, reciprocal
 
 
+def _point(x) -> np.ndarray:
+    """x as one point (5,) of finite coordinates; ValueError otherwise."""
+    try:
+        point = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        point = None
+    if point is None or point.shape != (AXES,) or not np.isfinite(point).all():
+        raise ValueError("point must be 5 finite coordinates")
+    return point
+
+
 def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
     """Frame of a coefficient tensor at a point.
 
@@ -99,12 +107,7 @@ def build_frame(n, x=(0.0, 0.0, 0.0, 0.0, 0.0)) -> Frame:
     it is singular (condition estimate included) or when the induced
     metric breaks the (-++++) signature pattern on its diagonal.
     """
-    try:
-        point = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        point = None
-    if point is None or point.shape != (AXES,) or not np.isfinite(point).all():
-        raise ValueError("point must be 5 finite coordinates")
+    point = _point(x)
     mat = np.asarray(n(point) if callable(n) else n, dtype=float)
     if mat.shape != (AXES, AXES):
         raise ValueError("index tensor must be 5x5")
@@ -159,24 +162,27 @@ class GaugeField:
             if g.shape != (AXES,):
                 raise ValueError("phase gradient must have five components")
             return g
-        _, plus, minus = _stencil(lambda xs: _stacked(self.phase, xs)[..., None], x, h)
-        return ((plus - minus) / (2.0 * h))[:, 0]
+        _, plus, minus = _stencil(lambda xs: _stacked(self.phase, xs)[..., None], x, (h,))
+        return ((plus - minus)[0] / (2.0 * h))[:, 0]
 
 
 def em_frame(field: GaugeField, x) -> Frame:
     """Frame whose reciprocal vectors are the orthonormal ones except
-    g^4 = e4-raised + (charge/mass) A_mu e^mu."""
+    g^4 = e4-raised + (charge/mass) A_mu e^mu.  Raises ValueError when
+    the point is not 5 finite coordinates or the mass is zero."""
+    point = _point(x)
     if field.mass == 0.0:
         raise ValueError("electromagnetic frame requires a nonzero mass")
-    a = field.potential_at(x)
+    a = field.potential_at(point)
     ratio = field.charge / field.mass
-    recip = np.eye(AXES)
-    recip[0, 0] = -1.0  # raised time axis flips under (-++++)
-    recip[4, :4] = ratio * a * np.array([-1.0, 1.0, 1.0, 1.0])
+    recip = ETA.copy()  # the raised orthonormal vectors: the time axis flips
+    recip[4, :4] = ratio * a * _RAISE_SIGNS
     inverse_metric = recip @ ETA @ recip.T
     direct = ETA @ np.linalg.inv(recip)  # column a: g_a components
     metric = direct.T @ ETA @ direct
-    return Frame(_vectors(direct.T), metric, inverse_metric, _vectors(recip))
+    vectors, reciprocal = _vector_rows(np.array([direct.T, recip]))
+    wrap = Multivector._wrap
+    return Frame(tuple(map(wrap, vectors)), metric, inverse_metric, tuple(map(wrap, reciprocal)))
 
 
 def covariant_derivative(
@@ -193,7 +199,7 @@ def covariant_derivative(
         recip = _stacked(lambda p: [v.coeffs for v in frame(p).reciprocal], x, (AXES, N_BLADES))
     else:
         recip = np.array([v.coeffs for v in frame.reciprocal])
-    return _result(x, _derivative_sum(field, x, h, recip, range(AXES)))
+    return _result(x, _derivative_sum(field, x, h, recip, _ALL_AXES))
 
 
 def _rotor_rows(betas) -> np.ndarray:

@@ -32,6 +32,9 @@ from .algebra import (
 
 AXES = 5
 _ALL_AXES = tuple(range(AXES))
+#: the unit steps e_a of the stencils, one row per axis
+_UNIT_STEPS = np.eye(AXES)
+_UNIT_STEPS.setflags(write=False)
 
 #: reciprocal orthonormal basis: index 0 flips sign under (-++++)
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
@@ -219,9 +222,29 @@ class MultivectorField:
         return self.value(x) if x.ndim == 1 else self._rows(x)
 
 
-def harmonic_field(amplitude, phase_gradient) -> MultivectorField:
-    """amplitude (a Multivector or its coefficients) times exp(pseudoscalar
-    g.x); amplitude rows (m, 32) and gradients (m, 5) make m waves at (m, ..., 5)."""
+def _lined_up(v: np.ndarray, xs: np.ndarray, family: bool) -> np.ndarray:
+    """Rows v (m, k) of a family with axes put in, so that row i meets row i
+    of the points xs (m, ..., 5); v itself for one wave."""
+    return v.reshape((len(v),) + (1,) * (xs.ndim - 2) + v.shape[-1:]) if family else v
+
+
+def _harmonic(xs: np.ndarray, grad: np.ndarray, *pairs) -> list[np.ndarray]:
+    """a cos(g.x) + b sin(g.x) at the points xs (..., 5) for each pair (a, b)
+    of amplitude rows, from one phase; gradients (m, 5) and rows (m, 32)
+    make a family, whose wave i meets row i of the points."""
+    family = grad.ndim == 2
+    p = (xs * _lined_up(grad, xs, family)).T
+    # g.x summed in axis order, so a row rounds alike in every batch
+    ph = (p[0] + p[1] + p[2] + p[3] + p[4]).T[..., None]
+    cos, sin = np.cos(ph), np.sin(ph)
+    return [_lined_up(a, xs, family) * cos + _lined_up(b, xs, family) * sin for a, b in pairs]
+
+
+def _wave_parts(amplitude, phase_gradient) -> tuple[np.ndarray, tuple, tuple]:
+    """harmonic_field's arguments, checked: the gradients g, and the pairs
+    (A, A I) and (A I, -A) of amplitude rows whose waves are the field and,
+    times g, its partials (A I cos - A sin, as A I cos + (-A) sin is the
+    same sum)."""
     amp = np.array(getattr(amplitude, "coeffs", amplitude), dtype=float)
     grad = np.array(phase_gradient, dtype=float)
     if grad.ndim not in (1, 2) or grad.shape[-1] != AXES or amp.shape != grad.shape[:-1] + (32,):
@@ -229,21 +252,19 @@ def harmonic_field(amplitude, phase_gradient) -> MultivectorField:
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(amp))):
         raise ValueError("amplitude and phase gradient must be finite")
     amp_i = _product(_FULL, amp, PSEUDOSCALAR.coeffs)
+    return grad, (amp, amp_i), (amp_i, -amp)
 
-    def lined_up(v, xs):  # wave i of a family meets row i of the points
-        return v.reshape((len(v),) + (1,) * (xs.ndim - 2) + v.shape[-1:]) if grad.ndim == 2 else v
 
-    def wave(xs, a, b) -> np.ndarray:
-        p = (xs * lined_up(grad, xs)).T
-        # g.x summed in axis order, so a row rounds alike in every batch
-        ph = (p[0] + p[1] + p[2] + p[3] + p[4]).T[..., None]
-        return lined_up(a, xs) * np.cos(ph) + lined_up(b, xs) * np.sin(ph)
+def harmonic_field(amplitude, phase_gradient) -> MultivectorField:
+    """amplitude (a Multivector or its coefficients) times exp(pseudoscalar
+    g.x); amplitude rows (m, 32) and gradients (m, 5) make m waves at (m, ..., 5)."""
+    grad, wave, turned = _wave_parts(amplitude, phase_gradient)
 
     def partials(xs) -> np.ndarray:
-        # a * cos - b * sin, as a * cos + (-b) * sin is the same sum
-        return wave(xs, amp_i, -amp)[..., None, :] * lined_up(grad, xs)[..., :, None]
+        (rows,) = _harmonic(xs, grad, turned)
+        return rows[..., None, :] * _lined_up(grad, xs, grad.ndim == 2)[..., :, None]
 
-    return MultivectorField(_rows=lambda xs: wave(xs, amp, amp_i), _partials=partials)
+    return MultivectorField(_rows=lambda xs: _harmonic(xs, grad, wave)[0], _partials=partials)
 
 
 def plane_wave(k: MomentumVector) -> MultivectorField:
@@ -295,17 +316,25 @@ def vector_derivative(
     return _result(x, _derivative_sum(field, x, h, _RECIPROCAL_ROWS, indices))
 
 
-def _stencil(f: Callable, x: np.ndarray, h: float, axes=range(AXES), center: bool = False):
-    """f at x + h e_a and at x - h e_a for the axes a in ``axes``, from one
-    call of f on the points stacked along axis -2: (centre, plus, minus)
-    with row i of plus and minus for axes[i], and f at x in centre if set."""
-    if not 0.0 < h < math.inf:
-        raise ValueError("step h must be finite and positive")
-    steps = h * np.eye(AXES)[list(axes)]
-    n = len(steps)
+def _stencil(f: Callable, x: np.ndarray, steps, axes=_ALL_AXES, center: bool = False):
+    """f at x + h e_a and at x - h e_a for each step h in ``steps`` and the
+    axes a in ``axes``, from one call of f on the points stacked along
+    axis -2: (centre, plus, minus), plus and minus (..., steps, axes, k)
+    with row [j, i] for steps[j] and axes[i], and f at x in centre
+    (..., 1, k) if set.  Every step must be finite and positive."""
+    for h in steps:
+        if not 0.0 < h < math.inf:
+            raise ValueError("step h must be finite and positive")
+    units = _UNIT_STEPS if axes is _ALL_AXES else _UNIT_STEPS[list(axes)]
+    shifts = np.asarray(steps, dtype=float)[:, None, None] * units
+    # x + (-s) is x - s in IEEE arithmetic, signed zeros included
+    shifts = np.concatenate([shifts, -shifts], axis=1).reshape(-1, AXES)
     x = x[..., None, :]
-    out = f(np.concatenate(([x] if center else []) + [x + steps, x - steps], axis=-2))
-    return out[..., : -2 * n, :], out[..., -2 * n : -n, :], out[..., -n:, :]
+    points = x + shifts
+    out = f(np.concatenate([x, points], axis=-2) if center else points)
+    c = int(center)
+    rest = out[..., c:, :].reshape(out.shape[:-2] + (len(steps), 2, len(units), out.shape[-1]))
+    return out[..., :c, :], rest[..., 0, :, :], rest[..., 1, :, :]
 
 
 def _axis_sum(terms: np.ndarray) -> np.ndarray:
@@ -322,16 +351,21 @@ def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.nd
     analytic for h = None, else central differences with step h."""
     if h is None and field._partials is None:
         raise ValueError("field has no analytic derivative; pass a step h")
-    indices = list(indices)
-    if not indices:
-        return np.zeros(x.shape[:-1] + (N_BLADES,))
+    every = indices is _ALL_AXES
+    if not every:
+        indices = list(indices)
+        if not indices:
+            return np.zeros(x.shape[:-1] + (N_BLADES,))
+        reciprocal = reciprocal[..., indices, :]
     if h is None:
         # x as a one-point stack along axis -2, so that one point has a leading axis too
-        diffs = field._partials(x[..., None, :])[..., 0, indices, :]
+        diffs = field._partials(x[..., None, :])[..., 0, :, :]
+        if not every:
+            diffs = diffs[..., indices, :]
     else:
-        _, plus, minus = _stencil(field._rows, x, h, indices)
-        diffs = (plus - minus) / (2.0 * h)
-    return _axis_sum(_product(_FULL, reciprocal[..., indices, :], diffs))
+        _, plus, minus = _stencil(field._rows, x, (h,), indices)
+        diffs = (plus - minus)[..., 0, :, :] / (2.0 * h)
+    return _axis_sum(_product(_FULL, reciprocal, diffs))
 
 
 def laplacian(
@@ -339,16 +373,18 @@ def laplacian(
 ) -> Multivector | np.ndarray:
     """Second-order operator -d2/dt2 + sum_i d2/dxi2 by central
     differences; richardson=True combines steps h and h/2 to cancel the
-    leading truncation term.  Points as in vector_derivative."""
-    if richardson:
-        coarse = laplacian(field, x, h)
-        fine = laplacian(field, x, h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
+    leading truncation term, from one field call on the centre and both
+    stencils.  Points as in vector_derivative."""
     x = _points(x)
-    center, plus, minus = _stencil(field._rows, x, h, center=True)
-    second = (plus - 2.0 * center + minus) / (h * h)
+    steps = (h, h / 2.0) if richardson else (h,)
+    center, plus, minus = _stencil(field._rows, x, steps, center=True)
+    hs = np.asarray(steps, dtype=float)[:, None, None]
+    second = (plus - 2.0 * center[..., None, :, :] + minus) / (hs * hs)
     second[..., 0, :] = -second[..., 0, :]
-    return _result(x, _axis_sum(second))
+    sums = _axis_sum(second)
+    if richardson:
+        return _result(x, (4.0 * sums[..., 1, :] - sums[..., 0, :]) / 3.0)
+    return _result(x, sums[..., 0, :])
 
 
 def reduced_vector_derivative(
@@ -463,24 +499,31 @@ def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
     expos, coeffs = np.array(_monomials(degree))[keep], coeffs[keep]
     flagged = not np.any(np.delete(coeffs, FLAGGED_MASKS, axis=1))
 
-    def rows_of(factors, expos, xs) -> np.ndarray:
+    def powers_of(xs) -> np.ndarray:
         # powers by repeated products, which round alike on every platform
         x = xs.reshape(-1, AXES)[:, 1:4, None]
-        powers = np.cumprod(np.concatenate([np.ones_like(x)] + [x] * degree, axis=-1), axis=-1)
-        mono = factors * powers[:, 0, expos[:, 0]] * powers[:, 1, expos[:, 1]]
-        mono = mono * powers[:, 2, expos[:, 2]]
-        return _axis_sum(mono[:, :, None] * coeffs).reshape(xs.shape[:-1] + (N_BLADES,))
+        return np.cumprod(np.concatenate([np.ones_like(x)] + [x] * degree, axis=-1), axis=-1)
+
+    def sums_of(factors, expos, powers) -> np.ndarray:
+        # terms factor * x1^i * x2^j, then * x3^k, over exponent rows (..., terms, 3)
+        mono = factors * powers[:, 0, expos[..., 0]] * powers[:, 1, expos[..., 1]]
+        mono = mono * powers[:, 2, expos[..., 2]]
+        return _axis_sum(mono[..., None] * coeffs)
+
+    def rows(xs) -> np.ndarray:
+        return sums_of(1.0, expos, powers_of(xs)).reshape(xs.shape[:-1] + (N_BLADES,))
 
     # d/dx_a: factor = exponent of x_a, which drops by one; axes 0 and 4 give zero
-    lowered = [(expos[:, a], np.maximum(expos - np.eye(3, dtype=int)[a], 0)) for a in range(3)]
+    factors = expos.T
+    lowered = np.maximum(expos - np.eye(3, dtype=int)[:, None], 0)
 
     def partials(xs) -> np.ndarray:
-        zero = np.zeros(xs.shape[:-1] + (N_BLADES,))
-        return np.stack([zero, *(rows_of(f, lo, xs) for f, lo in lowered), zero], axis=-2)
+        out = np.zeros(xs.shape[:-1] + (AXES, N_BLADES))
+        sums = sums_of(factors, lowered, powers_of(xs))
+        out[..., 1:4, :] = sums.reshape(xs.shape[:-1] + (3, N_BLADES))
+        return out
 
-    return PolynomialField(
-        _rows=lambda xs: rows_of(1.0, expos, xs), _partials=partials, degree=degree, flagged=flagged
-    )
+    return PolynomialField(_rows=rows, _partials=partials, degree=degree, flagged=flagged)
 
 
 def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
@@ -538,18 +581,20 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
             raise ValueError(
                 "spatial factor must commute with the index-0 and index-4 generators"
             )
-    temporal = harmonic_field(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
-    spatial_rows, temporal_rows = spatial._rows, temporal._rows
-    spatial_partials, temporal_partials = spatial._partials, temporal._partials
+    grad, wave, turned = _wave_parts(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
+    spatial_rows, spatial_partials = spatial._rows, spatial._partials
 
     def rows(xs) -> np.ndarray:
-        return _product(_FULL, spatial_rows(xs), temporal_rows(xs))
+        return _product(_FULL, spatial_rows(xs), _harmonic(xs, grad, wave)[0])
 
     def partials(xs) -> np.ndarray:
-        # the spatial factor varies along axes 1..3, the temporal one along 0 and 4
-        out = _product(_FULL, spatial_partials(xs), temporal_rows(xs)[..., None, :])
-        time_mass = temporal_partials(xs)[..., [0, 4], :]
-        out[..., [0, 4], :] = _product(_FULL, spatial_rows(xs)[..., None, :], time_mass)
-        return out
+        # [S, d1 S, d2 S, d3 S, S] times [d0 T, T, T, T, d4 T]: the spatial
+        # factor varies along axes 1..3, the temporal factor T along 0 and 4
+        value, d = _harmonic(xs, grad, wave, turned)
+        s = spatial_rows(xs)[..., None, :]
+        left = np.concatenate([s, spatial_partials(xs)[..., 1:4, :], s], axis=-2)
+        right = d[..., None, :] * grad[:, None]
+        right[..., 1:4, :] = value[..., None, :]
+        return _product(_FULL, left, right)
 
     return MultivectorField(_rows=rows, _partials=None if spatial_partials is None else partials)

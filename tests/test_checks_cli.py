@@ -188,7 +188,7 @@ def test_sampled_checks_make_a_fixed_number_of_batched_calls(
 #: calls of the fields the check builds through harmonic_field, and the
 #: product kernel calls, building the fields included
 FIELD_CHECKS = (
-    ("monogenic_residual", 4, 1, 3),
+    ("monogenic_residual", 2, 1, 3),
     ("derivative_order", 2, 1, 4),
     ("phase_sign_exclusivity", 0, 1, 2),
     ("dirac_column_fields", 1, 1, 3),

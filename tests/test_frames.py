@@ -258,6 +258,16 @@ def test_em_frame_duality_and_validation():
         em_frame(massless, x)
 
 
+@pytest.mark.parametrize(
+    "x", [[1.0, 2.0], [math.nan] * 5, [0.0, 0.0, math.inf, 0.0, 0.0], "abc", np.zeros((2, 5))]
+)
+def test_em_frame_rejects_a_point_as_build_frame_does(x):
+    field = GaugeField(potential=(0.7, 0.0, 0.0, 0.0), charge=-1.0, mass=1.0)
+    for make in (lambda: em_frame(field, x), lambda: build_frame(np.eye(5), x)):
+        with pytest.raises(ValueError, match="^point must be 5 finite coordinates$"):
+            make()
+
+
 def test_covariant_derivative_identity_frame_is_flat():
     k = MomentumVector.from_mass_momentum((1.0, 0.5, -0.5), 1.5)
     wave = plane_wave(k)

@@ -85,6 +85,36 @@ def _doubled_first_generator(real):
     return generators
 
 
+def _time_unsigned_laplacian(real):
+    """The second-order operator with +d2/dt2 in place of -d2/dt2: the real
+    one plus twice the central second difference along the time axis."""
+
+    def laplacian(field, x, h=1e-3, richardson=False):
+        def time_second(s):
+            step = np.array([s, 0.0, 0.0, 0.0, 0.0])
+            return (field(x + step) - 2.0 * field(x) + field(x - step)) * (1.0 / (s * s))
+
+        t = time_second(h)
+        if richardson:
+            t = (4.0 * time_second(h / 2.0) - t) * (1.0 / 3.0)
+        return real(field, x, h=h, richardson=richardson) + 2.0 * t
+
+    return laplacian
+
+
+def _one_sided_differences(real):
+    """The vector derivative with forward differences (f(x + h e_a) - f(x)) / h,
+    each the central difference of step h/2 about x + (h/2) e_a: first order."""
+
+    def vector_derivative(field, x, h=None, indices=(0, 1, 2, 3, 4)):
+        if h is None:
+            return real(field, x, indices=indices)
+        half = 0.5 * h
+        return sum(real(field, x + half * np.eye(5)[a], h=half, indices=(a,)) for a in indices)
+
+    return vector_derivative
+
+
 ANTICOMMUTING = (e_upper(3), e_upper(0, 3))
 
 #: (check, name patched in ga41.checks, replacement from the real value)
@@ -101,6 +131,10 @@ MUTATIONS = (
     # e_upper(0, 1) would not do: it squares to +1 too
     ("triblade_squares", "COMMUTING_PAIRS", lambda real: ((e_upper(1, 2), real[0][1]), real[1])),
     ("custom_quadruple_generators", "idempotents_to_generators", _doubled_first_generator),
+    # the stencils: a Laplacian that keeps +d2/dt2 misses the null waves'
+    # zero, and forward differences converge at first order
+    ("monogenic_residual", "laplacian", _time_unsigned_laplacian),
+    ("derivative_order", "vector_derivative", _one_sided_differences),
     # the sampled checks evaluated on the row kernels
     ("null_annihilation", "e", lambda real: e_upper),
     ("sets_not_aligned", "build_e_set", lambda real: projectors.build_f_set),
