@@ -62,7 +62,7 @@ from .monogenic import (
     reduced_vector_derivative,
     vector_derivative,
 )
-from .monogenic import _axis_sum, _momentum_rows, _squares
+from .monogenic import _axis_sum, _check_steps, _momentum_rows, _squares
 from .projectors import (
     COMMUTING_PAIRS,
     build_e_set,
@@ -744,8 +744,8 @@ def run_checks(
 
     ``tolerances`` overrides tolerances by check name.  Unknown check or
     tolerance names, an override that is not finite and non-negative, a
-    seed outside [0, 2**64), and a step that is not finite and positive
-    raise ValueError.  Each check's residual is the largest of the
+    seed outside [0, 2**64), and a step that is not a finite positive real
+    number (a bool included) raise ValueError.  Each check's residual is the largest of the
     samples it yields; a NaN sample, or none at all, makes it NaN, which
     fails.  A check whose computation raises ValueError or
     ArithmeticError (say, a step that underflows to 0 when halved)
@@ -769,8 +769,7 @@ def run_checks(
             raise ValueError(f"tolerance for {name} must be finite and non-negative: {value}")
     if not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"seed must be in [0, 2**64): {seed}")
-    if not 0.0 < step_h < math.inf:
-        raise ValueError("step h must be finite and positive")
+    _check_steps((step_h,))
     results = []
     for definition in _REGISTRY:
         if definition.name not in wanted:

@@ -11,6 +11,7 @@ the harmonic mass dependence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +24,7 @@ from .algebra import (
     PSEUDOSCALAR,
     _FULL,
     _VECTOR_MASKS,
+    _XOR,
     _integer,
     _product,
     blade_product,
@@ -39,6 +41,13 @@ _UNIT_STEPS.setflags(write=False)
 #: reciprocal orthonormal basis: index 0 flips sign under (-++++)
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
 _RECIPROCAL_ROWS = np.array([v.coeffs for v in RECIPROCAL_VECTORS])
+#: e^a D as a signed gather: each reciprocal row is one signed blade i,
+#: so the product's one nonzero term in cell k is _FULL[k, i] e^a[i] D[k ^ i],
+#: with sign _FLAT_SIGNS[a, k] and index _FLAT_INDEX[a, k] = k ^ i
+_FLAT_BLADES = np.abs(_RECIPROCAL_ROWS).argmax(axis=1)
+_FLAT_SIGNS = _FULL[:, _FLAT_BLADES].T * _RECIPROCAL_ROWS[_ALL_AXES, _FLAT_BLADES][:, None]
+_FLAT_INDEX = _XOR[_FLAT_BLADES]
+_FLAT_ROWS = np.arange(AXES)[:, None]
 _MASS_AXIS = (PSEUDOSCALAR * e_upper(4)).coeffs  # the mass term's factor on the field
 #: blade masks of (E, p1, p2, p3, m) in the wave amplitude (in u: _VECTOR_MASKS)
 _AMPLITUDE_LAYOUT = [0b00000, 0b00011, 0b00101, 0b01001, 0b10001]
@@ -297,8 +306,9 @@ def vector_derivative(
     Multivector at one point (5,), rows (..., 32) at points (..., 5), each
     row equal to its one-point call bit for bit.
 
-    h = None uses the field's analytic derivative; a positive h uses
-    second-order central differences.  ``indices`` restricts the sum to
+    h = None uses the field's analytic derivative; a finite positive real
+    h uses second-order central differences (any other h, a bool included,
+    raises ValueError).  ``indices`` restricts the sum to
     distinct axes in 0..4, e.g. (1, 2, 3) for the purely spatial
     operator; any other index raises ValueError.
     """
@@ -316,15 +326,21 @@ def vector_derivative(
     return _result(x, _derivative_sum(field, x, h, _RECIPROCAL_ROWS, indices))
 
 
+def _check_steps(steps) -> None:
+    """ValueError unless every step is a real number, not a bool, that is
+    finite and positive."""
+    for h in steps:
+        if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0.0 < h < math.inf:
+            raise ValueError("step h must be finite and positive")
+
+
 def _stencil(f: Callable, x: np.ndarray, steps, axes=_ALL_AXES, center: bool = False):
     """f at x + h e_a and at x - h e_a for each step h in ``steps`` and the
     axes a in ``axes``, from one call of f on the points stacked along
     axis -2: (centre, plus, minus), plus and minus (..., steps, axes, k)
     with row [j, i] for steps[j] and axes[i], and f at x in centre
     (..., 1, k) if set.  Every step must be finite and positive."""
-    for h in steps:
-        if not 0.0 < h < math.inf:
-            raise ValueError("step h must be finite and positive")
+    _check_steps(steps)
     units = _UNIT_STEPS if axes is _ALL_AXES else _UNIT_STEPS[list(axes)]
     shifts = np.asarray(steps, dtype=float)[:, None, None] * units
     # x + (-s) is x - s in IEEE arithmetic, signed zeros included
@@ -348,24 +364,30 @@ def _axis_sum(terms: np.ndarray) -> np.ndarray:
 def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.ndarray:
     """Sum over the axes a in ``indices`` of reciprocal[..., a, :] (rows
     (5, 32), or one frame per point) times the partial derivative along a:
-    analytic for h = None, else central differences with step h."""
+    analytic for h = None, else central differences with step h.
+
+    The flat frame, passed as _RECIPROCAL_ROWS itself, takes each term as
+    a signed gather of its partial.  That equals the product bit for bit:
+    a cell of the product has one nonzero term, so they differ at most in
+    the sign of a zero, which _axis_sum's + 0.0 makes positive.  Partials
+    that are not all finite take the product, which spreads 0 * inf = NaN
+    over the row."""
     if h is None and field._partials is None:
         raise ValueError("field has no analytic derivative; pass a step h")
     every = indices is _ALL_AXES
-    if not every:
-        indices = list(indices)
-        if not indices:
-            return np.zeros(x.shape[:-1] + (N_BLADES,))
-        reciprocal = reciprocal[..., indices, :]
+    axes = slice(None) if every else list(indices)
+    if not every and not axes:
+        return np.zeros(x.shape[:-1] + (N_BLADES,))
     if h is None:
         # x as a one-point stack along axis -2, so that one point has a leading axis too
-        diffs = field._partials(x[..., None, :])[..., 0, :, :]
-        if not every:
-            diffs = diffs[..., indices, :]
+        diffs = field._partials(x[..., None, :])[..., 0, axes, :]
     else:
         _, plus, minus = _stencil(field._rows, x, (h,), indices)
         diffs = (plus - minus)[..., 0, :, :] / (2.0 * h)
-    return _axis_sum(_product(_FULL, reciprocal, diffs))
+    if reciprocal is _RECIPROCAL_ROWS and np.isfinite(diffs).all():
+        rows = _FLAT_ROWS[: diffs.shape[-2]]
+        return _axis_sum(_FLAT_SIGNS[axes] * diffs[..., rows, _FLAT_INDEX[axes]])
+    return _axis_sum(_product(_FULL, reciprocal[..., axes, :], diffs))
 
 
 def laplacian(
@@ -376,6 +398,7 @@ def laplacian(
     leading truncation term, from one field call on the centre and both
     stencils.  Points as in vector_derivative."""
     x = _points(x)
+    _check_steps((h,))  # before it is halved
     steps = (h, h / 2.0) if richardson else (h,)
     center, plus, minus = _stencil(field._rows, x, steps, center=True)
     hs = np.asarray(steps, dtype=float)[:, None, None]
@@ -392,11 +415,15 @@ def reduced_vector_derivative(
 ) -> Multivector | np.ndarray:
     """Vector derivative with the fourth axis replaced by its harmonic
     eigenvalue: sum over axes 0..3 plus pseudoscalar * mass * e4 * F, at
-    points as in vector_derivative; a family takes one mass per wave, (m, 1)."""
+    points as in vector_derivative; a family takes one mass per wave, (m, 1).
+    A mass that is not finite raises ValueError."""
     x = _points(x)
+    mass = np.asarray(mass, dtype=float)
+    if not np.isfinite(mass).all():
+        raise ValueError("mass must be finite")
     partial = _derivative_sum(field, x, h, _RECIPROCAL_ROWS, (0, 1, 2, 3))
     turned = _product(_FULL, _MASS_AXIS, field._rows(x[..., None, :])[..., 0, :])
-    return _result(x, partial + turned * np.asarray(mass, dtype=float)[..., None])
+    return _result(x, partial + turned * mass[..., None])
 
 
 # -- 3-dimensional monogenic polynomials -------------------------------

@@ -161,6 +161,47 @@ def test_step_must_be_finite_and_positive(h, richardson):
         laplacian(wave, x, h=h, richardson=richardson)
 
 
+#: steps that are not real numbers, or are bools: True ran as h = 1.0, and
+#: a string or a complex step raised a bare TypeError from the comparison
+@pytest.mark.parametrize("h", [True, False, np.True_, "0.001", 1e-3 + 0j, np.complex128(1e-3)])
+def test_step_must_be_a_real_number_and_not_a_bool(h):
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, 0.0, 0.0), 1.0))
+    gauge = GaugeField(potential=(0.0, 0.0, 0.0, 0.0), charge=1.0, mass=1.0, phase=lambda y: 0.0)
+    x = np.zeros(5)
+    calls = (
+        lambda: vector_derivative(wave, x, h=h),
+        lambda: vector_derivative(wave, x, h=h, indices=(4, 0)),
+        lambda: reduced_vector_derivative(wave, x, 1.0, h=h),
+        lambda: laplacian(wave, x, h=h),
+        lambda: laplacian(wave, x, h=h, richardson=True),
+        lambda: gauge.phase_gradient_at(x, h=h),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            call()
+
+
+@pytest.mark.parametrize("h", [np.float64(0.25), np.float32(0.25), 1, np.int64(1)])
+def test_real_steps_of_any_numeric_type_are_taken(h):
+    wave = plane_wave(MomentumVector.from_mass_momentum((1.0, 0.5, 0.0), 1.0))
+    x = np.array([0.1, -0.2, 0.3, 0.4, -0.5])
+    want = vector_derivative(wave, x, h=float(h))
+    assert _same_bits(vector_derivative(wave, x, h=h), want)
+    assert _same_bits(laplacian(wave, x, h=h, richardson=True), laplacian(wave, x, h=float(h), richardson=True))
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, [[1.0], [math.nan]]])
+def test_reduced_vector_derivative_rejects_a_non_finite_mass(mass):
+    # a family of two waves at points (2, 3, 5), one mass per wave
+    k = MomentumVector.from_mass_momentum((0.5, 0.0, 1.0), 1.0)
+    waves = harmonic_field(np.array([k.amplitude.coeffs] * 2), np.array([k.phase_gradient] * 2))
+    x = np.zeros((2, 3, 5))
+    with pytest.raises(ValueError, match="mass must be finite"):
+        reduced_vector_derivative(waves, x, mass)
+    with pytest.raises(ValueError, match="mass must be finite"):
+        reduced_vector_derivative(waves, x, mass, h=1e-3)
+
+
 def test_momentum_vector_rejects_squares_that_overflow():
     with pytest.raises(ValueError, match="too large"):
         MomentumVector(1e200, (0.0, 0.0, 0.0), 1e200)

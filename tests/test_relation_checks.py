@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ga41 import ONE, Multivector, checks, projectors
+from ga41 import ONE, Multivector, checks, monogenic, projectors
 from ga41.algebra import e, e_upper
 from ga41.checks import check_definitions, run_checks
 from ga41.matrices import ALPHA, RECIPROCAL_IMAGES
@@ -115,6 +115,19 @@ def _one_sided_differences(real):
     return vector_derivative
 
 
+def _lowered_time_axis(real):
+    """The vector derivative over the lowered basis e_a in place of the
+    reciprocal e^a: e_0 = -e^0 flips the time term, so the canonical wave is
+    no longer annihilated."""
+    lowered = np.array([e(a).coeffs for a in range(5)])
+
+    def vector_derivative(field, x, h=None, indices=monogenic._ALL_AXES):
+        x = monogenic._points(x)
+        return monogenic._result(x, monogenic._derivative_sum(field, x, h, lowered, indices))
+
+    return vector_derivative
+
+
 ANTICOMMUTING = (e_upper(3), e_upper(0, 3))
 
 #: (check, name patched in ga41.checks, replacement from the real value)
@@ -135,6 +148,7 @@ MUTATIONS = (
     # zero, and forward differences converge at first order
     ("monogenic_residual", "laplacian", _time_unsigned_laplacian),
     ("derivative_order", "vector_derivative", _one_sided_differences),
+    ("phase_sign_exclusivity", "vector_derivative", _lowered_time_axis),
     # the sampled checks evaluated on the row kernels
     ("null_annihilation", "e", lambda real: e_upper),
     ("sets_not_aligned", "build_e_set", lambda real: projectors.build_f_set),
