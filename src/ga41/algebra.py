@@ -14,6 +14,7 @@ inputs multiply exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -102,10 +103,22 @@ _LEFT, _RIGHT, _OUT = _GRADE_OF, _GRADE_OF[_XOR], _GRADE_OF[:, None]
 _INNER = np.where(_OUT == np.abs(_LEFT - _RIGHT), _FULL, 0.0)
 _OUTER = np.where(_OUT == _LEFT + _RIGHT, _FULL, 0.0)
 
+# the gather in two takes: with k = 4 kh + kl and i = 4 ih + il, i ^ k is
+# 4 (ih ^ kh) + (il ^ kl).  The first take puts the four orders kl of each
+# aligned quad j of b in a row of quads kl * 8 + j, b[4 j + (il ^ kl)] at
+# il; the second copies whole quads, quad kl * 8 + (ih ^ kh) to [k, ih].
+# A take along the last axis copies one element at a time, and the quads
+# halve the copies
+_QUAD_ORDERS = (4 * np.arange(8)[:, None] + (np.arange(4)[:, None, None] ^ np.arange(4))).ravel()
+_QUAD_ROWS = (8 * np.arange(4)[:, None] + (np.arange(8)[:, None, None] ^ np.arange(8))).ravel()
+
 
 def _gather(b: np.ndarray) -> np.ndarray:
-    """The right factors b[i^k] of every term, at [..., k, i]: a new array."""
-    return b.take(_XOR, axis=-1)
+    """The right factors b[i^k] of every term, at [..., k, i]: a new array,
+    equal to b.take(_XOR, axis=-1) byte for byte (both only copy)."""
+    lead = b.shape[:-1]
+    quads = b.take(_QUAD_ORDERS, axis=-1).reshape(lead + (32, 4))
+    return quads.take(_QUAD_ROWS, axis=-2).reshape(lead + (N_BLADES, N_BLADES))
 
 
 def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,24 +151,121 @@ def _contract(
 #: g |b| min(1, |b|) / 2 relative to the result, for g = |q| / |s|.  The
 #: closed form is taken while g is at most this many units of 2**-52 times
 #: max(1, |b|): an error of at most about two units times max(|b|, |b|^2),
-#: no more than the series makes by rounding its own term b^2 / 2.  A
-#: rounded simple bivector keeps a non-scalar part of its own: g exceeded
-#: four units on 576 of 10,000 u ^ v of standard normal 5-vectors, and
-#: grows as u and v turn parallel.  A fixed gap of 1e-12 would admit an
-#: error of 5e-13 at |b| = 1.4 (e02 + e04 + 1e-12 e34)
+#: no more than rounding makes in b^2 itself.  A rounded simple bivector
+#: keeps a non-scalar part of its own: g exceeded four units on 576 of
+#: 10,000 u ^ v of standard normal 5-vectors, and grows as u and v turn
+#: parallel.  A bivector the gate turns away takes the closed form in
+#: alpha and q of _bivector_exp_coeffs, which keeps q; any other row the
+#: series.  A fixed gap of 1e-12 would admit an error of 5e-13 at
+#: |b| = 1.4 (e02 + e04 + 1e-12 e34)
 _CLOSED_FORM_GAP = 4 * 2.0**-52
+
+_NOT_BIVECTOR = _GRADE_OF != 2
+_QUADS = (_GRADE_OF == 4).nonzero()[0]
+
+#: Taylor coefficients in t = x^2 of (cosh x - sinh x / x) / x^2 and of
+#: (sinh x / x - 1) / x^2, taken for |t| < 4, where the differences cancel
+_H_SERIES = [(2 * n + 2) / math.factorial(2 * n + 3) for n in range(12)]
+_G_SERIES = [1 / math.factorial(2 * n + 3) for n in range(12)]
+
+
+def _series(coeffs: list, t: complex) -> complex:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _sinhc(x: complex) -> complex:
+    return cmath.sinh(x) / x if x else 1.0
+
+
+def _h(x: complex, t: complex) -> complex:
+    """(cosh x - sinh x / x) / t for t = x^2."""
+    return _series(_H_SERIES, t) if abs(t) < 4.0 else (cmath.cosh(x) - _sinhc(x)) / t
+
+
+def _g(r: complex, t: complex) -> complex:
+    """sinh r / r - 1 for t = r^2."""
+    return _series(_G_SERIES, t) * t if abs(t) < 4.0 else _sinhc(r) - 1.0
+
+
+def _bivector_exp_coeffs(alpha: float, quad: float) -> tuple[float, float, float, float]:
+    """(c0, c1, s0, s1) with exp b = c0 + c1 q + s0 b + s1 b q, for a
+    bivector b with b^2 = alpha + q, q of grade 4 and q^2 = quad != 0.
+
+    exp b = C(b^2) + b S(b^2) for C(l) = cosh sqrt(l) and S(l) = sinh
+    sqrt(l) / sqrt(l).  q commutes with b, and f(alpha + q) = (f(l+) +
+    f(l-)) / 2 + q (f(l+) - f(l-)) / (l+ - l-) for l+- = alpha +- sqrt(quad):
+    real for quad > 0, where (1 +- q / sqrt(quad)) / 2 are idempotents, and
+    a conjugate pair for quad < 0, where q / sqrt(-quad) squares to -1.  The
+    differences are divided by l+ - l-, not by a unit q, and so vanish with
+    q.  In the roots r+- = sqrt(l+-), u = (r+ + r-) / 2 and w = (r+ - r-) / 2
+    = sqrt(quad) / (r+ + r-), formed without cancellation:
+
+        c0 = cosh u cosh w        c1 = sinhc u sinhc w / 2
+        s0 = (sinhc r+ + sinhc r-) / 2
+        s1 = (u^2 H(u) sinhc w - w^2 H(w) sinhc u) / (2 r+ r-)
+
+    with H(x) = (cosh x - sinhc x) / x^2, while |r+ r-| = |u^2 - w^2| is at
+    least (|u|^2 + |w|^2) / 2; below that one root is small beside the
+    other, and s1 = (l+ G(l+) - l- G(l-)) / (l+ - l-) with G(l) = (sinhc
+    sqrt(l) - 1) / l.  H and G take their series for |x^2| < 4.
+    """
+    root = cmath.sqrt(quad)
+    lp, lm = alpha + root, alpha - root
+    rp, rm = cmath.sqrt(lp), cmath.sqrt(lm)
+    u, w = (rp + rm) / 2, root / (rp + rm)
+    gu, gw = _sinhc(u), _sinhc(w)
+    c0 = cmath.cosh(u) * cmath.cosh(w)
+    s0 = (_sinhc(rp) + _sinhc(rm)) / 2
+    uu, ww = u * u, w * w
+    if abs(rp * rm) >= (abs(uu) + abs(ww)) / 2:
+        s1 = (uu * _h(u, uu) * gw - ww * _h(w, ww) * gu) / (2 * rp * rm)
+    else:
+        s1 = (_g(rp, lp) - _g(rm, lm)) / (2 * root)
+    return c0.real, (gu * gw).real / 2, s0.real, s1.real
+
+
+def _exp_bivectors(b: np.ndarray, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For bivector rows b (n, 32) whose squares sq = alpha + q are not
+    scalars: the mask of the rows whose q is not nilpotent, and their
+    exponentials by _bivector_exp_coeffs, which share one product b q."""
+    q = np.where(_GRADE_IS[4], sq, 0.0)
+    quad = sum(s * x * x for s, x in zip(_SQUARE_SIGNS[_QUADS], q[:, _QUADS].T))
+    taken = quad != 0.0
+    b, q, alphas, quad = b[taken], q[taken], sq[taken, 0], quad[taken]
+    coeffs = []
+    for alpha, square in zip(alphas.tolist(), quad.tolist()):
+        try:
+            coeffs.append(_bivector_exp_coeffs(alpha, square))
+        except OverflowError:
+            coeffs.append((math.inf,) * 4)
+    c0, c1, s0, s1 = np.array(coeffs).reshape(-1, 4).T[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        exps = c1 * q + s0 * b + s1 * _product(_FULL, b, q)
+        exps[:, 0] += c0[:, 0]
+    finite = np.isfinite(exps).all(axis=1)
+    if not finite.all():
+        j = np.argmin(finite)
+        raise ValueError(
+            f"exponential overflows: argument squares to {alphas[j]:.3e} "
+            f"plus a 4-vector of square {quad[j]:.3e}"
+        )
+    return taken, exps
 
 
 def _exp_rows(rows: np.ndarray) -> np.ndarray:
     """Exponentials of the rows (n, 32), by the rules of Multivector.exp,
     which is the one-row case.
 
-    A closed form is computed row by row with math's functions (numpy's
-    cosh and sinh round differently).  The series rows are summed
-    together, and each stops at its own term by the 1e-14 rule; a finished
-    row leaves the batch only when some row finishes.  The live rows are
-    gathered once per live set, and every term is formed in one buffer;
-    both shrink with the rows.
+    A closed form is computed row by row with math's and cmath's functions
+    (numpy's cosh and sinh round differently); the bivector rows whose
+    square is not a scalar then take one product b q together.  The series
+    rows are summed together, and each stops at its own term by the 1e-14
+    rule; a finished row leaves the batch only when some row finishes.  The
+    live rows are gathered once per live set, and every term is formed in
+    one buffer; both shrink with the rows.
     """
     if not np.isfinite(rows).all():
         raise ValueError("exponential undefined: non-finite coefficient")
@@ -176,7 +286,15 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
             out[i, 0] += cos(theta)
         except OverflowError:
             raise ValueError(f"exponential overflows: argument squares to {s:.3e}") from None
-    (live,) = (~closed).nonzero()
+    series = ~closed
+    (bivectors,) = (series & ~rows[:, _NOT_BIVECTOR].any(axis=1)).nonzero()
+    if bivectors.size:  # a nilpotent q keeps the series
+        taken, exps = _exp_bivectors(rows[bivectors], sq[bivectors])
+        out[bivectors[taken]] = exps
+        series[bivectors[taken]] = False
+    (live,) = series.nonzero()
+    if not live.size:
+        return out
     gathered = _gather(rows[live])
     terms = np.empty(gathered.shape)
     term = acc = ONE.coeffs
@@ -288,12 +406,12 @@ class Multivector:
         When the square of the argument is a scalar s (within 4 units of
         2**-52 times max(1, sqrt|s|), relative), closed forms apply:
         trigonometric for s < 0, hyperbolic for s > 0, and 1 + a in the
-        nilpotent limit s = 0; a hyperbolic form beyond double range
-        raises ValueError.  Otherwise the power series is summed to
-        relative tolerance 1e-14 with a 64-term cap, past which
-        ArithmeticError is raised: so a bivector whose square is not a
-        scalar, a rounded near-simple one included, raises once its norm
-        reaches about 16.  A non-finite coefficient raises ValueError.
+        nilpotent limit s = 0.  A bivector whose square s + q is not a
+        scalar takes the closed form in s and its grade-4 part q, whose
+        square is a scalar, unless q squares to zero.  Otherwise the power
+        series is summed to relative tolerance 1e-14 with a 64-term cap,
+        past which ArithmeticError is raised.  A closed form beyond double
+        range, or a non-finite coefficient, raises ValueError.
         """
         return Multivector._wrap(_exp_rows(self._c[None])[0])
 

@@ -377,6 +377,8 @@ def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.nd
     every = indices is _ALL_AXES
     axes = slice(None) if every else list(indices)
     if not every and not axes:
+        if h is not None:
+            _check_steps((h,))  # as the stencil of any other index set does
         return np.zeros(x.shape[:-1] + (N_BLADES,))
     if h is None:
         # x as a one-point stack along axis -2, so that one point has a leading axis too

@@ -271,6 +271,38 @@ def test_kernel_equals_the_one_liner_on_a_row_times_itself(op, special, readonly
     assert rows.tobytes() == saved
 
 
+def _strided(rng, n, special):
+    """(n, 32) rows that are every second column of an (n, 64) array."""
+    rows = np.zeros((n, 2 * N))[:, ::2]
+    rows[...] = _cells(rng, (n, N), special)
+    return rows
+
+
+#: the layouts of b that the gather is given: one row with and without a
+#: leading axis, rows, a stack of rows, and rows that are not contiguous
+_GATHER_INPUTS = [
+    lambda rng, s: _cells(rng, (N,), s),
+    lambda rng, s: _cells(rng, (1, N), s),
+    lambda rng, s: _cells(rng, (9, N), s),
+    lambda rng, s: _cells(rng, (3, 5, N), s),
+    lambda rng, s: _cells(rng, (0, N), s),
+    lambda rng, s: _strided(rng, 6, s),
+    lambda rng, s: _cells(rng, (N, 7), s).T,
+]
+
+
+@pytest.mark.parametrize("layout", range(len(_GATHER_INPUTS)))
+@pytest.mark.parametrize("special", [False, True])
+def test_the_gather_is_the_xor_take_byte_for_byte(layout, special):
+    # two takes of whole quads copy what one take of single cells copies:
+    # NaN, inf and -0.0 cells keep their bytes
+    b = _GATHER_INPUTS[layout](np.random.default_rng([layout, int(special)]), special)
+    got, want = algebra._gather(b), b.take(_XOR, axis=-1)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype) == (b.shape + (N,), np.float64)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable and not np.shares_memory(got, b)
+
+
 @pytest.mark.parametrize(
     "a_type, b_type", [(np.int64, np.int64), (float, np.int64), (np.int64, float)]
 )
@@ -508,7 +540,7 @@ def test_exp_series_fallback():
     assert (result - acc).max_abs() <= 1e-14
 
 
-def test_near_simple_bivectors_take_the_series():
+def test_near_simple_bivectors_keep_the_non_scalar_part_of_their_square():
     # the square of 2 e12 + 1e-12 e34 is a scalar within 1e-12 but not within
     # rounding; the closed form in that scalar would miss the e1234 term
     # 1e-12 sin 2 and the e34 term's cos 2, about 9e-13 each, while the
@@ -516,11 +548,11 @@ def test_near_simple_bivectors_take_the_series():
     b = 2.0 * e(1, 2) + 1e-12 * e(3, 4)
     want = (math.cos(2.0) + math.sin(2.0) * e(1, 2)) * (1.0 + 1e-12 * e(3, 4))
     assert (mv_exp(b) - want).max_abs() <= 1e-15
-    # at a large norm the series does not converge in 64 terms, as for any
-    # bivector of that norm whose square is not a scalar
-    for far in (30.0 * e(1, 2) + 1e-12 * e(3, 4), 30.0 * e(1, 2) + 1.0 * e(3, 4)):
-        with pytest.raises(ArithmeticError, match="64 terms"):
-            mv_exp(far)
+    # the closed form in alpha and q holds at any norm, where the series
+    # did not converge in 64 terms
+    for t, d in ((30.0, 1e-12), (30.0, 1.0)):
+        want = (math.cos(t) + math.sin(t) * e(1, 2)) * (math.cos(d) + math.sin(d) * e(3, 4))
+        assert (mv_exp(t * e(1, 2) + d * e(3, 4)) - want).max_abs() <= 1e-15
     # an exactly simple one keeps its closed form
     rotor = math.cos(30.0) + math.sin(30.0) * e(1, 2)
     assert (mv_exp(30.0 * e(1, 2)) - rotor).max_abs() <= 1e-15
@@ -608,7 +640,8 @@ def test_rotor_unitarity():
 
 
 def _loop_exp(b):
-    """The exponential as one Multivector at a time, term by term."""
+    """The exponential as one Multivector at a time, term by term: the
+    oracle of the rows that take the scalar closed form or the series."""
     if not np.isfinite(b.coeffs).all():
         raise ValueError("exponential undefined: non-finite coefficient")
     sq = (b * b).coeffs
@@ -642,8 +675,17 @@ def _rotor_rows(seed):
     return -0.5 * coeffs
 
 
+def _dense_rows():
+    """Rows of every grade, which take the series."""
+    return np.random.default_rng(29).uniform(-0.5, 0.5, (100, N))
+
+
 def _loop_rows(rows):
     return np.array([_loop_exp(Multivector(row)).coeffs for row in rows])
+
+
+def _one_row_calls(rows):
+    return np.array([Multivector(row).exp().coeffs for row in rows])
 
 
 def _series_length(b):
@@ -658,7 +700,7 @@ def _series_length(b):
 
 
 def test_exp_rows_gathers_the_exponents_once_per_live_set(monkeypatch):
-    rows = _rotor_rows(0)
+    rows = _dense_rows()
     lengths = [_series_length(Multivector(row)) for row in rows]
     gathered, real = [], algebra._gather
 
@@ -675,42 +717,79 @@ def test_exp_rows_gathers_the_exponents_once_per_live_set(monkeypatch):
     live = [sum(length > k for length in lengths) for k in [0, *sorted(set(lengths))]]
     assert gathered[1:] == live
     assert live[0] == 100 and live[-1] == 0
-    assert len(gathered) - 1 < max(lengths)
+    assert 1 < len(gathered) - 1 < max(lengths)
     assert got.tobytes() == _loop_rows(rows).tobytes()
 
 
 @pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40), range(40, 60)])
-def test_exp_rows_equal_the_loop_on_the_rotor_rows(seeds):
+def test_exp_rows_equal_one_row_calls_on_the_rotor_rows(seeds):
+    # the rotor rows take the closed form in alpha and q (the matrix
+    # oracle is in test_matrices.py); a row of the batch is its own call
     for seed in seeds:
         rows = _rotor_rows(seed)
-        assert _exp_rows(rows).tobytes() == _loop_rows(rows).tobytes(), seed
+        assert _exp_rows(rows).tobytes() == _one_row_calls(rows).tobytes(), seed
+
+
+def test_closed_form_rows_form_no_series_term(monkeypatch):
+    calls, real = [], algebra._contract
+
+    def counted(table, a, gathered, terms):
+        calls.append((a.shape, gathered.shape, terms is None))
+        return real(table, a, gathered, terms)
+
+    monkeypatch.setattr("ga41.algebra._contract", counted)
+    rows = _rotor_rows(0)
+    _exp_rows(rows)
+    # the square and b q, each a product of the 100 rows; no term of a series
+    assert calls == [((100, N), (100, N, N), False)] * 2
+    calls.clear()
+    _exp_rows(_dense_rows())
+    assert len(calls) > 2
 
 
 def _mixed_rows():
     """Rows for every branch, shuffled: rotation and boost planes (s < 0,
-    s > 0), null vectors with a -0.0 (s = 0), bivectors with e0 parts and
-    dense rows (series)."""
+    s > 0), null vectors with a -0.0 (s = 0), the ALL_PLANES bivectors
+    (q^2 of either sign), bivectors a (e01 + e12) + c e34 whose q is
+    nilpotent, and dense rows (series)."""
     rng = np.random.default_rng(17)
-    rows = np.zeros((5, 60, N))
+    rows = np.zeros((6, 60, N))
     rows[0, :, 0b00110] = rng.uniform(-3.0, 3.0, 60)
     rows[1, :, 0b00011] = rng.uniform(-3.0, 3.0, 60)
     rows[2, :, 0b00001] = rows[2, :, 0b10000] = rng.uniform(-3.0, 3.0, 60)
     rows[2, :, 0b00100] = -0.0
     rows[3][:, ALL_PLANES] = rng.uniform(-1.5, 1.5, (60, 10))
-    rows[4] = rng.uniform(-0.5, 0.5, (60, N))
+    rows[4, :, 0b00011] = rows[4, :, 0b00110] = rng.uniform(-1.0, 1.0, 60)
+    rows[4, :, 0b11000] = rng.uniform(-1.0, 1.0, 60)
+    rows[5] = rng.uniform(-0.5, 0.5, (60, N))
     return rng.permutation(rows.reshape(-1, N))
+
+
+def _branches(rows):
+    """Per row: the sign of s where the gate admits the scalar closed form,
+    else 'q>0', 'q<0' or 'q=0' for a bivector, else 'dense'."""
+    sq = _product(_FULL, rows, rows)
+    limit = algebra._CLOSED_FORM_GAP * np.maximum(1.0, np.sqrt(np.abs(sq[:, 0])))
+    scalar = np.max(np.abs(sq[:, 1:]), axis=1) <= limit * np.max(np.abs(sq), axis=1)
+    q = np.where(algebra._GRADE_IS[4], sq, 0.0)
+    quad = _product(_FULL, q, q)[:, 0]
+    bivector = (rows[:, algebra._NOT_BIVECTOR] == 0).all(axis=1)
+    names = np.where(bivector, np.array(["q<0", "q=0", "q>0"])[np.sign(quad).astype(int) + 1], "dense")
+    return np.where(scalar, np.sign(sq[:, 0]).astype(int).astype(str), names)
 
 
 def test_exp_rows_equal_the_loop_on_every_branch():
     rows = _mixed_rows()
-    sq = _product(_FULL, rows, rows)
-    limit = algebra._CLOSED_FORM_GAP * np.maximum(1.0, np.sqrt(np.abs(sq[:, 0])))
-    scalar = np.max(np.abs(sq[:, 1:]), axis=1) <= limit * np.max(np.abs(sq), axis=1)
-    branches = Counter(np.where(scalar, np.sign(sq[:, 0]), 2.0).tolist())
-    assert branches == {-1.0: 60, 1.0: 60, 0.0: 60, 2.0: 120}
-    want = _loop_rows(rows)
-    assert _exp_rows(rows).tobytes() == want.tobytes()
-    assert [Multivector(row).exp().coeffs.tobytes() for row in rows] == [w.tobytes() for w in want]
+    branches = _branches(rows)
+    assert Counter(branches.tolist()) == {
+        "-1": 60, "1": 60, "0": 60, "q>0": 7, "q<0": 53, "q=0": 60, "dense": 60
+    }
+    got = _exp_rows(rows)
+    assert got.tobytes() == _one_row_calls(rows).tobytes()
+    # the scalar closed form and the series rows keep the loop's bits; the
+    # closed form in alpha and q meets the matrix oracle in test_matrices.py
+    kept = ~np.isin(branches, ["q>0", "q<0"])
+    assert got[kept].tobytes() == _loop_rows(rows[kept]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -718,6 +797,11 @@ def test_exp_rows_equal_the_loop_on_every_branch():
     [
         (Multivector(np.where(np.arange(N) == 3, math.nan, 0.0)), ValueError, "non-finite"),
         (1000.0 * e(0, 1), ValueError, "overflows: argument squares to 1.000e\\+06"),
+        (
+            800.0 * e(0, 1) + e(2, 3),
+            ValueError,
+            "overflows: argument squares to 6.400e\\+05 plus a 4-vector of square -2.560e\\+06",
+        ),
         (40.0 * ONE + 40.0 * e(0), ArithmeticError, "64 terms"),
     ],
 )

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ga41 import ONE, Multivector, checks, monogenic, projectors
+from ga41 import ONE, Multivector, algebra, checks, monogenic, projectors
 from ga41.algebra import e, e_upper
 from ga41.checks import check_definitions, run_checks
 from ga41.matrices import ALPHA, RECIPROCAL_IMAGES
@@ -128,6 +128,22 @@ def _lowered_time_axis(real):
     return vector_derivative
 
 
+def _swapped_quads_product(real):
+    """The product kernel with two quads of its gather swapped: in output
+    cell 0, left blades 0-3 take the right factors of left blades 4-7, and
+    the reverse."""
+    rows = algebra._QUAD_ROWS.copy()
+    rows[[0, 1]] = rows[[1, 0]]
+
+    def product(table, a, b):
+        lead = b.shape[:-1]
+        quads = b.take(algebra._QUAD_ORDERS, axis=-1).reshape(lead + (32, 4))
+        gathered = quads.take(rows, axis=-2).reshape(lead + (32, 32))
+        return algebra._contract(table, a, gathered, None)
+
+    return product
+
+
 ANTICOMMUTING = (e_upper(3), e_upper(0, 3))
 
 #: (check, name patched in ga41.checks, replacement from the real value)
@@ -149,6 +165,9 @@ MUTATIONS = (
     ("monogenic_residual", "laplacian", _time_unsigned_laplacian),
     ("derivative_order", "vector_derivative", _one_sided_differences),
     ("phase_sign_exclusivity", "vector_derivative", _lowered_time_axis),
+    # the product kernel, its gather two quads off
+    ("associativity", "_product", _swapped_quads_product),
+    ("phi_homomorphism", "_product", _swapped_quads_product),
     # the sampled checks evaluated on the row kernels
     ("null_annihilation", "e", lambda real: e_upper),
     ("sets_not_aligned", "build_e_set", lambda real: projectors.build_f_set),

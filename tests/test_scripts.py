@@ -39,6 +39,11 @@ def digest():
     return _load("digest")
 
 
+@pytest.fixture(scope="module")
+def ab():
+    return _load("ab_checks")
+
+
 def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
     assert grid.main(["0.3", "0.2", "-0.1", "1"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
@@ -219,6 +224,33 @@ def test_digest_prints_the_report_line_then_one_line_per_check(digest, capsys, m
 
 def test_digest_takes_no_arguments(digest, capsys):
     assert digest.main(["--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+SRC = str(SCRIPTS.parent / "src")
+
+
+def test_ab_checks_times_a_tree_against_itself(ab, capsys):
+    assert ab.main([SRC, SRC, "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [d.name for d in ab.load(Path(SRC), "change").check_definitions()]
+    assert lines[0].split() == ["check", "parent", "ms", "change", "ms", "ratio"]
+    assert [line.split()[0] for line in lines[1 : 1 + len(names)]] == names
+    assert lines[1 + len(names)].startswith("pass (2 rounds x 3 seeds)")
+    for line in lines[1 : 2 + len(names)]:
+        parent, change, ratio = (float(x) for x in line.split()[-3:])
+        assert parent > 0.0 and change > 0.0 and ratio > 0.0
+    assert lines[2 + len(names) :] == [f"report seed {s}: identical" for s in ab.SEEDS]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], [SRC], [SRC, SRC, "0"], [SRC, SRC, "two"], [SRC, SRC, "2", "3"], [SRC, str(SCRIPTS)]],
+)
+def test_ab_checks_rejects_bad_arguments(ab, capsys, argv):
+    assert ab.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
