@@ -107,8 +107,8 @@ _OUTER = np.where(_OUT == _LEFT + _RIGHT, _FULL, 0.0)
 # 4 (ih ^ kh) + (il ^ kl).  The first take puts the four orders kl of each
 # aligned quad j of b in a row of quads kl * 8 + j, b[4 j + (il ^ kl)] at
 # il; the second copies whole quads, quad kl * 8 + (ih ^ kh) to [k, ih].
-# A take along the last axis copies one element at a time, and the quads
-# halve the copies
+# A take copies one index at a time, so the 1,024 copies of a row become
+# 128 cells and 256 quads
 _QUAD_ORDERS = (4 * np.arange(8)[:, None] + (np.arange(4)[:, None, None] ^ np.arange(4))).ravel()
 _QUAD_ROWS = (8 * np.arange(4)[:, None] + (np.arange(8)[:, None, None] ^ np.arange(8))).ravel()
 
