@@ -12,7 +12,8 @@ potential term to the flat vector derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,18 +32,23 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class Frame:
-    """Direct frame vectors, both metrics, and the reciprocal frame."""
+    """Direct frame vectors, both metrics, and the reciprocal frame, with
+    the rows (5, 32) of its vectors that covariant_derivative reads."""
 
     vectors: tuple[Multivector, ...]
     metric: np.ndarray
     inverse_metric: np.ndarray
     reciprocal: tuple[Multivector, ...]
+    _reciprocal_rows: np.ndarray = _field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("metric", "inverse_metric"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        rows = np.array([v.coeffs for v in self.reciprocal])
+        rows.setflags(write=False)
+        object.__setattr__(self, "_reciprocal_rows", rows)
 
 
 def _vector_rows(components: np.ndarray) -> np.ndarray:
@@ -124,7 +130,9 @@ class GaugeField:
     optional phase function beta(x) with its five-component gradient.
 
     A constant potential, the charge and the mass must be finite; a
-    callable potential is not checked."""
+    callable potential is not checked.  A constant potential is stored
+    read-only, and its electromagnetic frame is built on the first
+    em_frame call and stored on the field."""
 
     potential: Callable[[np.ndarray], np.ndarray]
     charge: float
@@ -133,14 +141,16 @@ class GaugeField:
     phase_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        pot = self.potential
-        if not callable(pot):
-            const = np.array(pot, dtype=float)
+        const = None
+        if not callable(self.potential):
+            const = np.array(self.potential, dtype=float)
             if const.shape != (4,):
                 raise ValueError("constant potential must have four components")
             if not np.all(np.isfinite(const)):
                 raise ValueError("constant potential must be finite")
+            const.setflags(write=False)
             object.__setattr__(self, "potential", lambda x: const)
+        object.__setattr__(self, "_constant", const)
         for name in ("charge", "mass"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
@@ -165,19 +175,38 @@ class GaugeField:
         _, plus, minus = _stencil(lambda xs: _stacked(self.phase, xs)[..., None], x, (h,))
         return ((plus - minus)[0] / (2.0 * h))[:, 0]
 
+    @cached_property
+    def _frame(self) -> Frame:
+        """The electromagnetic frame of a constant potential, the same at
+        every point; a failed build stores nothing."""
+        return _em_frame(self.charge / self.mass, self._constant)
+
 
 def em_frame(field: GaugeField, x) -> Frame:
     """Frame whose reciprocal vectors are the orthonormal ones except
-    g^4 = e4-raised + (charge/mass) A_mu e^mu.  Raises ValueError when
-    the point is not 5 finite coordinates or the mass is zero."""
+    g^4 = e4-raised + (charge/mass) A_mu e^mu.  A constant potential's
+    frame is built once per gauge field.  Raises ValueError when the
+    point is not 5 finite coordinates, the mass is zero, or the tilt
+    (charge/mass) A or its square is not finite."""
     point = _point(x)
     if field.mass == 0.0:
         raise ValueError("electromagnetic frame requires a nonzero mass")
-    a = field.potential_at(point)
-    ratio = field.charge / field.mass
+    if field._constant is not None:
+        return field._frame
+    return _em_frame(field.charge / field.mass, field.potential_at(point))
+
+
+def _em_frame(ratio: float, a: np.ndarray) -> Frame:
+    """em_frame's arithmetic for the tilt ratio * a."""
     recip = ETA.copy()  # the raised orthonormal vectors: the time axis flips
-    recip[4, :4] = ratio * a * _RAISE_SIGNS
-    inverse_metric = recip @ ETA @ recip.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        recip[4, :4] = ratio * a * _RAISE_SIGNS
+        inverse_metric = recip @ ETA @ recip.T
+    # not finite when the tilt is not, or when a square of it overflows
+    if not np.isfinite(inverse_metric).all():
+        raise ValueError(
+            f"tilt (charge/mass) A and its square must be finite, got {recip[4, :4].tolist()}"
+        )
     direct = ETA @ np.linalg.inv(recip)  # column a: g_a components
     metric = direct.T @ ETA @ direct
     vectors, reciprocal = _vector_rows(np.array([direct.T, recip]))
@@ -196,9 +225,9 @@ def covariant_derivative(
     """
     x = _points(x)
     if callable(frame):
-        recip = _stacked(lambda p: [v.coeffs for v in frame(p).reciprocal], x, (AXES, N_BLADES))
+        recip = _stacked(lambda p: frame(p)._reciprocal_rows, x, (AXES, N_BLADES))
     else:
-        recip = np.array([v.coeffs for v in frame.reciprocal])
+        recip = frame._reciprocal_rows
     return _result(x, _derivative_sum(field, x, h, recip, _ALL_AXES))
 
 

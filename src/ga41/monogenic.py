@@ -512,10 +512,13 @@ def _nullspace(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
 @dataclass(frozen=True)
 class PolynomialField(MultivectorField):
     """Polynomial solution of the spatial vector derivative; flagged
-    fields take values in the scalar + e12 plane only."""
+    fields take values in the scalar + e12 plane only.  ``_spatial``
+    gives rows (..., 4, 32) of the value and its partials along axes
+    1..3 from one power table, as separable_wavepacket takes them."""
 
     degree: int = 0
     flagged: bool = False
+    _spatial: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
@@ -527,32 +530,36 @@ def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
     keep = np.any(coeffs != 0.0, axis=1)
     expos, coeffs = np.array(_monomials(degree))[keep], coeffs[keep]
     flagged = not np.any(np.delete(coeffs, FLAGGED_MASKS, axis=1))
+    # four rows of terms: the value (factor 1), then d/dx_a for a = 1..3
+    # (factor the exponent of x_a, which drops by one); each term's three
+    # exponents as indices (4, terms, 3) into the flat power table, where
+    # the powers of x_a sit at a * (degree + 1) onwards
+    lowered = np.maximum(expos - np.eye(3, dtype=int)[:, None], 0)
+    index = np.concatenate([expos[None], lowered]) + (degree + 1) * np.arange(3)
+    factors = np.concatenate([np.ones((1, len(expos))), expos.T])
 
-    def powers_of(xs) -> np.ndarray:
+    def sums(xs, terms=slice(None)) -> np.ndarray:
+        """Rows (..., k, 32) of the term rows ``terms`` at the points xs (..., 5)."""
         # powers by repeated products, which round alike on every platform
         x = xs.reshape(-1, AXES)[:, 1:4, None]
-        return np.cumprod(np.concatenate([np.ones_like(x)] + [x] * degree, axis=-1), axis=-1)
-
-    def sums_of(factors, expos, powers) -> np.ndarray:
-        # terms factor * x1^i * x2^j, then * x3^k, over exponent rows (..., terms, 3)
-        mono = factors * powers[:, 0, expos[..., 0]] * powers[:, 1, expos[..., 1]]
-        mono = mono * powers[:, 2, expos[..., 2]]
-        return _axis_sum(mono[..., None] * coeffs)
+        table = np.cumprod(np.concatenate([np.ones_like(x)] + [x] * degree, axis=-1), axis=-1)
+        powers = table.reshape(len(table), -1)[:, index[terms]]
+        # factor * x1^i * x2^j, then * x3^k
+        mono = factors[terms] * powers[..., 0] * powers[..., 1] * powers[..., 2]
+        return _axis_sum(mono[..., None] * coeffs).reshape(xs.shape[:-1] + (-1, N_BLADES))
 
     def rows(xs) -> np.ndarray:
-        return sums_of(1.0, expos, powers_of(xs)).reshape(xs.shape[:-1] + (N_BLADES,))
-
-    # d/dx_a: factor = exponent of x_a, which drops by one; axes 0 and 4 give zero
-    factors = expos.T
-    lowered = np.maximum(expos - np.eye(3, dtype=int)[:, None], 0)
+        return sums(xs, slice(0, 1))[..., 0, :]
 
     def partials(xs) -> np.ndarray:
+        # axes 0 and 4 give zero
         out = np.zeros(xs.shape[:-1] + (AXES, N_BLADES))
-        sums = sums_of(factors, lowered, powers_of(xs))
-        out[..., 1:4, :] = sums.reshape(xs.shape[:-1] + (3, N_BLADES))
+        out[..., 1:4, :] = sums(xs, slice(1, None))
         return out
 
-    return PolynomialField(_rows=rows, _partials=partials, degree=degree, flagged=flagged)
+    return PolynomialField(
+        _rows=rows, _partials=partials, degree=degree, flagged=flagged, _spatial=sums
+    )
 
 
 def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
@@ -612,6 +619,11 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
             )
     grad, wave, turned = _wave_parts(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
     spatial_rows, spatial_partials = spatial._rows, spatial._partials
+    # [S, d1 S, d2 S, d3 S]: from one call of a polynomial's power table
+    spatial_sums = getattr(spatial, "_spatial", None) or (
+        lambda xs: np.concatenate(
+            [spatial_rows(xs)[..., None, :], spatial_partials(xs)[..., 1:4, :]], axis=-2)
+    )
 
     def rows(xs) -> np.ndarray:
         return _product(_FULL, spatial_rows(xs), _harmonic(xs, grad, wave)[0])
@@ -620,8 +632,8 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
         # [S, d1 S, d2 S, d3 S, S] times [d0 T, T, T, T, d4 T]: the spatial
         # factor varies along axes 1..3, the temporal factor T along 0 and 4
         value, d = _harmonic(xs, grad, wave, turned)
-        s = spatial_rows(xs)[..., None, :]
-        left = np.concatenate([s, spatial_partials(xs)[..., 1:4, :], s], axis=-2)
+        s = spatial_sums(xs)
+        left = np.concatenate([s, s[..., :1, :]], axis=-2)
         right = d[..., None, :] * grad[:, None]
         right[..., 1:4, :] = value[..., None, :]
         return _product(_FULL, left, right)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -427,6 +428,30 @@ def test_cli_em_frame_rejects_non_finite(numbers):
     code, err = _run_quietly(argv)
     assert code == 2
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        # (charge/mass) overflows; an infinite mass ratio times a zero potential
+        ["1", "0", "0", "0", "1e300", "1e-300"],
+        ["0", "0", "0", "0", "1", "5e-324"],
+        # the tilt is finite, its square is not
+        ["1e200", "0", "0", "0", "1", "1"],
+    ],
+)
+def test_cli_em_frame_rejects_a_tilt_that_is_not_finite(numbers):
+    # these printed NaN or Infinity in the JSON, with RuntimeWarnings, and exited 0
+    potential, (charge, mass) = numbers[:4], numbers[4:]
+    argv = ["frame", "--em", "--potential", *potential, "--charge", charge, "--mass", mass]
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: tilt (charge/mass) A and its square must be finite")
 
 
 @settings(max_examples=30, deadline=None)

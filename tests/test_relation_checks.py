@@ -147,6 +147,13 @@ def _swapped_quads_product(real):
 ANTICOMMUTING = (e_upper(3), e_upper(0, 3))
 
 #: (check, name patched in ga41.checks, replacement from the real value)
+def _doubled_mass_gauge(real):
+    def built(potential, charge, mass, **kwargs):
+        return real(potential, charge=charge, mass=2.0 * mass, **kwargs)
+
+    return built
+
+
 MUTATIONS = (
     ("anticommutation", "_FULL", lambda real: _flipped_vector_cell()),
     ("pseudoscalar_centrality", "PSEUDOSCALAR", lambda real: e(0, 1, 2, 3)),
@@ -191,6 +198,10 @@ MUTATIONS = (
     ("blade_images_span", "_BLADE_ROWS", lambda real: np.concatenate([real[:1], real[:-1]])),
     ("frame_duality", "_frames", _frames_with(lambda inv, rec: (inv, rec[:, ::-1]))),
     ("frame_duality", "_frames", _frames_with(lambda inv, rec: (inv * (1.0 + 1e-9), rec))),
+    # the frame's tilt (charge/mass) A no longer matches the wave's mass
+    # term; a flipped charge or a zero potential would not do, as the
+    # identity holds for any consistent charge and potential
+    ("em_covariance", "GaugeField", _doubled_mass_gauge),
 )
 
 
