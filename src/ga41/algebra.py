@@ -145,21 +145,6 @@ def _contract(
     return np.einsum("ki,...ki->...k", table, np.multiply(a[..., None, :], gathered, out=terms))
 
 
-#: the closed form of exp(b) in the scalar s of b^2 = s + q drops q.  For
-#: b = t e12 + d e34, q = 2 t d e1234 and the dropped terms are
-#: d e34 (cos t - sin t / t) and d sin t e1234, an error of about
-#: g |b| min(1, |b|) / 2 relative to the result, for g = |q| / |s|.  The
-#: closed form is taken while g is at most this many units of 2**-52 times
-#: max(1, |b|): an error of at most about two units times max(|b|, |b|^2),
-#: no more than rounding makes in b^2 itself.  A rounded simple bivector
-#: keeps a non-scalar part of its own: g exceeded four units on 576 of
-#: 10,000 u ^ v of standard normal 5-vectors, and grows as u and v turn
-#: parallel.  A bivector the gate turns away takes the closed form in
-#: alpha and q of _bivector_exp_coeffs, which keeps q; any other row the
-#: series.  A fixed gap of 1e-12 would admit an error of 5e-13 at
-#: |b| = 1.4 (e02 + e04 + 1e-12 e34)
-_CLOSED_FORM_GAP = 4 * 2.0**-52
-
 _NOT_BIVECTOR = _GRADE_OF != 2
 _QUADS = (_GRADE_OF == 4).nonzero()[0]
 
@@ -230,10 +215,15 @@ def _bivector_exp_coeffs(alpha: float, quad: float) -> tuple[float, float, float
 def _exp_bivectors(b: np.ndarray, sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For bivector rows b (n, 32) whose squares sq = alpha + q are not
     scalars: the mask of the rows whose q is not nilpotent, and their
-    exponentials by _bivector_exp_coeffs, which share one product b q."""
+    exponentials by _bivector_exp_coeffs, which share one product b q.
+
+    A q below 2**-511 has a q^2 below the normal range, which may round to
+    0 though q is not nilpotent; with alpha != 0 such a row takes the
+    closed form at q^2 = 0, whose dropped terms are below rounding, where
+    the series would not converge at |b| = 20 (20 e12 + 1e-170 e34)."""
     q = np.where(_GRADE_IS[4], sq, 0.0)
     quad = sum(s * x * x for s, x in zip(_SQUARE_SIGNS[_QUADS], q[:, _QUADS].T))
-    taken = quad != 0.0
+    taken = (quad != 0.0) | (sq[:, 0] != 0.0) & (np.abs(q).max(axis=1) < 2.0**-511)
     b, q, alphas, quad = b[taken], q[taken], sq[taken, 0], quad[taken]
     coeffs = []
     for alpha, square in zip(alphas.tolist(), quad.tolist()):
@@ -255,38 +245,42 @@ def _exp_bivectors(b: np.ndarray, sq: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return taken, exps
 
 
+def _exp_scalar_squares(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exponentials of the rows (n, 32) whose squares are the scalars s (n,):
+    cos t + a sin t / t for s = -t^2 < 0, cosh t + a sinh t / t for s = t^2
+    > 0, and 1 + a at s = 0, each function taken on the whole array."""
+    theta = np.sqrt(np.abs(s))
+    negative = s < 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        cos = np.where(negative, np.cos(theta), np.cosh(theta))
+        sin = np.where(negative, np.sin(theta), np.sinh(theta))
+        exps = rows * np.divide(sin, theta, out=np.ones_like(s), where=theta != 0.0)[:, None]
+        exps[:, 0] += cos
+    finite = np.isfinite(exps).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"exponential overflows: argument squares to {s[np.argmin(finite)]:.3e}")
+    return exps
+
+
 def _exp_rows(rows: np.ndarray) -> np.ndarray:
     """Exponentials of the rows (n, 32), by the rules of Multivector.exp,
     which is the one-row case.
 
-    A closed form is computed row by row with math's and cmath's functions
-    (numpy's cosh and sinh round differently); the bivector rows whose
-    square is not a scalar then take one product b q together.  The series
-    rows are summed together, and each stops at its own term by the 1e-14
-    rule; a finished row leaves the batch only when some row finishes.  The
-    live rows are gathered once per live set, and every term is formed in
-    one buffer; both shrink with the rows.
+    The rows whose square is exactly a scalar take its closed form
+    together; the bivector rows whose square is not a scalar then take one
+    product b q together.  The series rows are summed together, and each
+    stops at its own term by the 1e-14 rule; a finished row leaves the
+    batch only when some row finishes.  The live rows are gathered once
+    per live set, and every term is formed in one buffer; both shrink with
+    the rows.
     """
     if not np.isfinite(rows).all():
         raise ValueError("exponential undefined: non-finite coefficient")
     sq = _product(_FULL, rows, rows)
-    mags = np.abs(sq)
-    limit = _CLOSED_FORM_GAP * np.maximum(1.0, np.sqrt(mags[:, 0]))
-    closed = mags[:, 1:].max(axis=1) <= limit * mags.max(axis=1)
+    scalar = ~sq[:, 1:].any(axis=1)
     out = np.empty_like(rows)
-    for i in closed.nonzero()[0]:
-        s = sq[i, 0]
-        if s == 0.0:
-            out[i] = ONE.coeffs + rows[i]
-            continue
-        theta = math.sqrt(abs(s))
-        cos, sin = (math.cos, math.sin) if s < 0.0 else (math.cosh, math.sinh)
-        try:
-            out[i] = rows[i] * (sin(theta) / theta)
-            out[i, 0] += cos(theta)
-        except OverflowError:
-            raise ValueError(f"exponential overflows: argument squares to {s:.3e}") from None
-    series = ~closed
+    out[scalar] = _exp_scalar_squares(rows[scalar], sq[scalar, 0])
+    series = ~scalar
     (bivectors,) = (series & ~rows[:, _NOT_BIVECTOR].any(axis=1)).nonzero()
     if bivectors.size:  # a nilpotent q keeps the series
         taken, exps = _exp_bivectors(rows[bivectors], sq[bivectors])
@@ -403,15 +397,14 @@ class Multivector:
     def exp(self) -> "Multivector":
         """Multivector exponential.
 
-        When the square of the argument is a scalar s (within 4 units of
-        2**-52 times max(1, sqrt|s|), relative), closed forms apply:
-        trigonometric for s < 0, hyperbolic for s > 0, and 1 + a in the
-        nilpotent limit s = 0.  A bivector whose square s + q is not a
-        scalar takes the closed form in s and its grade-4 part q, whose
-        square is a scalar, unless q squares to zero.  Otherwise the power
-        series is summed to relative tolerance 1e-14 with a 64-term cap,
-        past which ArithmeticError is raised.  A closed form beyond double
-        range, or a non-finite coefficient, raises ValueError.
+        When the square of the argument is exactly a scalar s, closed
+        forms apply: trigonometric for s < 0, hyperbolic for s > 0, and
+        1 + a in the nilpotent limit s = 0.  A bivector whose square s + q
+        is not a scalar takes the closed form in s and its grade-4 part q,
+        whose square is a scalar, unless q is nilpotent.  Otherwise the
+        power series is summed to relative tolerance 1e-14 with a 64-term
+        cap, past which ArithmeticError is raised.  A closed form beyond
+        double range, or a non-finite coefficient, raises ValueError.
         """
         return Multivector._wrap(_exp_rows(self._c[None])[0])
 
@@ -648,21 +641,11 @@ def _worst(samples) -> float:
     return float(np.max(values)) if values.size else math.nan
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows (..., k), each equal to np.linalg.norm of
-    its row bit for bit: the square root of one BLAS dot per row (for
-    complex rows, of the real parts' dot plus the imaginary parts'), which
-    a matmul of each row with itself calls with the stride np.linalg.norm
-    gives it, that of a contiguous copy.  np.linalg.norm(axis=-1), einsum
-    and sum(-1) add in other orders."""
-
-    def dots(x):
-        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-    rows = np.ascontiguousarray(rows)
-    if np.iscomplexobj(rows):
-        return np.sqrt(dots(rows.real) + dots(rows.imag))
-    return np.sqrt(dots(rows))
+def _placed(values: np.ndarray, masks) -> np.ndarray:
+    """Rows (..., 32) with the values (..., k) at the blade masks, zero elsewhere."""
+    rows = np.zeros(values.shape[:-1] + (N_BLADES,))
+    rows[..., masks] = values
+    return rows
 
 
 def _promote(x) -> Multivector:

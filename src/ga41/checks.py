@@ -31,7 +31,6 @@ from .algebra import (
     ONE,
     PSEUDOSCALAR,
     _exp_rows,
-    _norms,
     _product,
     _scalar_products,
     _worst,
@@ -62,7 +61,7 @@ from .monogenic import (
     reduced_vector_derivative,
     vector_derivative,
 )
-from .monogenic import _axis_sum, _check_steps, _momentum_rows, _squares
+from .monogenic import _axis_sum, _check_steps, _momentum_rows
 from .projectors import (
     COMMUTING_PAIRS,
     build_e_set,
@@ -157,7 +156,7 @@ def _momenta(draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     draws of _random_momentum: the momentum is the direction scaled to
     unit length, then by the radius, all in one kernel call."""
     masses, directions, radii = (np.array(d) for d in zip(*draws))
-    units = directions / _norms(directions)[:, None]
+    units = directions / np.linalg.norm(directions, axis=-1)[:, None]
     return _momentum_rows(radii[:, None] * units, masses)
 
 
@@ -463,8 +462,8 @@ def _check_dirac_spectrum(ctx) -> Iterator[float]:
 def _check_lambda_involution(ctx) -> Iterator[float]:
     rows, _, _ = _random_momenta(ctx.rng, 50, min_mass=0.05)
     lam = np.diagonal(_ordered_eigensystems(rows)[2], axis1=1, axis2=2)
-    # off the diagonal both terms are exact zeros; E^2 is Python's square
-    diff = _squares(rows[:, 0])[:, None] * (1.0 / lam) - lam
+    # off the diagonal both terms are exact zeros
+    diff = (rows[:, 0] * rows[:, 0])[:, None] * (1.0 / lam) - lam
     yield from np.max(np.abs(diff), axis=1)
 
 

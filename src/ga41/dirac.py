@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PSEUDOSCALAR, _integer, _norms, _worst, e
+from .algebra import PSEUDOSCALAR, _integer, _worst, e
 from .matrices import ALPHA, BETA, IDENTITY, _from_matrices, _half_projector, to_matrix
 from .monogenic import MomentumVector, MultivectorField, harmonic_field
 
@@ -50,18 +50,9 @@ _HALF_SIGNS = np.array([1, -1])[:, None, None]
 _LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def _in_order(terms: np.ndarray) -> np.ndarray:
-    """terms[:, 0] + terms[:, 1] + ..., added left to right; numpy's sum
-    over the axis gives some zeros the other sign."""
-    out = terms[:, 0]
-    for j in range(1, terms.shape[1]):
-        out = out + terms[:, j]
-    return out
-
-
 def _operators(rows: np.ndarray) -> np.ndarray:
     """The operators p_m alpha^m + m beta (n, 4, 4) of momentum rows (n, 5)."""
-    return _in_order(rows[:, 1:, None, None] * _OPERATOR_STACK)
+    return (rows[:, 1:, None, None] * _OPERATOR_STACK).sum(axis=1)
 
 
 def build_dirac_operator(k: MomentumVector) -> np.ndarray:
@@ -86,9 +77,8 @@ def _eigensystems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     A^2 = E^2 and the spin operator S (along p, or e3 at p = 0) commutes
     with A, so (1 + eps A/E)/2 (1 + sigma S)/2 projects onto one column;
     its largest-norm column is taken.  Every step is elementwise, a sum
-    in the one-momentum order or one stacked matmul, and each norm is
-    np.linalg.norm's (`_norms`), so a row equals its one-momentum system
-    bit for bit.
+    over one axis, a stacked matmul or a norm over the last axis, so a row
+    equals its one-momentum system bit for bit.
     """
     n = len(rows)
     energy = rows[:, 0]
@@ -96,10 +86,10 @@ def _eigensystems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise ValueError("the momentum operator vanishes at E = 0")
     a_bar = _operators(rows)
     p = rows[:, 1:4]
-    norm = _norms(p)
+    norm = np.linalg.norm(p, axis=-1)
     rest = norm == 0.0
     unit = p / np.where(rest, 1.0, norm)[:, None]
-    spin = _in_order(unit[:, :, None, None] * _SPIN_STACK)
+    spin = (unit[:, :, None, None] * _SPIN_STACK).sum(axis=1)
     spin[rest] = _SPIN_STACK[2]
     # the halves of A/E and of S, (n, 2, 2, 4, 4), then their four products
     halves = np.stack([a_bar / energy[:, None, None], spin], axis=1)
@@ -111,7 +101,7 @@ def _eigensystems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     lead = cols[at, np.argmax(np.abs(cols), axis=-1)]
     cols = cols * (np.conj(lead) / np.abs(lead))[:, None]
     psi_bar = np.empty((n, 4, 4), dtype=complex)
-    psi_bar.swapaxes(-1, -2)[...] = (cols / _norms(cols)[:, None]).reshape(n, 4, 4)
+    psi_bar.swapaxes(-1, -2)[...] = (cols / np.linalg.norm(cols, axis=-1)[:, None]).reshape(n, 4, 4)
     lam = np.zeros((n, 16), dtype=complex)
     lam[:, ::5] = energy[:, None] * _LAM_SIGNS
     return a_bar, psi_bar, lam.reshape(n, 4, 4)

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _product, _worst
+from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _placed, _product
+from .algebra import _worst
 from .monogenic import AXES, MultivectorField, vector_derivative
 from .monogenic import _ALL_AXES, _derivative_sum, _points, _result, _stacked, _stencil
 
@@ -51,13 +52,6 @@ class Frame:
         object.__setattr__(self, "_reciprocal_rows", rows)
 
 
-def _vector_rows(components: np.ndarray) -> np.ndarray:
-    """Rows (..., 32) of the vectors with e-basis components (..., 5)."""
-    rows = np.zeros(components.shape[:-1] + (N_BLADES,))
-    rows[..., _VECTOR_MASKS] = components
-    return rows + 0.0  # + 0.0 turns -0.0 into 0.0
-
-
 def _frames(mats: np.ndarray) -> tuple:
     """build_frame's rules and arithmetic on the tensors (n, 5, 5), each
     tensor as its one-tensor call computes it.
@@ -88,7 +82,7 @@ def _frames(mats: np.ndarray) -> tuple:
     mat, metric = mat[kept], metric[kept]
     inverse_metric = np.linalg.inv(metric)
     recip_coeffs = inverse_metric @ mat.swapaxes(1, 2)  # row a: g^a in e-basis components
-    vectors, reciprocal = _vector_rows(mat.swapaxes(1, 2)), _vector_rows(recip_coeffs)
+    vectors, reciprocal = (_placed(c, _VECTOR_MASKS) for c in (mat.swapaxes(1, 2), recip_coeffs))
     return cond, faults, vectors, metric, inverse_metric, reciprocal
 
 
@@ -131,17 +125,17 @@ class GaugeField:
 
     A constant potential, the charge and the mass must be finite; a
     callable potential is not checked.  A constant potential is stored
-    read-only, and its electromagnetic frame is built on the first
-    em_frame call and stored on the field."""
+    read-only as the field's potential, so dataclasses.replace keeps it,
+    and its electromagnetic frame is built on the first em_frame call and
+    stored on the field."""
 
-    potential: Callable[[np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray], np.ndarray] | np.ndarray
     charge: float
     mass: float
     phase: Optional[Callable[[np.ndarray], float]] = None
     phase_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        const = None
         if not callable(self.potential):
             const = np.array(self.potential, dtype=float)
             if const.shape != (4,):
@@ -149,8 +143,7 @@ class GaugeField:
             if not np.all(np.isfinite(const)):
                 raise ValueError("constant potential must be finite")
             const.setflags(write=False)
-            object.__setattr__(self, "potential", lambda x: const)
-        object.__setattr__(self, "_constant", const)
+            object.__setattr__(self, "potential", const)
         for name in ("charge", "mass"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
@@ -158,6 +151,8 @@ class GaugeField:
             object.__setattr__(self, name, value)
 
     def potential_at(self, x) -> np.ndarray:
+        if not callable(self.potential):
+            return self.potential
         a = np.asarray(self.potential(np.asarray(x, dtype=float)), dtype=float)
         if a.shape != (4,):
             raise ValueError("potential must evaluate to four components")
@@ -179,7 +174,7 @@ class GaugeField:
     def _frame(self) -> Frame:
         """The electromagnetic frame of a constant potential, the same at
         every point; a failed build stores nothing."""
-        return _em_frame(self.charge / self.mass, self._constant)
+        return _em_frame(self.charge / self.mass, self.potential)
 
 
 def em_frame(field: GaugeField, x) -> Frame:
@@ -191,7 +186,7 @@ def em_frame(field: GaugeField, x) -> Frame:
     point = _point(x)
     if field.mass == 0.0:
         raise ValueError("electromagnetic frame requires a nonzero mass")
-    if field._constant is not None:
+    if not callable(field.potential):
         return field._frame
     return _em_frame(field.charge / field.mass, field.potential_at(point))
 
@@ -207,9 +202,11 @@ def _em_frame(ratio: float, a: np.ndarray) -> Frame:
         raise ValueError(
             f"tilt (charge/mass) A and its square must be finite, got {recip[4, :4].tolist()}"
         )
-    direct = ETA @ np.linalg.inv(recip)  # column a: g_a components
+    # recip is ETA with row 4 tilted, so ETA recip^-1 = I - e4 (x) ratio a
+    direct = np.eye(AXES)  # column a: g_a components
+    direct[4, :4] = -(ratio * a)
     metric = direct.T @ ETA @ direct
-    vectors, reciprocal = _vector_rows(np.array([direct.T, recip]))
+    vectors, reciprocal = _placed(np.array([direct.T, recip]), _VECTOR_MASKS)
     wrap = Multivector._wrap
     return Frame(tuple(map(wrap, vectors)), metric, inverse_metric, tuple(map(wrap, reciprocal)))
 
@@ -270,7 +267,7 @@ def gauge_transform(
 
     def new_potential(x) -> np.ndarray:
         g = field.phase_gradient_at(x)
-        return np.asarray(field.potential(x), dtype=float) - g[:4] / field.charge
+        return field.potential_at(x) - g[:4] / field.charge
 
     rotated = MultivectorField(_rows=rows, _partials=None if base_partials is None else partials)
     return rotated, replace(field, potential=new_potential)
@@ -298,6 +295,7 @@ def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> fl
     rotors = _rotor_rows(_stacked(field.phase, x))
     # sum over a < 4 of g_a e^a, raised by ETA
     raised = _stacked(field.phase_gradient_at, x, (AXES,))[:, :4] @ ETA[:4]
-    turned = _product(_FULL, _product(_FULL, PSEUDOSCALAR.coeffs, _vector_rows(raised)), psi(x))
+    gradient = _product(_FULL, PSEUDOSCALAR.coeffs, _placed(raised, _VECTOR_MASKS))
+    turned = _product(_FULL, gradient, psi(x))
     rhs = _product(_FULL, vector_derivative(psi, x), rotors) + _product(_FULL, turned, rotors)
     return _worst(np.max(np.abs(vector_derivative(rotated, x) - rhs), axis=-1))

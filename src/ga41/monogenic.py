@@ -26,6 +26,7 @@ from .algebra import (
     _VECTOR_MASKS,
     _XOR,
     _integer,
+    _placed,
     _product,
     blade_product,
     e,
@@ -57,22 +58,18 @@ _AMPLITUDE_LAYOUT = [0b00000, 0b00011, 0b00101, 0b01001, 0b10001]
 _PHASE_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
 
 
-def _square(v: float) -> float:
-    try:
-        return v**2
-    except OverflowError:
-        raise ValueError(f"{v!r} is too large to square") from None
-
-
 def _squares(values: np.ndarray) -> np.ndarray:
-    """v**2 of each value as Python takes it, by libm's pow, which rounds
-    differently from v * v (numpy's square) on some values."""
-    return np.array([_square(v) for v in values.tolist()], dtype=float)
+    """values * values; ValueError for a finite value whose square overflows."""
+    with np.errstate(over="ignore"):
+        out = values * values
+    big = np.isinf(out) & np.isfinite(values)
+    if big.any():
+        raise ValueError(f"{values[big][0].item()!r} is too large to square")
+    return out
 
 
 def _momentum_squares(p: np.ndarray) -> np.ndarray:
-    """|p|^2 of momenta (n, 3), summed in index order as Python's sum; one
-    that overflows is inf."""
+    """|p|^2 of momenta (n, 3), summed in index order; one that overflows is inf."""
     with np.errstate(over="ignore"):
         return p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] + p[:, 2] * p[:, 2]
 
@@ -100,15 +97,6 @@ def _checked_momenta(rows: np.ndarray, mass_squares=None) -> np.ndarray:
     return rows
 
 
-def _placed_rows(rows: np.ndarray, masks: list[int]) -> np.ndarray:
-    """Momentum rows (..., 5) at the given blade masks, zero elsewhere."""
-    out = np.full(rows.shape[:-1] + (N_BLADES,), -0.0)
-    out[..., masks] = rows
-    # + 0.0 turns -0.0 into 0.0, as the sum of the five terms x * blade
-    # does unless all five numbers of the row carry a minus sign
-    return out + np.where(np.signbit(rows).all(axis=-1), -0.0, 0.0)[..., None]
-
-
 def _momentum_rows(momenta: np.ndarray, masses: np.ndarray):
     """The momenta MomentumVector.from_mass_momentum builds from momenta
     (n, 3) and masses (n,), as rows (n, 5) = (E, p1, p2, p3, m), with their
@@ -120,7 +108,7 @@ def _momentum_rows(momenta: np.ndarray, masses: np.ndarray):
     mass_squares = _squares(masses)
     energy = np.sqrt(_momentum_squares(p) + mass_squares)
     rows = _checked_momenta(np.column_stack([energy, p, masses]), mass_squares)
-    return rows, _placed_rows(rows, _AMPLITUDE_LAYOUT), rows * _PHASE_SIGNS
+    return rows, _placed(rows, _AMPLITUDE_LAYOUT), rows * _PHASE_SIGNS
 
 
 @dataclass(frozen=True)
@@ -150,8 +138,11 @@ class MomentumVector:
         cls, momentum, mass: float, negative_energy: bool = False
     ) -> "MomentumVector":
         p = tuple(float(q) for q in momentum)
-        energy = math.sqrt(sum(q * q for q in p) + _square(float(mass)))
-        return cls(-energy if negative_energy else energy, p, float(mass))
+        if len(p) != 3:
+            raise ValueError("momentum must have three components")
+        mass = float(mass)
+        energy = _momentum_rows(np.array([p]), np.array([mass]))[0][0, 0].item()
+        return cls(-energy if negative_energy else energy, p, mass)
 
     @property
     def null_gap(self) -> float:
@@ -170,12 +161,12 @@ class MomentumVector:
     @property
     def vector(self) -> Multivector:
         """u = E e0 + p_k ek + m e4; squares to the null gap."""
-        return Multivector._wrap(_placed_rows(self._row, _VECTOR_MASKS))
+        return Multivector._wrap(_placed(self._row, _VECTOR_MASKS))
 
     @property
     def amplitude(self) -> Multivector:
         """Wave amplitude E + p_k e0k + m e04, equal to u times -e0."""
-        return Multivector._wrap(_placed_rows(self._row, _AMPLITUDE_LAYOUT))
+        return Multivector._wrap(_placed(self._row, _AMPLITUDE_LAYOUT))
 
 
 def _points(x) -> np.ndarray:

@@ -197,9 +197,7 @@ def conjugated_unit_quadruple(unitary: np.ndarray) -> IdempotentSet:
         raise ValueError("unitary must be 4x4")
     if not np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10:  # NaN fails too
         raise ValueError("matrix is not unitary")
-    selectors = np.zeros((4, 4, 4), dtype=complex)  # selector k is e_kk
-    selectors[range(4), range(4), range(4)] = 1.0
-    rows = _from_matrices(u @ selectors @ u.conj().T)
+    rows = _from_matrices(np.einsum("ik,jk->kij", u, u.conj()))  # u[:, k] u[:, k]^H
     return IdempotentSet("custom", tuple(Multivector._wrap(row) for row in rows))
 
 

@@ -73,7 +73,7 @@ def _old_null_annihilation(ctx):
 def _old_random_momentum(rng, min_mass=0.01, min_p=0.0):
     mass = rng.uniform(min_mass, 5.0)
     direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
+    direction /= np.sqrt((direction * direction).sum())
     radius = rng.uniform(min_p, 4.9)
     return MomentumVector.from_mass_momentum(radius * direction, mass)
 
@@ -133,7 +133,7 @@ def _old_lambda_involution(ctx):
         k = _old_random_momentum(ctx.rng, min_mass=0.05)
         system = order_eigensystem(dirac_system(k))
         lam_inv = np.diag(1.0 / np.diag(system.lam))
-        diff = k.energy**2 * lam_inv - system.lam
+        diff = k.energy * k.energy * lam_inv - system.lam
         yield float(np.max(np.abs(diff)))
 
 

@@ -256,17 +256,17 @@ def test_column_wave_rejects_a_non_integer_index():
 
 
 def _old_operator(k):
-    p1, p2, p3 = k.momentum
-    return p1 * ALPHA[0] + p2 * ALPHA[1] + p3 * ALPHA[2] + k.mass * BETA
+    terms = np.array([*k.momentum, k.mass])[:, None, None] * np.array([*ALPHA, BETA])
+    return terms.sum(axis=0)
 
 
 def _old_spin_operator(k):
     p = np.array(k.momentum)
-    norm = float(np.linalg.norm(p))
+    norm = float(np.sqrt((p * p).sum()))
     if norm == 0.0:
         return SPIN_IMAGES[2].copy()
     unit = p / norm
-    return unit[0] * SPIN_IMAGES[0] + unit[1] * SPIN_IMAGES[1] + unit[2] * SPIN_IMAGES[2]
+    return (unit[:, None, None] * np.array(SPIN_IMAGES)).sum(axis=0)
 
 
 def _old_dirac_system(k):
@@ -284,7 +284,7 @@ def _old_dirac_system(k):
         col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
         lead = col[int(np.argmax(np.abs(col)))]
         col = col * (np.conj(lead) / abs(lead))
-        psi[:, j] = col / np.linalg.norm(col)
+        psi[:, j] = col / np.sqrt((col.conj() * col).real.sum())
     lam = np.diag([energy, energy, -energy, -energy]).astype(complex)
     return a_bar, psi, lam
 

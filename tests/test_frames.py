@@ -127,7 +127,7 @@ def _loop_frame(n):
 def _rows(components):
     rows = np.zeros((5, 32))
     rows[:, [1, 2, 4, 8, 16]] = components
-    return rows + 0.0  # no -0.0 coefficient
+    return rows
 
 
 def test_stacked_frames_equal_the_one_tensor_arithmetic():
@@ -135,7 +135,7 @@ def test_stacked_frames_equal_the_one_tensor_arithmetic():
     # spreads up to 0.8 break the signature rule now and then; one tensor
     # has -0.0 entries, one is singular and one is not finite
     tensors = np.eye(5) + rng.uniform(-1.0, 1.0, (400, 5, 5)) * np.repeat([0.2, 0.8], 200)[:, None, None]
-    tensors[3] = np.where(np.eye(5) == 1.0, 1.0, -0.0)  # its rows get no -0.0
+    tensors[3] = np.where(np.eye(5) == 1.0, 1.0, -0.0)  # its rows keep the -0.0
     tensors[7, :, 2] = 0.0
     tensors[11, 3, 1] = math.inf
     cond, faults, vectors, metric, inverse, reciprocal = _frames(tensors)

@@ -2,9 +2,11 @@
 
 The momentum vector and wave amplitude, a Dirac eigencolumn kept in
 place, and the fifteen su(4) generators are built by writing their
-components into a zero row or matrix.  Each must equal, byte for byte
-and so with the same signed zeros, the arithmetic it replaces, which is
-copied here as the reference.
+components into a zero row or matrix.  The eigencolumn and the
+generators equal, byte for byte and so with the same signed zeros, the
+arithmetic they replace, which is copied here as the reference; the
+momentum vector and amplitude equal their expansions in value, and hold
+each number with its own sign in a row of +0.0.
 """
 
 import math
@@ -15,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ga41 import MomentumVector
-from ga41.algebra import ONE, e
+from ga41.algebra import ONE, _VECTOR_MASKS, e
 from ga41.dirac import _column_parts, dirac_system
 from ga41.matrices import from_matrix
-from ga41.monogenic import _axis_sum
+from ga41.monogenic import _AMPLITUDE_LAYOUT, _axis_sum
 from ga41.projectors import su4_generators
 
 
@@ -45,26 +47,35 @@ _component = st.one_of(_signed_zero, st.floats(-1e3, 1e3))
 _mass = st.one_of(_signed_zero, st.floats(0.0, 1e3))
 
 
+def _assert_placed(k):
+    """u and the amplitude: the expansions' values, and the five numbers
+    written into a zero row, signed zeros included."""
+    numbers = [k.energy, *k.momentum, k.mass]
+    for got, expanded, masks in (
+        (k.vector, _expanded_vector(k), _VECTOR_MASKS),
+        (k.amplitude, _expanded_amplitude(k), _AMPLITUDE_LAYOUT),
+    ):
+        assert np.array_equal(got.coeffs, expanded.coeffs)
+        row = np.zeros(32)
+        row[masks] = numbers
+        assert _same_bits(got.coeffs, row)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(_component, _component, _component), _mass, st.booleans())
 def test_vector_and_amplitude_match_their_expansions(momentum, mass, negative):
     # negative energy at p = 0 and m = 0 is E = -0.0
-    k = MomentumVector.from_mass_momentum(momentum, mass, negative_energy=negative)
-    assert _same_bits(k.vector.coeffs, _expanded_vector(k).coeffs)
-    assert _same_bits(k.amplitude.coeffs, _expanded_amplitude(k).coeffs)
+    _assert_placed(MomentumVector.from_mass_momentum(momentum, mass, negative_energy=negative))
 
 
 def test_vector_and_amplitude_signed_zeros():
-    # all five numbers with a minus sign keep -0.0 in every empty blade
     for k in (
         MomentumVector(-0.0, (-0.0, -0.0, -0.0), -0.0),
         MomentumVector(-math.sqrt(3.0), (-1.0, -1.0, -1.0), -0.0),
         MomentumVector(-0.0, (0.0, -0.0, -0.0), -0.0),
         MomentumVector(2.0, (0.0, -0.0, 0.0), 2.0),
     ):
-        assert _same_bits(k.vector.coeffs, _expanded_vector(k).coeffs)
-        assert _same_bits(k.amplitude.coeffs, _expanded_amplitude(k).coeffs)
-    assert np.signbit(MomentumVector(-0.0, (-0.0, -0.0, -0.0), -0.0).vector.coeffs).all()
+        _assert_placed(k)
 
 
 def test_column_parts_match_the_selector_product():

@@ -15,7 +15,7 @@ from ga41.algebra import PSEUDOSCALAR
 from ga41.dirac import column_wave, dirac_system, order_eigensystem
 from ga41.frames import GaugeField, build_frame, covariant_derivative, gauge_transform
 from ga41 import monogenic
-from ga41.algebra import N_BLADES, _VECTOR_MASKS
+from ga41.algebra import N_BLADES
 from ga41.monogenic import (
     FLAGGED_MASKS,
     harmonic_field,
@@ -715,22 +715,12 @@ def test_separable_wavepacket_takes_exactly_energy_and_mass():
 
 
 def _libm_squares_that_differ(count=6):
-    """Masses in [0.05, 5] whose Python square (libm pow) is not m * m."""
+    """Masses in [0.05, 5] whose Python square m**2 (libm pow) is not m * m,
+    which the momenta take."""
     draws = np.random.default_rng(19).uniform(0.05, 5.0, 50_000).tolist()
     found = [m for m in draws if m**2 != m * m]
     assert len(found) >= count
     return found[:count]
-
-
-def test_squares_are_python_s_not_numpy_s():
-    masses = np.array(_libm_squares_that_differ())
-    want = np.array([m**2 for m in masses.tolist()])
-    assert monogenic._squares(masses).tobytes() == want.tobytes()
-    # numpy's array square is m * m, which rounds differently here
-    assert not np.array_equal(masses**2, want)
-    assert monogenic._squares(np.zeros(0)).shape == (0,)
-    with pytest.raises(ValueError, match="too large to square"):
-        monogenic._squares(np.array([1.0, 1e200]))
 
 
 def _kernel_momenta():
@@ -753,35 +743,13 @@ def test_momentum_rows_equal_the_one_momentum_values_byte_for_byte():
         assert rows[i].tobytes() == np.array([k.energy, *k.momentum, k.mass]).tobytes(), (p, m)
         assert amplitudes[i].tobytes() == k.amplitude.coeffs.tobytes(), (p, m)
         assert grads[i].tobytes() == k.phase_gradient.tobytes(), (p, m)
-
-
-def _old_placed(k, masks):
-    values = np.array([k.energy, *k.momentum, k.mass])
-    row = np.full(N_BLADES, -0.0)
-    row[masks] = values
-    return row + (-0.0 if np.signbit(values).all() else 0.0)
-
-
-def test_placed_rows_keep_the_signed_zero_rule_row_by_row():
-    # rows whose five numbers all carry a minus sign keep their -0.0 cells
-    momenta = [
-        MomentumVector(-0.0, (-0.0, -0.0, -0.0), -0.0),
-        MomentumVector(-math.sqrt(3.0), (-1.0, -1.0, -1.0), -0.0),
-        MomentumVector(-3.0, (-1.0, -2.0, -2.0), -0.0),
-        MomentumVector(-0.0, (0.0, -0.0, -0.0), -0.0),
-        MomentumVector(2.0, (0.0, -0.0, 0.0), 2.0),
-        MomentumVector(3.0, (-1.0, -2.0, -2.0), 0.0),
-        MomentumVector.from_mass_momentum((0.3, -1.2, 0.8), 0.7, negative_energy=True),
-    ]
-    rows = np.array([[k.energy, *k.momentum, k.mass] for k in momenta])
-    layouts = ((monogenic._AMPLITUDE_LAYOUT, "amplitude"), (_VECTOR_MASKS, "vector"))
-    for masks, attribute in layouts:
-        placed = monogenic._placed_rows(rows, masks)
-        for i, k in enumerate(momenta):
-            want = _old_placed(k, masks).tobytes()
-            assert placed[i].tobytes() == want
-            assert getattr(k, attribute).coeffs.tobytes() == want
-    assert np.signbit(monogenic._placed_rows(rows[:1], _VECTOR_MASKS)).all()
+        # the one-momentum arithmetic: squares x * x summed in index order,
+        # and the numbers written into a zero row
+        want = np.array([math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + m * m), *p, m])
+        amplitude = np.zeros(N_BLADES)
+        amplitude[monogenic._AMPLITUDE_LAYOUT] = want
+        assert rows[i].tobytes() == want.tobytes(), (p, m)
+        assert amplitudes[i].tobytes() == amplitude.tobytes(), (p, m)
 
 
 @pytest.mark.parametrize(

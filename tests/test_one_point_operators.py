@@ -122,7 +122,7 @@ def _old_em_frame(field, x):
     def vectors(components):
         rows = np.zeros(components.shape[:-1] + (N_BLADES,))
         rows[..., _VECTOR_MASKS] = components
-        return tuple(map(Multivector._wrap, rows + 0.0))
+        return tuple(map(Multivector._wrap, rows))
 
     if field.mass == 0.0:
         raise ValueError("electromagnetic frame requires a nonzero mass")
@@ -132,7 +132,8 @@ def _old_em_frame(field, x):
     recip[0, 0] = -1.0
     recip[4, :4] = ratio * a * np.array([-1.0, 1.0, 1.0, 1.0])
     inverse_metric = recip @ ETA @ recip.T
-    direct = ETA @ np.linalg.inv(recip)
+    direct = np.eye(AXES)  # ETA recip^-1 in closed form
+    direct[4, :4] = -(ratio * a)
     metric = direct.T @ ETA @ direct
     return Frame(vectors(direct.T), metric, inverse_metric, vectors(recip))
 
@@ -242,7 +243,7 @@ def test_packet_partials_are_the_earlier_ones_byte_for_byte(name, where):
             assert _bytes(laplacian(packet, x, h, richardson=True)) == _bytes(want)
 
 
-def test_em_frame_is_the_earlier_frame_byte_for_byte():
+def test_em_frame_is_the_closed_form_frame_byte_for_byte():
     rng = np.random.default_rng(7)
     for _ in range(200):
         potential = rng.uniform(-1.0, 1.0, 4) * rng.choice([1e-3, 1.0, 1e3])
@@ -255,6 +256,13 @@ def test_em_frame_is_the_earlier_frame_byte_for_byte():
             ]
         assert got.metric.tobytes() == want.metric.tobytes()
         assert got.inverse_metric.tobytes() == want.inverse_metric.tobytes()
+        # the closed form inverts recip exactly, and the LU inverse meets it
+        # to rounding
+        direct = np.array([v.coeffs[_VECTOR_MASKS] for v in got.vectors]).T
+        recip = np.array([v.coeffs[_VECTOR_MASKS] for v in got.reciprocal])
+        assert np.array_equal(recip @ ETA @ direct, np.eye(AXES))
+        gap = np.max(np.abs(ETA @ np.linalg.inv(recip) - direct))
+        assert gap <= 4 * 2.0**-52 * np.max(np.abs(direct))
 
 
 # -- call counts -------------------------------------------------------------

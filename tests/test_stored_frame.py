@@ -143,6 +143,21 @@ def test_a_replaced_gauge_field_does_not_inherit_the_frame(change):
     assert em_frame(field, _POINTS[1]) is stored
 
 
+def test_a_replaced_gauge_field_keeps_its_constant_and_stores_its_frame_once(monkeypatch):
+    calls = _counted_builds(monkeypatch)
+    field = GaugeField((0.2, -0.4, 0.1, 0.3), charge=-1.0, mass=1.2)
+    for change in ({"mass": 2.0}, {"charge": 1.0}, {"phase": lambda x: 0.0}):
+        changed = dataclasses.replace(field, **change)
+        assert not callable(changed.potential) and not changed.potential.flags.writeable
+        assert changed.potential.tobytes() == field.potential.tobytes()
+        calls.clear()
+        got = [em_frame(changed, x) for x in _POINTS[:10]]
+        assert len(calls) == 1 and all(frame is got[0] for frame in got)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="constant potential must be finite"):
+            dataclasses.replace(field, potential=(0.2, bad, 0.1, 0.3))
+
+
 @pytest.mark.parametrize(
     "x", [[math.nan] * 5, [0.0, math.inf, 0.0, 0.0, 0.0], [1.0, 2.0], "abc", np.zeros((2, 5))]
 )
