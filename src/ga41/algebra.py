@@ -279,7 +279,8 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
     sq = _product(_FULL, rows, rows)
     scalar = ~sq[:, 1:].any(axis=1)
     out = np.empty_like(rows)
-    out[scalar] = _exp_scalar_squares(rows[scalar], sq[scalar, 0])
+    if scalar.any():
+        out[scalar] = _exp_scalar_squares(rows[scalar], sq[scalar, 0])
     series = ~scalar
     (bivectors,) = (series & ~rows[:, _NOT_BIVECTOR].any(axis=1)).nonzero()
     if bivectors.size:  # a nilpotent q keeps the series
