@@ -148,7 +148,7 @@ ANTICOMMUTING = (e_upper(3), e_upper(0, 3))
 #: the sign pairs of build_f_set's elements
 F_SIGNS = ((-1, -1), (-1, 1), (1, 1), (1, -1))
 
-#: (check, name patched in ga41.checks, replacement from the real value)
+
 def _doubled_mass_gauge(real):
     def built(potential, charge, mass, **kwargs):
         return real(potential, charge=charge, mass=2.0 * mass, **kwargs)
@@ -176,6 +176,7 @@ def _phase_along_the_mass_axis(real):
     return built
 
 
+#: (check, name patched in ga41.checks, replacement from the real value)
 MUTATIONS = (
     ("blade_squares", "blade_product", _euclidean_e0),
     # the inner product of vectors in the Euclidean metric
