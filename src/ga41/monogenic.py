@@ -10,6 +10,7 @@ the harmonic mass dependence.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -141,8 +142,12 @@ class MomentumVector:
         if len(p) != 3:
             raise ValueError("momentum must have three components")
         mass = float(mass)
+        # _momentum_rows checks the row, so the constructor's check is skipped;
+        # the flipped branch has the same squares and passes the same check
         energy = _momentum_rows(np.array([p]), np.array([mass]))[0][0, 0].item()
-        return cls(-energy if negative_energy else energy, p, mass)
+        out = object.__new__(cls)
+        out.__dict__.update(energy=-energy if negative_energy else energy, momentum=p, mass=mass)
+        return out
 
     @property
     def null_gap(self) -> float:
@@ -170,10 +175,14 @@ class MomentumVector:
 
 
 def _points(x) -> np.ndarray:
-    """x as float points (..., 5); ValueError for any other last axis."""
+    """x as float points (..., 5); ValueError for any other last axis and
+    for a coordinate that is NaN or infinite."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (AXES,):
         raise ValueError(f"points must have shape (..., 5), got shape {x.shape}")
+    # count_nonzero, not .all(): half the cost at the few points of a call
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        raise ValueError("points must be finite")
     return x
 
 
@@ -503,13 +512,38 @@ def _nullspace(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
 @dataclass(frozen=True)
 class PolynomialField(MultivectorField):
     """Polynomial solution of the spatial vector derivative; flagged
-    fields take values in the scalar + e12 plane only.  ``_spatial``
-    gives rows (..., 4, 32) of the value and its partials along axes
-    1..3 from one power table, as separable_wavepacket takes them."""
+    fields take values in the scalar + e12 plane only.  Its term table is
+    ``monomials``, the exponents (J, 3) of x1, x2, x3 in its J nonzero
+    terms, and ``coefficients``, their rows (J, 32); separable_wavepacket
+    takes the table in place of the rows."""
 
     degree: int = 0
     flagged: bool = False
-    _spatial: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    monomials: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
+    coefficients: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
+
+
+def _monomial_values(expos: np.ndarray, degree: int, which) -> Callable:
+    """The values of the monomials x1^i x2^j x3^k with exponents expos
+    (J, 3) of the given degree, as a function of points xs (n, 5) that
+    gives the term rows ``which`` (n, len(which), J) from one power table:
+    term row 0 is the monomial, term row a = 1..3 its partial along axis a."""
+    # each term row's three exponents as indices (4, J, 3) into the flat
+    # power table, where the powers of x_a sit at a * (degree + 1) onwards;
+    # d/dx_a takes the factor the exponent of x_a, which drops by one
+    lowered = np.maximum(expos - np.eye(3, dtype=int)[:, None], 0)
+    index = (np.concatenate([expos[None], lowered]) + (degree + 1) * np.arange(3))[which]
+    factors = np.concatenate([np.ones((1, len(expos))), expos.T])[which]
+
+    def values(xs) -> np.ndarray:
+        # powers by repeated products, which round alike on every platform
+        table = np.ones((len(xs), 3, degree + 1))
+        table[..., 1:] = xs[:, 1:4, None]
+        powers = table.cumprod(axis=-1).reshape(len(xs), -1)[:, index]
+        # factor * x1^i * x2^j, then * x3^k
+        return factors * powers[..., 0] * powers[..., 1] * powers[..., 2]
+
+    return values
 
 
 def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
@@ -521,35 +555,33 @@ def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
     keep = np.any(coeffs != 0.0, axis=1)
     expos, coeffs = np.array(_monomials(degree))[keep], coeffs[keep]
     flagged = not np.any(np.delete(coeffs, FLAGGED_MASKS, axis=1))
-    # four rows of terms: the value (factor 1), then d/dx_a for a = 1..3
-    # (factor the exponent of x_a, which drops by one); each term's three
-    # exponents as indices (4, terms, 3) into the flat power table, where
-    # the powers of x_a sit at a * (degree + 1) onwards
-    lowered = np.maximum(expos - np.eye(3, dtype=int)[:, None], 0)
-    index = np.concatenate([expos[None], lowered]) + (degree + 1) * np.arange(3)
-    factors = np.concatenate([np.ones((1, len(expos))), expos.T])
+    for table in (expos, coeffs):
+        table.setflags(write=False)
 
-    def sums(xs, terms=slice(None)) -> np.ndarray:
-        """Rows (..., k, 32) of the term rows ``terms`` at the points xs (..., 5)."""
-        # powers by repeated products, which round alike on every platform
-        x = xs.reshape(-1, AXES)[:, 1:4, None]
-        table = np.cumprod(np.concatenate([np.ones_like(x)] + [x] * degree, axis=-1), axis=-1)
-        powers = table.reshape(len(table), -1)[:, index[terms]]
-        # factor * x1^i * x2^j, then * x3^k
-        mono = factors[terms] * powers[..., 0] * powers[..., 1] * powers[..., 2]
-        return _axis_sum(mono[..., None] * coeffs).reshape(xs.shape[:-1] + (-1, N_BLADES))
+    def summed(which) -> Callable:
+        """Rows (..., k, 32) of the term rows ``which`` at points (..., 5)."""
+        values = _monomial_values(expos, degree, which)
+
+        def sums(xs) -> np.ndarray:
+            terms = values(xs.reshape(-1, AXES))
+            return _axis_sum(terms[..., None] * coeffs).reshape(xs.shape[:-1] + (-1, N_BLADES))
+
+        return sums
+
+    value_sums, partial_sums = summed(slice(0, 1)), summed(slice(1, None))
 
     def rows(xs) -> np.ndarray:
-        return sums(xs, slice(0, 1))[..., 0, :]
+        return value_sums(xs)[..., 0, :]
 
     def partials(xs) -> np.ndarray:
         # axes 0 and 4 give zero
         out = np.zeros(xs.shape[:-1] + (AXES, N_BLADES))
-        out[..., 1:4, :] = sums(xs, slice(1, None))
+        out[..., 1:4, :] = partial_sums(xs)
         return out
 
     return PolynomialField(
-        _rows=rows, _partials=partials, degree=degree, flagged=flagged, _spatial=sums
+        _rows=rows, _partials=partials, degree=degree, flagged=flagged,
+        monomials=expos, coefficients=coeffs,
     )
 
 
@@ -581,6 +613,27 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
     return [_polynomial_field(degree, np.array([a / scales[j] for a in vectors[j]])) for j in chosen]
 
 
+def _term_table(spatial: MultivectorField, which: list) -> tuple[Callable, np.ndarray]:
+    """A spatial factor S = sum_j s_j(x) R_j as a function of points xs
+    (n, 5) that gives the term rows ``which`` (n, len(which), J), row 0
+    the values s_j and rows 1..3 their partials along axes 1..3, and the
+    term rows R (J, 32).  A polynomial gives its monomials and coefficient
+    rows; any other field, or a polynomial built without them, its rows
+    and partials, with the 32 unit blades."""
+    if isinstance(spatial, PolynomialField) and spatial.monomials is not None:
+        values = _monomial_values(spatial.monomials, spatial.degree, which)
+        return values, spatial.coefficients
+    spatial_rows, spatial_partials = spatial._rows, spatial._partials
+
+    def values(xs) -> np.ndarray:
+        s = spatial_rows(xs)[:, None, :]
+        if which == [0]:  # the value alone takes no partials
+            return s
+        return np.concatenate([s, spatial_partials(xs)[:, 1:4, :]], axis=1)[:, which]
+
+    return values, np.eye(N_BLADES)
+
+
 def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
     """Product of a spatial factor and a (t, x4) plane wave with k = (E, m),
     E^2 = m^2 for finite E and m (ValueError otherwise, also when E^2
@@ -590,6 +643,17 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
     generators (checked on a sample grid); together with spatial
     monogenicity this makes the product monogenic in all five axes
     without spreading.
+
+    The pseudoscalar I is central, so the packet of S = sum_j s_j(x) R_j
+    and the wave A exp(I phi), phi = -E t + m x4, is
+    sum_j s_j (cos phi P_j + sin phi Q_j) with the constants P = R A and
+    Q = R A I, which are formed once, here; a polynomial gives its
+    monomials and coefficient rows as s_j and R, any other factor its
+    rows and the 32 unit blades.  Rows and partials are then one
+    _axis_sum each over the 2J products of [s_j cos, s_j sin] and [P, Q],
+    with no geometric product per call: along axes 1..3 the terms take
+    d_a s_j in place of s_j, and along axes 0 and 4 the wave's derivative
+    g_a (A I cos - A sin) makes the constants g_a [Q, -P].
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (2,):
@@ -608,25 +672,30 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
             raise ValueError(
                 "spatial factor must commute with the index-0 and index-4 generators"
             )
-    grad, wave, turned = _wave_parts(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
-    spatial_rows, spatial_partials = spatial._rows, spatial._partials
-    # [S, d1 S, d2 S, d3 S]: from one call of a polynomial's power table
-    spatial_sums = getattr(spatial, "_spatial", None) or (
-        lambda xs: np.concatenate(
-            [spatial_rows(xs)[..., None, :], spatial_partials(xs)[..., 1:4, :]], axis=-2)
-    )
+    value_terms, table = _term_table(spatial, [0])
+    # the spatial factor varies along axes 1..3, the wave along 0 and 4
+    partial_terms, _ = _term_table(spatial, [0, 1, 2, 3, 0])
+    p = _product(_FULL, table, (energy * ONE + mass * e(0, 4)).coeffs)
+    q = _product(_FULL, p, PSEUDOSCALAR.coeffs)
+    wave, turned = np.concatenate([p, q]), np.concatenate([q, -p])
+    # the constants (2J, 32) of each term row: the value, then the
+    # partials along axes 0..4
+    value_constants = wave[None]
+    partial_constants = np.stack([-energy * turned, wave, wave, wave, mass * turned])
+
+    def sums(xs, terms, constants) -> np.ndarray:
+        flat = xs.reshape(-1, AXES)
+        s = terms(flat)
+        phase = flat[:, :1] * -energy + flat[:, 4:] * mass
+        turns = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+        # [s_j cos, s_j sin] (n, k, 2J) on the constants
+        weights = (turns[:, None, :, None] * s[:, :, None, :]).reshape(s.shape[:-1] + (-1,))
+        return _axis_sum(weights[..., None] * constants).reshape(xs.shape[:-1] + (-1, N_BLADES))
 
     def rows(xs) -> np.ndarray:
-        return _product(_FULL, spatial_rows(xs), _harmonic(xs, grad, wave)[0])
+        return sums(xs, value_terms, value_constants)[..., 0, :]
 
     def partials(xs) -> np.ndarray:
-        # [S, d1 S, d2 S, d3 S, S] times [d0 T, T, T, T, d4 T]: the spatial
-        # factor varies along axes 1..3, the temporal factor T along 0 and 4
-        value, d = _harmonic(xs, grad, wave, turned)
-        s = spatial_sums(xs)
-        left = np.concatenate([s, s[..., :1, :]], axis=-2)
-        right = d[..., None, :] * grad[:, None]
-        right[..., 1:4, :] = value[..., None, :]
-        return _product(_FULL, left, right)
+        return sums(xs, partial_terms, partial_constants)
 
-    return MultivectorField(_rows=rows, _partials=None if spatial_partials is None else partials)
+    return MultivectorField(_rows=rows, _partials=None if spatial._partials is None else partials)

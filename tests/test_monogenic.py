@@ -772,6 +772,25 @@ def test_momentum_rows_reject_what_the_constructor_rejects(p, m):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("negative_energy", [False, True])
+def test_from_mass_momentum_checks_its_row_once(monkeypatch, negative_energy):
+    checked = []
+    real = monogenic._checked_momenta
+    monkeypatch.setattr(
+        monogenic, "_checked_momenta", lambda rows, *rest: checked.append(rows.shape) or real(rows, *rest)
+    )
+    p, m = (0.4, -1.1, 0.9), 0.6
+    k = MomentumVector.from_mass_momentum(p, m, negative_energy)
+    assert checked == [(1, 5)]
+    energy = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + m * m)
+    want = -energy if negative_energy else energy
+    assert type(k.energy) is float and k.energy.hex() == want.hex()
+    assert k.momentum == p and type(k.mass) is float and k.mass == m
+    # the constructor checks what it is given, once
+    assert MomentumVector(k.energy, k.momentum, k.mass) == k
+    assert checked == [(1, 5), (1, 5)]
+
+
 @pytest.mark.parametrize(
     "row",
     [

@@ -1,17 +1,20 @@
-"""The Laplacian, the polynomial and packet partials and the
-electromagnetic frame against their earlier forms, kept here as
-references: each new form gives the same bytes, on planes, Dirac column
-waves and packets of degree 1-3, at one point, at points (n, 5) and at a
-family's points (m, n, 5).  The Laplacian makes one field call, Richardson
-or not, and a packet's partials one product."""
+"""The Laplacian, the polynomial partials and the electromagnetic frame
+against their earlier forms, kept here as references: each new form
+gives the same bytes, on planes, Dirac column waves and packets of degree
+1-3, at one point, at points (n, 5) and at a family's points (m, n, 5).
+The Laplacian makes one field call, Richardson or not.  A packet's rows
+and partials, whose bytes moved once when it became a central phase
+times a term table, are pinned by a sha256, and no packet call makes a
+geometric product."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from ga41 import ONE, Multivector, monogenic
-from ga41.algebra import N_BLADES, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _product, e
+from ga41 import Multivector, monogenic
+from ga41.algebra import N_BLADES, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _product
 from ga41.dirac import column_wave, dirac_system, order_eigensystem
 from ga41.frames import ETA, Frame, GaugeField, em_frame
 from ga41.monogenic import (
@@ -96,26 +99,6 @@ def _old_harmonic_parts(amplitude, phase_gradient):
         return wave(xs, amp_i, -amp)[..., None, :] * lined_up(grad, xs)[..., :, None]
 
     return (lambda xs: wave(xs, amp, amp_i)), partials
-
-
-def _old_packet_parts(spatial, k):
-    """The rows and partials of separable_wavepacket(spatial, k): two
-    products, the first over two rows that the second overwrites."""
-    energy, mass = k
-    temporal_rows, temporal_partials = _old_harmonic_parts(
-        energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass)
-    )
-
-    def rows(xs):
-        return _product(_FULL, spatial._rows(xs), temporal_rows(xs))
-
-    def partials(xs):
-        out = _product(_FULL, spatial._partials(xs), temporal_rows(xs)[..., None, :])
-        time_mass = temporal_partials(xs)[..., [0, 4], :]
-        out[..., [0, 4], :] = _product(_FULL, spatial._rows(xs)[..., None, :], time_mass)
-        return out
-
-    return rows, partials
 
 
 def _old_em_frame(field, x):
@@ -226,21 +209,41 @@ def test_polynomial_partials_are_the_earlier_ones_byte_for_byte(degree, monkeypa
             assert _bytes(field._partials(xs)) == _bytes(old_partials(xs))
 
 
+#: the packets' energies and masses
+_PACKET_KS = ((1.3, -1.3), (-0.8, 0.8), (2.1, 2.1))
+#: sha256 of the rows, then the partials, of every degree 1-3 basis
+#: polynomial's packet for each of _PACKET_KS at _PACKET_POINTS, in order
+_PACKET_SHA256 = "0623a4dde5284dc1ad564734d9a1278cafce14e1a7f0eca789b12af45ca76e02"
+_PACKET_POINTS = np.random.default_rng(24).uniform(-3.0, 3.0, (6, 5))
+
+
 @pytest.mark.parametrize("where", list(_POINTS))
 @pytest.mark.parametrize("name", [n for n in _FIELDS if n.startswith("packet")])
-def test_packet_partials_are_the_earlier_ones_byte_for_byte(name, where):
+def test_packet_laplacian_is_the_earlier_laplacian_byte_for_byte(name, where):
     degree, slot = (int(s) for s in name[len("packet"):].split("."))
     basis = monogenic_polynomials_3d(degree)[slot]
     x = _POINTS[where]
-    xs = x[None] if x.ndim == 1 else x
-    for k in ((1.3, -1.3), (-0.8, 0.8), (2.1, 2.1)):
+    for k in _PACKET_KS:
         packet = separable_wavepacket(basis, k)
-        old_rows, old_partials = _old_packet_parts(basis, k)
-        assert _bytes(packet._rows(xs)) == _bytes(old_rows(xs))
-        assert _bytes(packet._partials(xs)) == _bytes(old_partials(xs))
         for h in _STEPS:
             want = _old_laplacian(packet, x, h, richardson=True)
             assert _bytes(laplacian(packet, x, h, richardson=True)) == _bytes(want)
+
+
+def test_packet_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for degree in (1, 2, 3):
+        for basis in monogenic_polynomials_3d(degree):
+            for k in _PACKET_KS:
+                packet = separable_wavepacket(basis, k)
+                rows, partials = packet._rows(_PACKET_POINTS), packet._partials(_PACKET_POINTS)
+                # each row is its one-point call
+                for i, x in enumerate(_PACKET_POINTS):
+                    assert _bytes(packet(x)) == _bytes(rows[i])
+                    assert _bytes(packet._partials(x[None])[0]) == _bytes(partials[i])
+                digest.update(_bytes(rows))
+                digest.update(_bytes(partials))
+    assert digest.hexdigest() == _PACKET_SHA256
 
 
 def test_em_frame_is_the_closed_form_frame_byte_for_byte():
@@ -289,14 +292,19 @@ def test_a_laplacian_is_one_field_call(name, where, richardson, rows):
 
 @pytest.mark.parametrize("where", list(_POINTS))
 @pytest.mark.parametrize("name", [n for n in _FIELDS if n.startswith("packet")])
-def test_packet_partials_make_one_product(name, where, monkeypatch):
+def test_packet_calls_make_no_product(name, where, monkeypatch):
     field, x = _FIELDS[name], _POINTS[where]
     xs = x[None] if x.ndim == 1 else x
     calls = []
     real = monogenic._product
     monkeypatch.setattr(monogenic, "_product", lambda *args: calls.append(1) or real(*args))
+    field._rows(xs)
     field._partials(xs)
-    assert len(calls) == 1
+    field(x)
+    monogenic.vector_derivative(field, x)
+    monogenic.vector_derivative(field, x, h=1e-3)
+    laplacian(field, x, 1e-3, richardson=True)
+    assert calls == []
 
 
 def test_the_richardson_half_step_is_checked_before_any_call():

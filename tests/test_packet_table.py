@@ -1,9 +1,16 @@
-"""A polynomial's value and partials from one power table, and a packet's
-spatial factor from one call of it.  The two-table form they replace, in
-which the value and the partials each built their own power table and
-gathered their own monomials, is kept here as the reference; every
-comparison is byte for byte, at one point, point arrays and points that
-hold inf or NaN."""
+"""A polynomial's value and partials from one power table, its term
+table, and a packet as a central phase times that table.
+
+The two-table form of the polynomial, in which the value and the
+partials each built their own power table and gathered their own
+monomials, is kept here as the reference, byte for byte, at one point,
+point arrays and points that hold inf or NaN.  A packet is held to the
+geometric product of its two factors within a rounding bound derived
+from its term count, for a polynomial factor and for a factor that
+gives only its rows and partials; it takes one power table and no
+product per call, and rejects a point that is not finite before it
+builds a power table.
+"""
 
 import dataclasses
 import math
@@ -21,10 +28,12 @@ from ga41.monogenic import (
     PolynomialField,
     _axis_sum,
     _harmonic,
+    _monomial_values,
     _monomials,
     _wave_parts,
     monogenic_polynomials_3d,
     separable_wavepacket,
+    vector_derivative,
 )
 
 # -- the two-table form, kept as the reference ------------------------------
@@ -71,9 +80,9 @@ def _two_table_basis(monkeypatch, degree):
         return monogenic_polynomials_3d(degree)
 
 
-def _two_table_packet_partials(spatial, k, xs):
-    """separable_wavepacket's partials as they were, from the spatial
-    factor's rows and partials, one call each."""
+def _product_form(spatial, k, xs):
+    """The packet's rows and partials as a geometric product of its two
+    factors, S T and [S, d1 S, d2 S, d3 S, S] times [d0 T, T, T, T, d4 T]."""
     energy, mass = k
     grad, wave, turned = _wave_parts(energy * ONE + mass * e(0, 4), (-energy, 0.0, 0.0, 0.0, mass))
     value, d = _harmonic(xs, grad, wave, turned)
@@ -81,7 +90,7 @@ def _two_table_packet_partials(spatial, k, xs):
     left = np.concatenate([s, spatial._partials(xs)[..., 1:4, :], s], axis=-2)
     right = d[..., None, :] * grad[:, None]
     right[..., 1:4, :] = value[..., None, :]
-    return _product(_FULL, left, right)
+    return _product(_FULL, s[..., 0, :], value), _product(_FULL, left, right)
 
 
 # -- the points ----------------------------------------------------------------
@@ -125,74 +134,171 @@ def test_polynomial_rows_and_partials_are_the_two_table_form(monkeypatch, degree
             assert got.flagged == want.flagged
             assert _bytes(got._rows(xs)) == _bytes(want._rows(xs))
             assert _bytes(got._partials(xs)) == _bytes(want._partials(xs))
-            spatial = got._spatial(xs)
-            assert spatial.shape == xs.shape[:-1] + (4, N_BLADES)
-            assert _bytes(spatial[..., 0, :]) == _bytes(want._rows(xs))
-            assert _bytes(spatial[..., 1:, :]) == _bytes(want._partials(xs)[..., 1:4, :])
+            # the term table sums to the same rows
+            assert got.monomials.shape == (len(got.coefficients), 3)
+            assert len(got.coefficients) <= 10
+            terms = _monomial_values(got.monomials, degree, slice(None))(xs.reshape(-1, AXES))
+            table = _axis_sum(terms[..., None] * got.coefficients)
+            table = table.reshape(xs.shape[:-1] + (4, N_BLADES))
+            assert _bytes(table[..., 0, :]) == _bytes(want._rows(xs))
+            assert _bytes(table[..., 1:, :]) == _bytes(want._partials(xs)[..., 1:4, :])
+
+
+# -- the packet against the product form ---------------------------------------
+
+#: unit roundoff of float64
+_U = 2.0**-53
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), the bound on n roundings in a row."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _rounding_bound(k, terms, table, xs):
+    """Bound (..., 5 + 1) on |packet - product form| for the values, then
+    the partials, of a spatial factor with term values ``terms`` (n, 4, J)
+    at xs and term rows ``table`` (J, 32).
+
+    Both forms start from the same term values s_j, cos and sin, and so
+    differ only in the roundings after them.  The packet takes each of its
+    2J terms as s_j cos times C_j A (two products per cell, as A = E +
+    m e04 has two blades) or s_j sin times C_j A I (I permutes exactly),
+    and sums them in a row: gamma_{2J+3} times the sum of the terms'
+    magnitudes, one more rounding where the constants carry g_a.  The
+    product form sums S = sum_j s_j C_j (J), rounds each cell of
+    T = A cos + A I sin once (the two have disjoint blades) and sums the 32
+    terms of each cell of S T: gamma_{J+33}, one more for g_a.  Every
+    magnitude is at most sum_j |s_j| |C_j|_1 |A|_1 (|cos| + |sin|), with
+    |cos| + |sin| <= sqrt 2, and times |g_a| along axes 0 and 4."""
+    energy, mass = k
+    j = len(table)
+    amplitude = abs(energy) + abs(mass)
+    weights = np.abs(terms) @ np.abs(table).sum(axis=1) * amplitude * math.sqrt(2.0)
+    along = weights[..., [0, 0, 1, 2, 3, 0]] * np.array([1.0, abs(energy), 1.0, 1.0, 1.0, abs(mass)])
+    return (_gamma(2 * j + 4) + _gamma(j + 34)) * along.reshape(xs.shape[:-1] + (6,))
+
+
+def _assert_within_bound(packet, spatial, k, terms, table, xs):
+    rows, partials = _product_form(spatial, k, xs)
+    bound = _rounding_bound(k, terms, table, xs)
+    assert np.all(np.abs(packet._rows(xs) - rows) <= bound[..., :1])
+    assert np.all(np.abs(packet._partials(xs) - partials) <= bound[..., 1:, None])
+
+
+#: finite points, out to |x| = 3
+_PACKET_POINTS = {
+    "(1, 5)": np.array([[0.4, -2.9, 1.7, 2.2, -0.6]]),
+    "(40, 5)": np.random.default_rng(41).uniform(-3.0, 3.0, (40, 5)),
+    "(3, 7, 5)": np.random.default_rng(42).uniform(-3.0, 3.0, (3, 7, 5)),
+}
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-@pytest.mark.parametrize("name", list(_POINT_SETS))
-def test_packet_partials_are_the_two_table_form(monkeypatch, degree, name):
-    xs = _POINT_SETS[name]
-    old = _two_table_basis(monkeypatch, degree)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for basis, reference in zip(monogenic_polynomials_3d(degree), old):
-            for k in _KS:
-                want = _two_table_packet_partials(reference, k, xs)
-                got = separable_wavepacket(basis, k)._partials(xs)
-                assert _bytes(got) == _bytes(want)
-                # a spatial factor without the one-table call takes its
-                # rows and partials, one call each
-                plain = MultivectorField(_rows=reference._rows, _partials=reference._partials)
-                assert _bytes(separable_wavepacket(plain, k)._partials(xs)) == _bytes(want)
+@pytest.mark.parametrize("name", list(_PACKET_POINTS))
+def test_packet_is_the_product_form_within_its_rounding_bound(degree, name):
+    xs = _PACKET_POINTS[name]
+    for basis in monogenic_polynomials_3d(degree):
+        terms = _monomial_values(basis.monomials, degree, slice(None))(xs.reshape(-1, AXES))
+        for k in _KS + [(2.5, -2.5)]:
+            packet = separable_wavepacket(basis, k)
+            _assert_within_bound(packet, basis, k, terms, basis.coefficients, xs)
 
 
-def test_an_inf_coordinate_spreads_nan_as_before():
-    basis = monogenic_polynomials_3d(2)[0]
-    xs = _POINT_SETS["inf point"][None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        partials = separable_wavepacket(basis, (1.2, 1.2))._partials(xs)
-    assert np.isnan(partials).any()
+def _plain_factor(with_partials=True):
+    """cos x1 + x2 x3 e12 + sin x3 e23, not a polynomial: it commutes with
+    e0 and e4, and its partials are analytic."""
+
+    def rows(xs):
+        out = np.zeros(xs.shape[:-1] + (N_BLADES,))
+        out[..., 0] = np.cos(xs[..., 1])
+        out[..., 0b00110] = xs[..., 2] * xs[..., 3]
+        out[..., 0b01100] = np.sin(xs[..., 3])
+        return out
+
+    def partials(xs):
+        out = np.zeros(xs.shape[:-1] + (AXES, N_BLADES))
+        out[..., 1, 0] = -np.sin(xs[..., 1])
+        out[..., 2, 0b00110] = xs[..., 3]
+        out[..., 3, 0b00110] = xs[..., 2]
+        out[..., 3, 0b01100] = np.cos(xs[..., 3])
+        return out
+
+    return MultivectorField(_rows=rows, _partials=partials if with_partials else None)
 
 
-def test_packet_partials_make_one_spatial_call(monkeypatch):
+@pytest.mark.parametrize("name", list(_PACKET_POINTS))
+def test_a_plain_spatial_factor_takes_the_same_kernel(name, monkeypatch):
+    # its term rows are the 32 unit blades, its term values its own rows
+    # and partials
+    xs = _PACKET_POINTS[name]
+    flat = xs.reshape(-1, AXES)
+    factors = {"non-polynomial": _plain_factor()}
+    for degree in (1, 3):
+        basis = monogenic_polynomials_3d(degree)[-1]
+        factors[f"degree {degree}"] = MultivectorField(_rows=basis._rows, _partials=basis._partials)
+    # a polynomial without its term table
+    factors["no table"] = dataclasses.replace(basis, monomials=None, coefficients=None)
+    for factor in factors.values():
+        terms = np.concatenate([factor._rows(flat)[:, None], factor._partials(flat)[:, 1:4]], axis=1)
+        for k in _KS:
+            packet = separable_wavepacket(factor, k)
+            _assert_within_bound(packet, factor, k, terms, np.eye(N_BLADES), xs)
+    assert separable_wavepacket(_plain_factor(with_partials=False), _KS[0])._partials is None
+    # one call of the factor's rows, and of its partials, and no product
     calls = []
-
-    def counted(label, fn):
-        def wrapper(xs):
-            calls.append(label)
-            return fn(xs)
-
-        return wrapper
-
-    basis = monogenic_polynomials_3d(3)[1]
-    traced = dataclasses.replace(
-        basis,
-        _rows=counted("rows", basis._rows),
-        _partials=counted("partials", basis._partials),
-        _spatial=counted("spatial", basis._spatial),
+    factor = factors["non-polynomial"]
+    traced = MultivectorField(
+        _rows=lambda xs: calls.append("rows") or factor._rows(xs),
+        _partials=lambda xs: calls.append("partials") or factor._partials(xs),
     )
-    packet = separable_wavepacket(traced, (0.9, 0.9))
+    packet = separable_wavepacket(traced, _KS[1])
+    real = monogenic._product
+    monkeypatch.setattr(monogenic, "_product", lambda *args: calls.append("product") or real(*args))
     calls.clear()  # the commutation check samples the rows
-    packet._partials(_POINT_SETS["(10, 5)"])
-    assert calls == ["spatial"]
-    packet._rows(_POINT_SETS["(10, 5)"])
-    assert calls == ["spatial", "rows"]
+    packet._rows(xs)
+    assert calls == ["rows"]
+    packet._partials(xs)
+    assert calls == ["rows", "rows", "partials"]
 
 
-def test_one_power_table_per_polynomial_call(monkeypatch):
-    basis = monogenic_polynomials_3d(3)[2]
+def _counted_tables(monkeypatch):
+    """Patch _monomial_values so that each power table it builds is counted."""
     tables = []
-    real = np.cumprod
+    real = monogenic._monomial_values
 
-    def counted(*args, **kwargs):
-        tables.append(1)
-        return real(*args, **kwargs)
+    def counted(*args):
+        values = real(*args)
+        return lambda xs: tables.append(xs.shape) or values(xs)
 
-    monkeypatch.setattr(np, "cumprod", counted)
-    xs = _POINT_SETS["(10, 5)"]
-    for call in (basis._rows, basis._partials, basis._spatial):
+    monkeypatch.setattr(monogenic, "_monomial_values", counted)
+    return tables
+
+
+def test_one_power_table_and_no_product_per_polynomial_or_packet_call(monkeypatch):
+    tables = _counted_tables(monkeypatch)
+    basis = monogenic_polynomials_3d(3)[2]
+    packet = separable_wavepacket(basis, (0.9, 0.9))
+    products = []
+    real = monogenic._product
+    monkeypatch.setattr(monogenic, "_product", lambda *args: products.append(1) or real(*args))
+    xs = _PACKET_POINTS["(3, 7, 5)"]
+    for call in (basis._rows, basis._partials, packet._rows, packet._partials):
         tables.clear()
         call(xs)
-        assert len(tables) == 1
+        assert tables == [(21, 5)]
+    assert products == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_coordinate_that_is_not_finite_is_rejected_before_the_power_table(monkeypatch, bad):
+    tables = _counted_tables(monkeypatch)
+    packet = separable_wavepacket(monogenic_polynomials_3d(2)[0], (1.2, 1.2))
+    x = np.array([0.3, bad, -0.2, 0.5, 0.1])
+    tables.clear()  # the commutation check samples the polynomial
+    calls = (packet, packet.value, lambda x: packet.derivative(x, 0), lambda x: vector_derivative(packet, x))
+    for call in calls:
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            call(x)
+    assert tables == []

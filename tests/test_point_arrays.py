@@ -177,6 +177,27 @@ def test_points_whose_last_axis_is_not_five_are_rejected(shape):
                 call(field, x)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["plane", "column", "packet"])
+def test_a_point_that_is_not_finite_is_rejected_at_the_source(name, bad):
+    # with warnings as errors: no operator gets as far as cos(inf) or 0 * inf
+    field = _FIELDS[name]
+    one = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+    one[2] = bad
+    rows = np.zeros((2, 3, 5))
+    rows[1, 2, 4] = bad
+    for x in (one, rows):
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            field.value(x)
+        for a in (0, 4):
+            with pytest.raises(ValueError, match="^points must be finite$"):
+                field.derivative(x, a)
+        for call in _OPERATORS.values():
+            with pytest.raises(ValueError, match="^points must be finite$"):
+                call(field, x)
+
+
 def test_a_field_needs_a_value_function_or_rows():
     with pytest.raises(ValueError, match="value function or rows"):
         MultivectorField()
