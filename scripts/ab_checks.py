@@ -13,9 +13,11 @@ to 10.
 
 It prints one line per check with the median of its ``elapsed_ms`` on
 each tree and their ratio (change over parent), then the same for the
-whole pass (the sum of a run's ``elapsed_ms``), then one line per seed
-that says whether the two trees' ``report_json(..., omit_timings=True)``
-texts are byte-identical.  It exits 0 after printing, and 2 on bad
+whole pass (the sum of a run's ``elapsed_ms``), then the number of
+rounds whose passes over SEEDS took the change less time in total than
+the parent (ties count for neither side), then one line per seed that
+says whether the two trees' ``report_json(..., omit_timings=True)`` texts
+are byte-identical.  It exits 0 after printing, and 2 on bad
 arguments, or when the trees register different checks.
 """
 
@@ -89,6 +91,10 @@ def main(argv=None) -> int:
     for name, parent, change in rows:
         before, after = statistics.median(parent), statistics.median(change)
         print(f"{name:32s} {before:10.3f} {after:10.3f} {after / before:7.3f}")
+    n = len(SEEDS)  # passes per round and tree
+    totals = [[sum(passes[label][r * n : r * n + n]) for r in range(rounds)] for label in TREES]
+    won = sum(c < p for p, c in zip(*totals))
+    print(f"change faster in {won} of {rounds} rounds")
     for seed in SEEDS:
         same = reports["parent"][seed] == reports["change"][seed]
         print(f"report seed {seed}: {'identical' if same else 'differs'}")

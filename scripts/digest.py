@@ -5,8 +5,10 @@ Line 1 covers ``report_json(run_checks(seed=s), seed=s,
 omit_timings=True)`` for s = 0..39, then seed 3 at step h 1e-4, 5e-4 and
 2e-3, as the concatenated UTF-8 texts in that order.  Then comes one
 ``name digest`` line per check, in registry order, over the float64
-bytes of ``np.fromiter(definition.run(ctx), dtype=float)`` for seeds
-0..39 at the default step h, in seed order.  A report keeps only each
+bytes of the samples ``definition.run(ctx)`` yields, each array or float
+flattened in yield order (what ``np.fromiter`` gives for a tree whose
+checks yield floats one at a time), for seeds 0..39 at the default step
+h, in seed order.  A report keeps only each
 check's largest sample; the per-check lines count every sample, with
 its position, and the line that differs names the check that moved.
 
@@ -42,6 +44,12 @@ def report_digest() -> str:
     return sha.hexdigest()
 
 
+def flattened(samples) -> np.ndarray:
+    """The yielded samples, arrays or floats, as one float64 array."""
+    parts = [np.asarray(s, dtype=float).ravel() for s in samples]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 def sample_digests() -> list[tuple[str, str]]:
     """(check name, hex digest) per check, in registry order."""
     lines = []
@@ -49,7 +57,7 @@ def sample_digests() -> list[tuple[str, str]]:
         sha = hashlib.sha256()
         for seed in SEEDS:
             ctx = CheckContext(_check_rng(seed, definition.name), STEP_H)
-            sha.update(np.fromiter(definition.run(ctx), dtype=float).tobytes())
+            sha.update(flattened(definition.run(ctx)).tobytes())
         lines.append((definition.name, sha.hexdigest()))
     return lines
 

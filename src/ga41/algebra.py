@@ -121,6 +121,10 @@ def _gather(b: np.ndarray) -> np.ndarray:
     return quads.take(_QUAD_ROWS, axis=-2).reshape(lead + (N_BLADES, N_BLADES))
 
 
+#: rows per block of a long product: its (rows, 32, 32) terms stay within 1 MiB
+_BLOCK_ROWS = 128
+
+
 def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # rows (..., 32) pair up; each a[i] b[i^k] is rounded before the signed
     # sum and no multiply-add is fused, so a row of a batch equals the
@@ -129,7 +133,18 @@ def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # are formed in the gathered b when a, of the same dtype, broadcasts
     # onto b's rows; when b is the smaller operand or the dtypes mix they
     # go to a new array.  Builtin dtypes are singletons, so `is` is the
-    # test, and a miss only costs that array
+    # test, and a miss only costs that array.  Operands that share a
+    # leading axis longer than a block, or pair one row with it, go
+    # through in blocks of rows, each the same kernel, so the bytes are
+    # those of one call
+    if (b.ndim > 1 and len(b) > _BLOCK_ROWS) or (a.ndim > 1 and len(a) > _BLOCK_ROWS):
+        long = b if b.ndim > 1 else a
+        if all(x.ndim == 1 or x.ndim == long.ndim and len(x) == len(long) for x in (a, b)):
+            blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(long), _BLOCK_ROWS)]
+            return np.concatenate(
+                [_product(table, a if a.ndim == 1 else a[s], b if b.ndim == 1 else b[s])
+                 for s in blocks]
+            )
     gathered = _gather(b)
     fits = a.dtype is gathered.dtype and (
         a.ndim == 1 or a.shape[:-1] == b.shape[b.ndim - a.ndim : -1]
@@ -143,6 +158,19 @@ def _contract(
     """sum_i table[k, i] a[..., i] gathered[..., k, i], each term rounded
     alone; the terms are formed in `terms`, or in a new array if None."""
     return np.einsum("ki,...ki->...k", table, np.multiply(a[..., None, :], gathered, out=terms))
+
+
+def _blade_gather(blades: np.ndarray, left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and indices (m, 32) of the full product with the rows (m, 32),
+    each a unit blade e_j times +-1: cell k of e_j x is _FULL[k, j] x[k ^ j]
+    (left) and of x e_j _FULL[k, k ^ j] x[k ^ j] (right), times that sign.
+    So signs * x[..., index] is the product's one nonzero term of each
+    cell; for finite x, adding 0.0 gives the product byte for byte, whose
+    other terms are zeros."""
+    masks = np.abs(blades).argmax(axis=1)
+    index = _XOR[masks]
+    signs = _FULL[_MASKS, masks[:, None] if left else index]
+    return signs * blades[np.arange(len(blades)), masks][:, None], index
 
 
 _NOT_BIVECTOR = _GRADE_OF != 2

@@ -1,12 +1,12 @@
 """Registry of runtime verification checks.
 
-Each check yields residual samples; the harness folds them into the
-check's residual with one reducer, which propagates NaN, and the check
-passes when that residual does not exceed its tolerance.  Checks draw
-randomness from a counter-based generator keyed by (seed, hash of the
-check name), so runs with the same seed are reproducible check by
-check, in any subset, in any order.  Registration order is fixed and
-is the execution order.
+Each check yields its residual samples as arrays or floats, in a fixed
+order; the harness folds them into the check's residual with one reducer,
+which propagates NaN, and the check passes when that residual does not
+exceed its tolerance.  Checks draw randomness from a counter-based
+generator keyed by (seed, hash of the check name), so runs with the same
+seed are reproducible check by check, in any subset, in any order.
+Registration order is fixed and is the execution order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .algebra import (
     _exp_rows,
     _product,
     _scalar_products,
-    _worst,
     blade_product,
     e,
 )
@@ -103,7 +102,7 @@ class CheckDefinition:
     name: str
     anchor: str
     tolerance: float
-    run: Callable[[CheckContext], Iterable[float]]
+    run: Callable[[CheckContext], Iterable[np.ndarray | float]]
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,20 @@ def _register(name: str, anchor: str, tolerance: float):
         return fn
 
     return wrap
+
+
+def _sample_array(samples: Iterable[np.ndarray | float]) -> np.ndarray:
+    """The samples a check yields, arrays and floats, flattened into one
+    float array in yield order."""
+    parts = [np.asarray(s, dtype=float).ravel() for s in samples]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _fold(samples: Iterable[np.ndarray | float]) -> float:
+    """Largest of the samples, NaN if any sample is NaN or if there are
+    none, so neither can pass ``residual <= tolerance``."""
+    values = _sample_array(samples)
+    return float(np.max(values)) if values.size else math.nan
 
 
 def _residuals(*diffs: np.ndarray) -> np.ndarray:
@@ -192,7 +205,7 @@ def _momenta_and_points(ctx, count: int, shape: tuple, **momentum_kw):
     "sign census of the 32 basis blade squares under the (-++++) metric",
     0.0,
 )
-def _check_blade_squares(ctx) -> Iterator[float]:
+def _check_blade_squares(ctx) -> Iterator[np.ndarray | float]:
     bad = 0
     for mask in range(N_BLADES):
         sign, out = blade_product(mask, mask)
@@ -206,9 +219,9 @@ def _check_blade_squares(ctx) -> Iterator[float]:
     "generator products satisfy ea eb + eb ea = 2 eta_ab",
     0.0,
 )
-def _check_anticommutation(ctx) -> Iterator[float]:
+def _check_anticommutation(ctx) -> Iterator[np.ndarray | float]:
     rows = np.array([e(a).coeffs for a in range(5)])
-    yield from _clifford(_product(_FULL, rows[:, None], rows[None]), ETA, ONE.coeffs)
+    yield _clifford(_product(_FULL, rows[:, None], rows[None]), ETA, ONE.coeffs)
 
 
 @_register(
@@ -216,11 +229,11 @@ def _check_anticommutation(ctx) -> Iterator[float]:
     "(a b) c = a (b c) on integer-coefficient triples",
     0.0,
 )
-def _check_associativity(ctx) -> Iterator[float]:
+def _check_associativity(ctx) -> Iterator[np.ndarray | float]:
     coeffs = ctx.rng.integers(-3, 4, size=(1000, 3, N_BLADES)).astype(float)
     a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
     left = _product(_FULL, _product(_FULL, a, b), c)
-    yield from _residuals(left - _product(_FULL, a, _product(_FULL, b, c)))
+    yield _residuals(left - _product(_FULL, a, _product(_FULL, b, c)))
 
 
 @_register(
@@ -228,10 +241,10 @@ def _check_associativity(ctx) -> Iterator[float]:
     "the grade-5 unit commutes with every blade and squares to -1",
     0.0,
 )
-def _check_pseudoscalar_centrality(ctx) -> Iterator[float]:
+def _check_pseudoscalar_centrality(ctx) -> Iterator[np.ndarray | float]:
     yield (PSEUDOSCALAR * PSEUDOSCALAR + ONE).max_abs()
     blades, unit = np.eye(N_BLADES), PSEUDOSCALAR.coeffs
-    yield from _residuals(_product(_FULL, unit, blades) - _product(_FULL, blades, unit))
+    yield _residuals(_product(_FULL, unit, blades) - _product(_FULL, blades, unit))
 
 
 @_register(
@@ -239,12 +252,12 @@ def _check_pseudoscalar_centrality(ctx) -> Iterator[float]:
     "for vectors, ab = inner + outer and ba = inner - outer",
     1e-15,
 )
-def _check_vector_decomposition(ctx) -> Iterator[float]:
+def _check_vector_decomposition(ctx) -> Iterator[np.ndarray | float]:
     coeffs = np.zeros((200, 2, N_BLADES))
     coeffs[..., _VECTOR_MASKS] = ctx.rng.uniform(-1.0, 1.0, (200, 2, 5))
     a, b = coeffs[:, 0], coeffs[:, 1]
     inner, outer = _product(_INNER, a, b), _product(_OUTER, a, b)
-    yield from _residuals(
+    yield _residuals(
         _product(_FULL, a, b) - (inner + outer), _product(_FULL, b, a) - (inner - outer)
     )
 
@@ -254,7 +267,7 @@ def _check_vector_decomposition(ctx) -> Iterator[float]:
     "minus e123 times the wedge of spatial vectors is the cross product",
     1e-14,
 )
-def _check_cross_product_link(ctx) -> Iterator[float]:
+def _check_cross_product_link(ctx) -> Iterator[np.ndarray | float]:
     spatial = _VECTOR_MASKS[1:4]
     coeffs = np.zeros((200, 2, N_BLADES))
     coeffs[..., spatial] = ctx.rng.uniform(-1.0, 1.0, (200, 2, 3))
@@ -263,7 +276,7 @@ def _check_cross_product_link(ctx) -> Iterator[float]:
     got = dual[:, spatial]
     stray = dual.copy()
     stray[:, spatial] -= got
-    yield from _residuals(got - np.cross(a[:, spatial], b[:, spatial]), stray)
+    yield _residuals(got - np.cross(a[:, spatial], b[:, spatial]), stray)
 
 
 @_register(
@@ -271,7 +284,7 @@ def _check_cross_product_link(ctx) -> Iterator[float]:
     "closed-form exponentials agree with the truncated power series",
     1e-12,
 )
-def _check_exp_closed_forms(ctx) -> Iterator[float]:
+def _check_exp_closed_forms(ctx) -> Iterator[np.ndarray | float]:
     # theta e12, theta e01, theta (e0 + e4), then a spatial bivector of norm |theta|
     layouts = ([0b00110], [0b00011], [0b00001, 0b10000], [0b00110, 0b01010, 0b01100])
     rows = np.zeros((24, N_BLADES))
@@ -284,7 +297,7 @@ def _check_exp_closed_forms(ctx) -> Iterator[float]:
     for n in range(1, 31):
         term = _product(_FULL, term, rows) * (1.0 / n)
         series = series + term
-    yield from _residuals(_exp_rows(rows) - series)
+    yield _residuals(_exp_rows(rows) - series)
 
 
 @_register(
@@ -292,12 +305,12 @@ def _check_exp_closed_forms(ctx) -> Iterator[float]:
     "reverse(R) R = 1 for exponentials of spatial bivectors",
     1e-12,
 )
-def _check_rotor_unitarity(ctx) -> Iterator[float]:
+def _check_rotor_unitarity(ctx) -> Iterator[np.ndarray | float]:
     bivector_masks = [(1 << i) | (1 << j) for i in range(1, 5) for j in range(i + 1, 5)]
     coeffs = np.zeros((100, N_BLADES))
     coeffs[:, bivector_masks] = ctx.rng.uniform(-1.5, 1.5, (100, 6))
     rotors = _exp_rows(-0.5 * coeffs)
-    yield from _residuals(_product(_FULL, rotors * _REVERSE_SIGNS, rotors) - ONE.coeffs)
+    yield _residuals(_product(_FULL, rotors * _REVERSE_SIGNS, rotors) - ONE.coeffs)
 
 
 # -- matrix representation ----------------------------------------------
@@ -308,11 +321,11 @@ def _check_rotor_unitarity(ctx) -> Iterator[float]:
     "the matrix map is multiplicative on random pairs",
     1e-12,
 )
-def _check_phi_homomorphism(ctx) -> Iterator[float]:
+def _check_phi_homomorphism(ctx) -> Iterator[np.ndarray | float]:
     draws = ctx.rng.uniform(-1.0, 1.0, (1000, 2, N_BLADES))
     a, b = draws[:, 0], draws[:, 1]
     diff = _to_matrices(_product(_FULL, a, b)) - _to_matrices(a) @ _to_matrices(b)
-    yield from _residuals(diff)
+    yield _residuals(diff)
 
 
 @_register(
@@ -320,12 +333,12 @@ def _check_phi_homomorphism(ctx) -> Iterator[float]:
     "the matrix map composed with its inverse is the identity both ways",
     1e-12,
 )
-def _check_phi_round_trip(ctx) -> Iterator[float]:
+def _check_phi_round_trip(ctx) -> Iterator[np.ndarray | float]:
     # per sample: 32 coefficients, then a matrix's 16 real and 16 imaginary parts
     draws = ctx.rng.uniform(-1.0, 1.0, (500, 64))
     a = draws[:, :32]
     m = draws[:, 32:48].reshape(500, 4, 4) + 1j * draws[:, 48:].reshape(500, 4, 4)
-    yield from _residuals(
+    yield _residuals(
         _from_matrices(_to_matrices(a)) - a, _to_matrices(_from_matrices(m)) - m
     )
 
@@ -335,9 +348,9 @@ def _check_phi_round_trip(ctx) -> Iterator[float]:
     "the three block constants and the diagonal one anticommute and square to 1",
     0.0,
 )
-def _check_dirac_pauli_relations(ctx) -> Iterator[float]:
+def _check_dirac_pauli_relations(ctx) -> Iterator[np.ndarray | float]:
     images = np.array([*ALPHA, BETA])
-    yield from _clifford(images[:, None] @ images[None], np.eye(4), IDENTITY)
+    yield _clifford(images[:, None] @ images[None], np.eye(4), IDENTITY)
 
 
 @_register(
@@ -345,13 +358,13 @@ def _check_dirac_pauli_relations(ctx) -> Iterator[float]:
     "the five raised-index images satisfy the (-++++) Clifford relations",
     0.0,
 )
-def _check_sigma_clifford_relations(ctx) -> Iterator[float]:
+def _check_sigma_clifford_relations(ctx) -> Iterator[np.ndarray | float]:
     images = np.array(RECIPROCAL_IMAGES)
     pairs = images[:, None] @ images[None]
     # ETA is its own inverse, so it holds the raised-index metric too
-    yield from _clifford(pairs, ETA, IDENTITY)
+    yield _clifford(pairs, ETA, IDENTITY)
     # sigma^m sigma^0 = alpha_m and sigma^4 sigma^0 = beta
-    yield from _residuals(pairs[1:, 0] - np.array([*ALPHA, BETA]))
+    yield _residuals(pairs[1:, 0] - np.array([*ALPHA, BETA]))
 
 
 @_register(
@@ -359,9 +372,9 @@ def _check_sigma_clifford_relations(ctx) -> Iterator[float]:
     "the 32 blade images are linearly independent over the reals",
     0.0,
 )
-def _check_blade_images_span(ctx) -> Iterator[float]:
+def _check_blade_images_span(ctx) -> Iterator[np.ndarray | float]:
     # entries 0 and +-1: the Gram matrix is exact in any summation order
-    yield from _residuals(_BLADE_ROWS @ _BLADE_ROWS.T - 4.0 * np.eye(N_BLADES))
+    yield _residuals(_BLADE_ROWS @ _BLADE_ROWS.T - 4.0 * np.eye(N_BLADES))
 
 
 # -- monogenic fields -----------------------------------------------------
@@ -373,7 +386,7 @@ def _check_blade_images_span(ctx) -> Iterator[float]:
     "and by the second-order operator",
     1.0,
 )
-def _check_monogenic_residual(ctx) -> Iterator[float]:
+def _check_monogenic_residual(ctx) -> Iterator[np.ndarray | float]:
     # positive control: the same stencil and step must recover the known
     # laplacian -(g.g) f, g.g = 1.75, of a harmonic field, so a step too
     # coarse or too fine to resolve second derivatives fails
@@ -385,7 +398,7 @@ def _check_monogenic_residual(ctx) -> Iterator[float]:
     waves = harmonic_field(amplitudes, grads)
     first = vector_derivative(waves, points) / 1e-10
     second = laplacian(waves, points, h=ctx.step_h, richardson=True) / 1e-6
-    yield from _residuals(first.reshape(-1, N_BLADES), second.reshape(-1, N_BLADES))
+    yield _residuals(first.reshape(-1, N_BLADES), second.reshape(-1, N_BLADES))
 
 
 @_register(
@@ -393,7 +406,7 @@ def _check_monogenic_residual(ctx) -> Iterator[float]:
     "central differences of the wave converge at second order",
     0.0,
 )
-def _check_derivative_order(ctx) -> Iterator[float]:
+def _check_derivative_order(ctx) -> Iterator[np.ndarray | float]:
     base = 10.0 * ctx.step_h
     # floor at 0: convergence faster than second order passes at 0
     yield 0.0
@@ -402,7 +415,7 @@ def _check_derivative_order(ctx) -> Iterator[float]:
     exact = vector_derivative(waves, points)
     errors = _residuals(*(vector_derivative(waves, points, h=s) - exact for s in (base, base / 2)))
     # per wave the errors at 10 h and 5 h; Python float division, so 0 at 5 h raises and fails
-    yield from (1.9 - math.log2(a / b) for a, b in errors.reshape(-1, 2).tolist())
+    yield [1.9 - math.log2(a / b) for a, b in errors.reshape(-1, 2).tolist()]
 
 
 @_register(
@@ -410,11 +423,11 @@ def _check_derivative_order(ctx) -> Iterator[float]:
     "a null momentum vector annihilates its own wave amplitude exactly",
     0.0,
 )
-def _check_null_annihilation(ctx) -> Iterator[float]:
+def _check_null_annihilation(ctx) -> Iterator[np.ndarray | float]:
     momenta = [MomentumVector(*quadruple) for quadruple in NULL_QUADRUPLES]
     u = np.array([k.vector.coeffs for k in momenta])
     amplitudes = np.array([k.amplitude.coeffs for k in momenta])
-    yield from _residuals(
+    yield _residuals(
         _product(_FULL, u, u),
         _product(_FULL, u, amplitudes),
         amplitudes - _product(_FULL, u, (-1.0 * e(0)).coeffs),
@@ -427,7 +440,7 @@ def _check_null_annihilation(ctx) -> Iterator[float]:
     "annihilated",
     0.0,
 )
-def _check_phase_sign_exclusivity(ctx) -> Iterator[float]:
+def _check_phase_sign_exclusivity(ctx) -> Iterator[np.ndarray | float]:
     # per momentum two points for each (time, mass) sign: ++, +-, -+, --
     _, amplitudes, grads, points = _momenta_and_points(ctx, 50, (4, 2), min_mass=0.1, min_p=0.1)
     grads = (grads[:, None] * [[t, 1, 1, 1, m] for t in (1, -1) for m in (1, -1)]).reshape(-1, 5)
@@ -448,10 +461,10 @@ def _check_phase_sign_exclusivity(ctx) -> Iterator[float]:
     "the momentum operator has eigenvalues +-E, each doubled",
     1e-10,
 )
-def _check_dirac_spectrum(ctx) -> Iterator[float]:
+def _check_dirac_spectrum(ctx) -> Iterator[np.ndarray | float]:
     rows, _, _ = _random_momenta(ctx.rng, 200, min_mass=0.05)
     vals = np.linalg.eigvalsh(_operators(rows))
-    yield from _residuals(vals - rows[:, :1] * [-1.0, -1.0, 1.0, 1.0])
+    yield _residuals(vals - rows[:, :1] * [-1.0, -1.0, 1.0, 1.0])
 
 
 @_register(
@@ -459,12 +472,12 @@ def _check_dirac_spectrum(ctx) -> Iterator[float]:
     "E^2 times the inverse eigenvalue matrix reproduces the matrix",
     1e-10,
 )
-def _check_lambda_involution(ctx) -> Iterator[float]:
+def _check_lambda_involution(ctx) -> Iterator[np.ndarray | float]:
     rows, _, _ = _random_momenta(ctx.rng, 50, min_mass=0.05)
     lam = np.diagonal(_ordered_eigensystems(rows)[2], axis1=1, axis2=2)
     # off the diagonal both terms are exact zeros
     diff = (rows[:, 0] * rows[:, 0])[:, None] * (1.0 / lam) - lam
-    yield from np.max(np.abs(diff), axis=1)
+    yield np.max(np.abs(diff), axis=1)
 
 
 @_register(
@@ -472,14 +485,14 @@ def _check_lambda_involution(ctx) -> Iterator[float]:
     "the ordered eigensystem is bit-reproducible",
     0.0,
 )
-def _check_psi_determinism(ctx) -> Iterator[float]:
+def _check_psi_determinism(ctx) -> Iterator[np.ndarray | float]:
     rows, _, _ = _random_momenta(ctx.rng, 5, min_mass=0.05)
     (_, first_psi, first_lam), (_, second_psi, second_lam) = (
         _ordered_eigensystems(rows) for _ in range(2)
     )
     # a NaN compares unequal, so it fails
     same = (first_psi == second_psi).all(axis=(1, 2)) & (first_lam == second_lam).all(axis=(1, 2))
-    yield from np.where(same, 0.0, 1.0)
+    yield np.where(same, 0.0, 1.0)
 
 
 @_register(
@@ -487,7 +500,7 @@ def _check_psi_determinism(ctx) -> Iterator[float]:
     "eigencolumn waves satisfy the mass-term derivative equation",
     1e-10,
 )
-def _check_dirac_column_fields(ctx) -> Iterator[float]:
+def _check_dirac_column_fields(ctx) -> Iterator[np.ndarray | float]:
     # per momentum two points for each of its four eigencolumns
     momenta, _, _, points = _momenta_and_points(ctx, 20, (4, 2), min_mass=0.05)
     _, psi_bar, lam = _ordered_eigensystems(momenta)
@@ -496,7 +509,7 @@ def _check_dirac_column_fields(ctx) -> Iterator[float]:
     masses = np.repeat(momenta[:, 4], 4)[:, None]
     waves = harmonic_field(amplitudes.reshape(-1, N_BLADES), grads.reshape(-1, 5))
     rows = reduced_vector_derivative(waves, points.reshape(-1, 2, 5), masses)
-    yield from _residuals(rows.reshape(-1, N_BLADES))
+    yield _residuals(rows.reshape(-1, N_BLADES))
 
 
 # -- idempotent splits ----------------------------------------------------
@@ -507,10 +520,10 @@ def _check_dirac_column_fields(ctx) -> Iterator[float]:
     "both quadruples are idempotent, mutually orthogonal, and complete",
     0.0,
 )
-def _check_idempotent_sets(ctx) -> Iterator[float]:
+def _check_idempotent_sets(ctx) -> Iterator[np.ndarray | float]:
     for s in (build_f_set(), build_e_set()):
         report = validate_idempotent_set(s)
-        yield from (report[p] for p in ("idempotency", "orthogonality", "completeness"))
+        yield [report[p] for p in ("idempotency", "orthogonality", "completeness")]
 
 
 @_register(
@@ -519,10 +532,10 @@ def _check_idempotent_sets(ctx) -> Iterator[float]:
     "elements commute",
     0.0,
 )
-def _check_projector_commutation(ctx) -> Iterator[float]:
+def _check_projector_commutation(ctx) -> Iterator[np.ndarray | float]:
     for group in (*COMMUTING_PAIRS, build_f_set().elements, build_e_set().elements):
         rows = np.array([x.coeffs for x in group])
-        yield from _commutators(_product(_FULL, rows[:, None], rows[None]))
+        yield _commutators(_product(_FULL, rows[:, None], rows[None]))
 
 
 @_register(
@@ -530,9 +543,9 @@ def _check_projector_commutation(ctx) -> Iterator[float]:
     "all four commuting factors square to +1",
     0.0,
 )
-def _check_triblade_squares(ctx) -> Iterator[float]:
+def _check_triblade_squares(ctx) -> Iterator[np.ndarray | float]:
     rows = np.array([b.coeffs for pair in COMMUTING_PAIRS for b in pair])
-    yield from _residuals(_product(_FULL, rows, rows) - ONE.coeffs)
+    yield _residuals(_product(_FULL, rows, rows) - ONE.coeffs)
 
 
 @_register(
@@ -540,7 +553,7 @@ def _check_triblade_squares(ctx) -> Iterator[float]:
     "some cross product of the two quadruples is neither zero nor idempotent",
     0.0,
 )
-def _check_sets_not_aligned(ctx) -> Iterator[float]:
+def _check_sets_not_aligned(ctx) -> Iterator[np.ndarray | float]:
     fs, es = (np.array([x.coeffs for x in s.elements]) for s in (build_f_set(), build_e_set()))
     table = _product(_FULL, fs[:, None], es[None]).reshape(-1, N_BLADES)
     # a NaN compares False, so a product with a NaN entry is never the one found
@@ -554,7 +567,7 @@ def _check_sets_not_aligned(ctx) -> Iterator[float]:
     "with the reference squared spectra",
     1e-10,
 )
-def _check_custom_quadruple_generators(ctx) -> Iterator[float]:
+def _check_custom_quadruple_generators(ctx) -> Iterator[np.ndarray | float]:
     # the squared spectra of the three diagonal generators
     patterns = np.array([[0, 0, 1, 1], [0, 1, 1, 4], [1, 1, 1, 9]]) / [[1.0], [3.0], [6.0]]
     for _ in range(5):
@@ -563,15 +576,15 @@ def _check_custom_quadruple_generators(ctx) -> Iterator[float]:
         q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
         quadruple = conjugated_unit_quadruple(q)
         report = validate_idempotent_set(quadruple, tol=1e-10)
-        yield from (report[p] for p in ("idempotency", "orthogonality", "completeness"))
+        yield [report[p] for p in ("idempotency", "orthogonality", "completeness")]
         images = _to_matrices(np.array([g.coeffs for g in idempotents_to_generators(quadruple)]))
         pairs = images[:, None] @ images[None]
-        yield from _residuals(
+        yield _residuals(
             np.trace(images, axis1=1, axis2=2),
             images - images.conj().swapaxes(1, 2),
             np.linalg.eigvalsh(pairs[range(3), range(3)]) - patterns,
         )
-        yield from _commutators(pairs)
+        yield _commutators(pairs)
 
 
 # -- frames and gauge -----------------------------------------------------
@@ -600,7 +613,7 @@ def _gauge_cases(ctx, min_mass: float):
     "random frames satisfy the metric and reciprocal duality relations",
     1e-10,
 )
-def _check_frame_duality(ctx) -> Iterator[float]:
+def _check_frame_duality(ctx) -> Iterator[np.ndarray | float]:
     # the first 100 candidates, in draw order, with condition estimate at
     # most 100 that build_frame accepts; nearly all pass, so the first
     # chunk of 100 is usually the only one evaluated
@@ -619,12 +632,12 @@ def _check_frame_duality(ctx) -> Iterator[float]:
     def gram(a, b):  # scalar parts of a_i b_j, each as scalar_product
         return _scalar_products(a[:, :, None], b[:, None])
 
-    yield from np.abs(gram(vectors, vectors) - metric).ravel()
-    yield from np.abs(gram(reciprocal, vectors) - np.eye(5)).ravel()
-    yield from np.abs(gram(reciprocal, reciprocal) - inverse).ravel()
+    yield np.abs(gram(vectors, vectors) - metric)
+    yield np.abs(gram(reciprocal, vectors) - np.eye(5))
+    yield np.abs(gram(reciprocal, reciprocal) - inverse)
     # metric[a, g] reciprocal[g], summed over g in order from zero
     combo = _axis_sum(metric[..., None] * reciprocal[:, None])
-    yield from np.max(np.abs(combo - vectors), axis=-1).ravel()
+    yield np.max(np.abs(combo - vectors), axis=-1)
 
 
 @_register(
@@ -633,7 +646,7 @@ def _check_frame_duality(ctx) -> Iterator[float]:
     "gradient term",
     1e-8,
 )
-def _check_nonmonogenic_identity(ctx) -> Iterator[float]:
+def _check_nonmonogenic_identity(ctx) -> Iterator[np.ndarray | float]:
     for wave, field, points in _gauge_cases(ctx, min_mass=0.1):
         yield phase_shift_residual(wave, field, points)
 
@@ -644,7 +657,7 @@ def _check_nonmonogenic_identity(ctx) -> Iterator[float]:
     "factor",
     1e-8,
 )
-def _check_em_covariance(ctx) -> Iterator[float]:
+def _check_em_covariance(ctx) -> Iterator[np.ndarray | float]:
     for wave, field, points in _gauge_cases(ctx, min_mass=0.5):
         yield gauge_covariance_residual(wave, field, points)
 
@@ -657,7 +670,7 @@ def _check_em_covariance(ctx) -> Iterator[float]:
     "two runs with the same seed produce identical reports",
     0.0,
 )
-def _check_json_determinism(ctx) -> Iterator[float]:
+def _check_json_determinism(ctx) -> Iterator[np.ndarray | float]:
     subset = ("blade_squares", "vector_decomposition", "null_annihilation", "triblade_squares")
     first = report_json(
         run_checks(subset, seed=42, step_h=ctx.step_h), seed=42, omit_timings=True
@@ -708,7 +721,7 @@ EXPECTED_CHECK_NAMES = (
     "the registry holds exactly the expected checks in order",
     0.0,
 )
-def _check_registry_complete(ctx) -> Iterator[float]:
+def _check_registry_complete(ctx) -> Iterator[np.ndarray | float]:
     names = tuple(d.name for d in _REGISTRY)
     yield 0.0 if names == EXPECTED_CHECK_NAMES and len(names) == 31 else 1.0
 
@@ -780,7 +793,7 @@ def run_checks(
         # warning on the way would only repeat that on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                residual = _worst(definition.run(ctx))
+                residual = _fold(definition.run(ctx))
             except (ValueError, ArithmeticError):
                 residual = math.inf
         elapsed_ms = (time.perf_counter() - start) * 1000.0

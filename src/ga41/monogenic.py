@@ -25,7 +25,7 @@ from .algebra import (
     PSEUDOSCALAR,
     _FULL,
     _VECTOR_MASKS,
-    _XOR,
+    _blade_gather,
     _integer,
     _placed,
     _product,
@@ -43,13 +43,12 @@ _UNIT_STEPS.setflags(write=False)
 #: reciprocal orthonormal basis: index 0 flips sign under (-++++)
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
 _RECIPROCAL_ROWS = np.array([v.coeffs for v in RECIPROCAL_VECTORS])
-#: e^a D as a signed gather: each reciprocal row is one signed blade i,
-#: so the product's one nonzero term in cell k is _FULL[k, i] e^a[i] D[k ^ i],
-#: with sign _FLAT_SIGNS[a, k] and index _FLAT_INDEX[a, k] = k ^ i
-_FLAT_BLADES = np.abs(_RECIPROCAL_ROWS).argmax(axis=1)
-_FLAT_SIGNS = _FULL[:, _FLAT_BLADES].T * _RECIPROCAL_ROWS[_ALL_AXES, _FLAT_BLADES][:, None]
-_FLAT_INDEX = _XOR[_FLAT_BLADES]
+#: e^a D as a signed gather: each reciprocal row is one signed blade, so
+#: cell k of the product is _FLAT_SIGNS[a, k] D[_FLAT_INDEX[a, k]]
+_FLAT_SIGNS, _FLAT_INDEX = _blade_gather(_RECIPROCAL_ROWS, left=True)
 _FLAT_ROWS = np.arange(AXES)[:, None]
+#: x I as a signed gather by the same rule: cell k is _TURN_SIGNS[k] x[_TURN_INDEX[k]]
+(_TURN_SIGNS,), (_TURN_INDEX,) = _blade_gather(PSEUDOSCALAR.coeffs[None], left=False)
 _MASS_AXIS = (PSEUDOSCALAR * e_upper(4)).coeffs  # the mass term's factor on the field
 #: blade masks of (E, p1, p2, p3, m) in the wave amplitude (in u: _VECTOR_MASKS)
 _AMPLITUDE_LAYOUT = [0b00000, 0b00011, 0b00101, 0b01001, 0b10001]
@@ -211,24 +210,27 @@ class MultivectorField:
     _partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        value, derivative, rows, partials = self.value, self.derivative, self._rows, self._partials
+        given, derivative, rows, partials = self.value, self.derivative, self._rows, self._partials
         if rows is None:
-            if value is None:
+            if given is None:
                 raise ValueError("a field needs a value function or rows")
-            rows = lambda xs: _stacked(lambda x: value(x).coeffs, xs, (N_BLADES,))
+            rows = lambda xs: _stacked(lambda x: given(x).coeffs, xs, (N_BLADES,))
         if partials is None and derivative is not None:
             partials = lambda xs: _stacked(
                 lambda x: [derivative(x, a).coeffs for a in range(AXES)], xs, (AXES, N_BLADES))
-        if value is None:
+        # the one-point value checks its point, and __call__ leaves it that check
+        if given is None:
             value = lambda x: Multivector._wrap(rows(_points(x)[None])[0])
+        else:
+            value = lambda x: given(_points(x))
         if derivative is None and partials is not None:
             derivative = lambda x, a: Multivector._wrap(partials(_points(x)[None])[0, a])
         # frozen: set the fields past the dataclass __setattr__
         self.__dict__.update(value=value, derivative=derivative, _rows=rows, _partials=partials)
 
     def __call__(self, x) -> Multivector | np.ndarray:
-        x = _points(x)
-        return self.value(x) if x.ndim == 1 else self._rows(x)
+        x = np.asarray(x, dtype=float)
+        return self.value(x) if x.ndim == 1 else self._rows(_points(x))
 
 
 def _lined_up(v: np.ndarray, xs: np.ndarray, family: bool) -> np.ndarray:
@@ -260,7 +262,8 @@ def _wave_parts(amplitude, phase_gradient) -> tuple[np.ndarray, tuple, tuple]:
         raise ValueError("phase gradient must have five components, one amplitude row per gradient")
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(amp))):
         raise ValueError("amplitude and phase gradient must be finite")
-    amp_i = _product(_FULL, amp, PSEUDOSCALAR.coeffs)
+    # A I; the amplitude is finite, so adding 0.0 gives the product's bytes
+    amp_i = _TURN_SIGNS * amp[..., _TURN_INDEX] + 0.0
     return grad, (amp, amp_i), (amp_i, -amp)
 
 

@@ -53,14 +53,19 @@ def _quadruple(name: str, pair, signs) -> IdempotentSet:
     )
 
 
+#: the two quadruples, built once: their elements are immutable
+_F_SET = _quadruple("f-set", COMMUTING_PAIRS[0], ((-1, -1), (-1, 1), (1, 1), (1, -1)))
+_E_SET = _quadruple("e-set", COMMUTING_PAIRS[1], ((1, 1), (1, -1), (-1, -1), (-1, 1)))
+
+
 def build_f_set() -> IdempotentSet:
     """Quadruple from the commuting pair (raised e3, raised e04)."""
-    return _quadruple("f-set", COMMUTING_PAIRS[0], ((-1, -1), (-1, 1), (1, 1), (1, -1)))
+    return _F_SET
 
 
 def build_e_set() -> IdempotentSet:
     """Quadruple from the commuting grade-3 pair (raised e012, raised e034)."""
-    return _quadruple("e-set", COMMUTING_PAIRS[1], ((1, 1), (1, -1), (-1, -1), (-1, 1)))
+    return _E_SET
 
 
 def validate_idempotent_set(s: IdempotentSet, tol: float = 0.0) -> dict:
@@ -145,20 +150,22 @@ def idempotents_to_generators(
     (f1 - f2, (f1 + f2 - 2 f3) / sqrt3, (f1 + f2 + f3 - 3 f4) / sqrt6).
 
     Verifies that the forward relations rebuild every element of the
-    quadruple before returning.
+    quadruple before returning.  Both relations run on the coefficient
+    rows, with the operations of the multivector form in its order.
     """
     report = validate_idempotent_set(s, tol)
     if not report["ok"]:
         raise ValueError(f"input is not an idempotent quadruple: {report}")
-    l3, l8, l15 = _diagonal_generators(*s.elements)
-    rebuilt = _idempotents(0.25 * ONE, l3, l8, l15)
-    scale = max(1.0, max(f.max_abs() for f in s.elements))
-    worst = _worst((a - b).max_abs() for a, b in zip(rebuilt, s.elements))
+    f = np.array([x.coeffs for x in s.elements])
+    generators = _diagonal_generators(*f)
+    rebuilt = np.array(_idempotents(0.25 * ONE.coeffs, *generators))
+    scale = max(1.0, float(np.max(np.abs(f))))
+    worst = float(np.max(np.abs(rebuilt - f)))
     if not worst <= max(tol, 1e-12) * scale:
         raise ArithmeticError(
             f"forward relations fail to rebuild the quadruple: {worst:.3e}"
         )
-    return l3, l8, l15
+    return tuple(Multivector._wrap(g) for g in generators)
 
 
 def expm(m: np.ndarray) -> np.ndarray:

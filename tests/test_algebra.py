@@ -320,6 +320,49 @@ def test_kernel_takes_integer_and_mixed_rows_as_the_one_liner(a_type, b_type, la
         assert np.array_equal(got, _product(table, a.astype(float), b.astype(float)))
 
 
+#: (a shape, b shape) of the long products: rows with rows, a constant row
+#: on either side, and stacks of rows
+_LONG_LAYOUTS = [
+    lambda n: ((n, N), (n, N)),
+    lambda n: ((N,), (n, N)),
+    lambda n: ((n, N), (N,)),
+    lambda n: ((n, 2, N), (n, 2, N)),
+]
+
+
+@pytest.mark.parametrize("layout", range(len(_LONG_LAYOUTS)))
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])
+@pytest.mark.parametrize("op", "*^|")
+def test_a_long_product_in_blocks_is_the_one_liner_byte_for_byte(monkeypatch, layout, n, op):
+    # NaN, +-inf and +-0 rows on both sides of the first block edge, in both
+    # operands; at most 128 leading rows of terms per kernel call
+    rng = np.random.default_rng([layout, n])
+    a_shape, b_shape = _LONG_LAYOUTS[layout](n)
+    a, b = _cells(rng, a_shape, False), _cells(rng, b_shape, False)
+    for x, rows in ((a, range(125, 131)), (b, range(131, 125, -1))):
+        if x.ndim > 1:
+            for row, value in zip(rows, (math.nan, math.inf, -math.inf, 0.0, -0.0, math.nan)):
+                if row < n and value == 0.0:
+                    x[row] = value  # a row of 0.0 or of -0.0
+                elif row < n:
+                    x[row, ..., rng.integers(N)] = value
+    terms = []
+    real = algebra._contract
+
+    def contract(table, left, gathered, out):
+        terms.append(np.broadcast_shapes(left.shape[:-1] + (1, N), gathered.shape))
+        return real(table, left, gathered, out)
+
+    monkeypatch.setattr(algebra, "_contract", contract)
+    with np.errstate(all="ignore"):
+        got, want = _product(_TABLES[op], a, b), _one_liner(_TABLES[op], a, b)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert [t[0] for t in terms] == [min(128, n - i) for i in range(0, n, 128)]
+    # rows (n, 32): the terms of a call take at most 1 MiB
+    assert len(got.shape) > 2 or all(np.prod(t) * 8 <= 2**20 for t in terms)
+
+
 def test_products_match_dense_reference_within_rounding():
     # each output cell is a signed sum of 32 rounded products in either
     # path, so the two differ by at most 2 gamma_32 sum |a_i b_j|

@@ -211,7 +211,7 @@ def _context(name, seed):
 
 def _samples(name, seed=0):
     definition = next(d for d in check_definitions() if d.name == name)
-    return np.fromiter(definition.run(_context(name, seed)), dtype=float)
+    return checks._sample_array(definition.run(_context(name, seed)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -181,20 +181,20 @@ def test_sampled_checks_make_a_fixed_number_of_batched_calls(
         monkeypatch.setattr(Multivector, op, counted(op, getattr(Multivector, op)))
     definition = next(d for d in check_definitions() if d.name == name)
     ctx = checks.CheckContext(checks._check_rng(0, name), 1e-3)
-    assert len(list(definition.run(ctx))) == samples
+    assert checks._sample_array(definition.run(ctx)).size == samples
     assert calls == Counter(_product=products, _to_matrices=forward, _from_matrices=inverse)
 
 
 #: (check, _rows calls, _partials calls, _product calls): the batched
 #: calls of the fields the check builds through harmonic_field, and the
-#: product kernel calls, building the fields included; the flat vector
-#: derivative is a signed gather and calls the product kernel only on
-#: non-finite partials
+#: product kernel calls, building the fields included; a wave's A I and
+#: the flat vector derivative are signed gathers, and the latter calls the
+#: product kernel only on non-finite partials
 FIELD_CHECKS = (
-    ("monogenic_residual", 2, 1, 2),
-    ("derivative_order", 2, 1, 1),
-    ("phase_sign_exclusivity", 0, 1, 1),
-    ("dirac_column_fields", 1, 1, 2),
+    ("monogenic_residual", 2, 1, 0),
+    ("derivative_order", 2, 1, 0),
+    ("phase_sign_exclusivity", 0, 1, 0),
+    ("dirac_column_fields", 1, 1, 1),
 )
 
 
@@ -229,7 +229,8 @@ def test_field_checks_make_calls_that_do_not_depend_on_the_sample_count(
     for module in (checks, monogenic):
         monkeypatch.setattr(module, "_product", counted("_product", module._product))
     definition = next(d for d in check_definitions() if d.name == name)
-    samples = list(definition.run(checks.CheckContext(checks._check_rng(0, name), 1e-3)))
+    ctx = checks.CheckContext(checks._check_rng(0, name), 1e-3)
+    samples = checks._sample_array(definition.run(ctx))
     assert np.all(np.isfinite(samples))
     assert calls == Counter(_rows=rows, _partials=partials, _product=products)
 
@@ -250,7 +251,7 @@ def test_frame_duality_makes_no_scalar_product_or_multivector_arithmetic(monkeyp
     definition = next(d for d in check_definitions() if d.name == "frame_duality")
     ctx = checks.CheckContext(checks._check_rng(0, "frame_duality"), 1e-3)
     # 100 frames, each row a: three gaps for each b, then the combination
-    assert len(list(definition.run(ctx))) == 100 * 5 * 16
+    assert checks._sample_array(definition.run(ctx)).size == 100 * 5 * 16
     assert not hasattr(checks, "scalar_product")
     assert calls == Counter()
 
@@ -576,6 +577,41 @@ def test_a_nan_sample_fails_every_check(monkeypatch):
     assert [r.name for r in results] == list(EXPECTED_CHECK_NAMES)
     for r in results:
         assert r.status == "fail" and math.isnan(r.residual), (r.name, r.residual)
+
+
+def _one_by_one(samples):
+    """The samples as Python floats, one cell at a time in yield order."""
+    return [float(v) for s in samples for v in np.asarray(s, dtype=float).reshape(-1)]
+
+
+@pytest.mark.parametrize("name", EXPECTED_CHECK_NAMES)
+def test_the_fold_of_a_check_is_the_max_of_its_flattened_samples(name):
+    definition = next(d for d in check_definitions() if d.name == name)
+    samples = list(definition.run(checks.CheckContext(checks._check_rng(0, name), 1e-3)))
+    flat = _one_by_one(samples)
+    assert checks._sample_array(iter(samples)).tolist() == flat
+    assert checks._fold(iter(samples)) == max(flat)
+    assert run_checks([name], seed=0)[0].residual == max(flat)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [np.zeros(3), np.array([[1.0, math.nan]]), 2.0],
+        [0.5, np.array([math.nan])],
+        [np.array(math.nan), np.ones(4)],
+        [np.ones(2), np.full((2, 2), 3.0), math.nan],
+    ],
+)
+def test_the_fold_is_nan_with_a_nan_in_any_yielded_sample(samples):
+    assert math.isnan(checks._fold(iter(samples)))
+    assert math.isnan(checks._fold(iter(samples[::-1])))
+
+
+@pytest.mark.parametrize("samples", [[], [np.empty(0)], [np.empty((0, 32)), []]])
+def test_the_fold_is_nan_without_samples(samples):
+    assert checks._sample_array(iter(samples)).size == 0
+    assert math.isnan(checks._fold(iter(samples)))
 
 
 def test_dirac_column_fields_fails_when_samples_are_nan(monkeypatch):

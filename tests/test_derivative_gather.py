@@ -4,7 +4,9 @@ with the dense product it replaces, kept here as the reference, on random
 partials with signed zeros, every index subset, one point, point arrays
 and families, analytic and central-difference steps, and non-finite
 partials, which keep the product.  The product kernel is called only for
-non-finite partials and for frames other than the flat one."""
+non-finite partials and for frames other than the flat one.  A wave's
+amplitude times the pseudoscalar is the same kind of gather, from the same
+helper, and equals its product byte for byte."""
 
 import itertools
 from collections import Counter
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from ga41 import monogenic
-from ga41.algebra import N_BLADES, _FULL, _product
+from ga41.algebra import N_BLADES, PSEUDOSCALAR, _FULL, _XOR, _blade_gather, _product
 from ga41.frames import build_frame, covariant_derivative
 from ga41.monogenic import (
     AXES,
@@ -170,6 +172,51 @@ def test_the_tables_come_from_one_blade_per_reciprocal_row():
     assert (np.count_nonzero(products, axis=-1) == 1).all()
     cells = products[np.arange(AXES)[:, None], monogenic._FLAT_INDEX, np.arange(N_BLADES)]
     assert np.array_equal(cells, monogenic._FLAT_SIGNS)
+
+
+def test_the_flat_tables_are_the_ones_built_from_the_reciprocal_blades():
+    # the tables as they were built before the helper took them over
+    blades = np.abs(_RECIPROCAL_ROWS).argmax(axis=1)
+    signs = _FULL[:, blades].T * _RECIPROCAL_ROWS[np.arange(AXES), blades][:, None]
+    for got, want in ((monogenic._FLAT_SIGNS, signs), (monogenic._FLAT_INDEX, _XOR[blades])):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+
+def _zero_rows(rng, n):
+    """n random rows, then an all-zero row, an all -0.0 row and a row of
+    mixed signed zeros; every fourth cell of the random rows is -0.0 and
+    every fifth 0.0."""
+    rows = rng.normal(size=(n + 3, N_BLADES))
+    rows[:n, ::4], rows[:n, 1::5] = -0.0, 0.0
+    rows[n], rows[n + 1] = 0.0, -0.0
+    rows[n + 2] = np.where(rng.random(N_BLADES) < 0.5, -0.0, 0.0)
+    return rows
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_the_gather_of_every_signed_blade_is_its_product_byte_for_byte(left):
+    # e_j x on the left and x e_j on the right, each sign of each blade:
+    # the one nonzero term of each cell, plus 0.0 for the zero terms
+    x = _zero_rows(np.random.default_rng(5), 12)
+    blades = np.concatenate([np.eye(N_BLADES), -np.eye(N_BLADES)])
+    signs, index = _blade_gather(blades, left)
+    for blade, s, i in zip(blades, signs, index):
+        want = _product(_FULL, blade, x) if left else _product(_FULL, x, blade)
+        assert (s * x[..., i] + 0.0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", [False, True])
+def test_a_wave_turns_its_amplitude_by_the_gather_byte_for_byte(monkeypatch, family):
+    amplitudes = _zero_rows(np.random.default_rng(7), 20)
+    grads = np.random.default_rng(8).normal(size=(len(amplitudes), AXES))
+    pairs = [(amplitudes, grads)] if family else list(zip(amplitudes, grads))
+    calls = _counted_products(monkeypatch)
+    for amplitude, grad in pairs:
+        _, (_, turned), (same, _) = monogenic._wave_parts(amplitude, grad)
+        assert turned is same
+        assert turned.tobytes() == _product(_FULL, amplitude, PSEUDOSCALAR.coeffs).tobytes()
+    assert calls == Counter()
 
 
 # -- calls of the product kernel ---------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ga41 import MomentumVector, Multivector, MultivectorField, plane_wave
+from ga41 import ONE, MomentumVector, Multivector, MultivectorField, monogenic, plane_wave
 from ga41.dirac import column_wave, dirac_system, order_eigensystem
 from ga41.frames import GaugeField, build_frame, covariant_derivative, em_frame, gauge_transform
 from ga41.monogenic import (
@@ -196,6 +196,37 @@ def test_a_point_that_is_not_finite_is_rejected_at_the_source(name, bad):
         for call in _OPERATORS.values():
             with pytest.raises(ValueError, match="^points must be finite$"):
                 call(field, x)
+
+
+@pytest.mark.parametrize("name", ["plane", "column", "polynomial", "packet", "gauge-transformed"])
+def test_a_field_call_checks_its_points_once(monkeypatch, name):
+    field, checked = _FIELDS[name], []
+    real = monogenic._points
+
+    def points(x):
+        checked.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(monogenic, "_points", points)
+    one = [0.3, -0.2, 0.5, 0.1, -0.4]
+    for call, x in (
+        (field, one),
+        (field, np.zeros((2, 3, 5))),
+        (field.value, one),
+        (lambda x: field.derivative(x, 4), one),
+    ):
+        checked.clear()
+        call(x)
+        assert checked == [np.shape(x)]
+
+
+def test_a_given_value_function_gets_checked_points():
+    field = MultivectorField(lambda x: float(x[1]) * ONE)
+    for x in ([0.0, math.nan, 0.0, 0.0, 0.0], [0.0] * 4):
+        for call in (field, field.value):
+            with pytest.raises(ValueError, match="^points must"):
+                call(x)
+    assert field([0.0, 2.0, 0.0, 0.0, 0.0]) == 2.0 * ONE
 
 
 def test_a_field_needs_a_value_function_or_rows():

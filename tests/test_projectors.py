@@ -269,6 +269,40 @@ def test_idempotents_to_generators_rejects_invalid():
         idempotents_to_generators(broken)
 
 
+def _multivector_generators(s):
+    """The generators in Multivector arithmetic, as idempotents_to_generators
+    formed them before it took rows."""
+    f1, f2, f3, f4 = s.elements
+    return f1 - f2, (f1 + f2 - 2.0 * f3) * INV_SQRT3, (f1 + f2 + f3 - 3.0 * f4) * INV_SQRT6
+
+
+def test_generators_on_rows_are_the_multivector_form_byte_for_byte(monkeypatch):
+    rng = np.random.default_rng(61)
+    quadruples = [build_f_set(), build_e_set()]
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        quadruples.append(conjugated_unit_quadruple(q))
+    wants = [_multivector_generators(s) for s in quadruples]
+    # rows only: a Multivector product or sum would raise
+    for op in ("__mul__", "__rmul__", "__add__", "__sub__"):
+        monkeypatch.setattr(Multivector, op, None)
+    for s, want in zip(quadruples, wants):
+        got = idempotents_to_generators(s)
+        assert [g.coeffs.tobytes() for g in got] == [w.coeffs.tobytes() for w in want]
+        assert all(not g.coeffs.flags.writeable for g in got)
+
+
+def test_the_quadruples_are_built_once():
+    fresh = (
+        projectors._quadruple("f-set", COMMUTING_PAIRS[0], ((-1, -1), (-1, 1), (1, 1), (1, -1))),
+        projectors._quadruple("e-set", COMMUTING_PAIRS[1], ((1, 1), (1, -1), (-1, -1), (-1, 1))),
+    )
+    for build, want in zip((build_f_set, build_e_set), fresh):
+        assert build() is build()
+        assert build() == want
+        assert all(not x.coeffs.flags.writeable for x in build().elements)
+
+
 def test_squared_spectrum_patterns():
     for build in (build_f_set, build_e_set):
         l3, l8, l15 = idempotents_to_generators(build())

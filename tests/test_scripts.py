@@ -242,7 +242,10 @@ def test_ab_checks_times_a_tree_against_itself(ab, capsys):
     for line in lines[1 : 2 + len(names)]:
         parent, change, ratio = (float(x) for x in line.split()[-3:])
         assert parent > 0.0 and change > 0.0 and ratio > 0.0
-    assert lines[2 + len(names) :] == [f"report seed {s}: identical" for s in ab.SEEDS]
+    won = lines[2 + len(names)].split()
+    assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
+    assert int(won[3]) in (0, 1, 2)
+    assert lines[3 + len(names) :] == [f"report seed {s}: identical" for s in ab.SEEDS]
 
 
 @pytest.mark.parametrize(
