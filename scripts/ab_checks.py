@@ -17,8 +17,9 @@ whole pass (the sum of a run's ``elapsed_ms``), then the number of
 rounds whose passes over SEEDS took the change less time in total than
 the parent (ties count for neither side), then one line per seed that
 says whether the two trees' ``report_json(..., omit_timings=True)`` texts
-are byte-identical.  It exits 0 after printing, and 2 on bad
-arguments, or when the trees register different checks.
+are byte-identical.  It exits 0 after printing when every seed's reports
+are identical, 1 when any differ, and 2 on bad arguments, or when the
+trees register different checks.
 """
 
 import importlib
@@ -95,10 +96,10 @@ def main(argv=None) -> int:
     totals = [[sum(passes[label][r * n : r * n + n]) for r in range(rounds)] for label in TREES]
     won = sum(c < p for p, c in zip(*totals))
     print(f"change faster in {won} of {rounds} rounds")
-    for seed in SEEDS:
-        same = reports["parent"][seed] == reports["change"][seed]
-        print(f"report seed {seed}: {'identical' if same else 'differs'}")
-    return 0
+    same = [reports["parent"][seed] == reports["change"][seed] for seed in SEEDS]
+    for seed, identical in zip(SEEDS, same):
+        print(f"report seed {seed}: {'identical' if identical else 'differs'}")
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":

@@ -296,11 +296,10 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
 
     The rows whose square is exactly a scalar take its closed form
     together; the bivector rows whose square is not a scalar then take one
-    product b q together.  The series rows are summed together, and each
-    stops at its own term by the 1e-14 rule; a finished row leaves the
-    batch only when some row finishes.  The live rows are gathered once
-    per live set, and every term is formed in one buffer; both shrink with
-    the rows.
+    product b q together.  The series rows are gathered once and summed
+    together, every term formed in one buffer, and each stops at its own
+    term by the 1e-14 rule; a finished row stays in the batch, and its
+    later terms are not read.
     """
     if not np.isfinite(rows).all():
         raise ValueError("exponential undefined: non-finite coefficient")
@@ -315,26 +314,22 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
         taken, exps = _exp_bivectors(rows[bivectors], sq[bivectors])
         out[bivectors[taken]] = exps
         series[bivectors[taken]] = False
-    (live,) = series.nonzero()
-    if not live.size:
+    (at,) = series.nonzero()
+    if not at.size:
         return out
-    gathered = _gather(rows[live])
+    gathered = _gather(rows[at])
     terms = np.empty(gathered.shape)
+    pending = np.ones(at.size, dtype=bool)
     term = acc = ONE.coeffs
     for k in range(1, 65):
-        if not live.size:
-            return out
         term = _contract(_FULL, term, gathered, terms) / k
         acc = acc + term
-        done = np.abs(term).max(axis=1) <= 1e-14 * np.abs(acc).max(axis=1)
-        if done.any():
-            out[live[done]] = acc[done]
-            live, term, acc = live[~done], term[~done], acc[~done]
-            gathered = _gather(rows[live])
-            terms = terms[: live.size]
-    if live.size:
-        raise ArithmeticError("multivector exponential series did not converge in 64 terms")
-    return out
+        done = pending & (np.abs(term).max(axis=1) <= 1e-14 * np.abs(acc).max(axis=1))
+        out[at[done]] = acc[done]
+        pending &= ~done
+        if not pending.any():
+            return out
+    raise ArithmeticError("multivector exponential series did not converge in 64 terms")
 
 
 _REVERSE_SIGNS = np.array([(-1.0) ** (g * (g - 1) // 2) for g in GRADES])
@@ -662,11 +657,18 @@ def e_upper(*indices: int) -> Multivector:
     return -base if flips & 1 else base
 
 
-def _worst(samples) -> float:
-    """Largest of the residual samples, NaN if any sample is NaN or if
-    there are none, so neither can pass ``residual <= tolerance``
-    (Python's ``max`` drops a NaN that is not its first argument)."""
-    values = np.fromiter(samples, dtype=float)
+def _sample_array(samples) -> np.ndarray:
+    """The residual samples, arrays and floats, flattened into one float
+    array in the order given."""
+    parts = [np.asarray(s, dtype=float).ravel() for s in samples]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _fold(samples) -> float:
+    """Largest of the samples, NaN if any sample is NaN or if there are
+    none, so neither can pass ``residual <= tolerance`` (Python's ``max``
+    drops a NaN that is not its first argument)."""
+    values = _sample_array(samples)
     return float(np.max(values)) if values.size else math.nan
 
 

@@ -31,6 +31,7 @@ from .algebra import (
     ONE,
     PSEUDOSCALAR,
     _exp_rows,
+    _fold,
     _product,
     _scalar_products,
     blade_product,
@@ -63,10 +64,10 @@ from .monogenic import (
 from .monogenic import _axis_sum, _check_steps, _momentum_rows
 from .projectors import (
     COMMUTING_PAIRS,
+    _generators,
     build_e_set,
     build_f_set,
     conjugated_unit_quadruple,
-    idempotents_to_generators,
     validate_idempotent_set,
 )
 
@@ -124,20 +125,6 @@ def _register(name: str, anchor: str, tolerance: float):
         return fn
 
     return wrap
-
-
-def _sample_array(samples: Iterable[np.ndarray | float]) -> np.ndarray:
-    """The samples a check yields, arrays and floats, flattened into one
-    float array in yield order."""
-    parts = [np.asarray(s, dtype=float).ravel() for s in samples]
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _fold(samples: Iterable[np.ndarray | float]) -> float:
-    """Largest of the samples, NaN if any sample is NaN or if there are
-    none, so neither can pass ``residual <= tolerance``."""
-    values = _sample_array(samples)
-    return float(np.max(values)) if values.size else math.nan
 
 
 def _residuals(*diffs: np.ndarray) -> np.ndarray:
@@ -577,7 +564,7 @@ def _check_custom_quadruple_generators(ctx) -> Iterator[np.ndarray | float]:
         quadruple = conjugated_unit_quadruple(q)
         report = validate_idempotent_set(quadruple, tol=1e-10)
         yield [report[p] for p in ("idempotency", "orthogonality", "completeness")]
-        images = _to_matrices(np.array([g.coeffs for g in idempotents_to_generators(quadruple)]))
+        images = _to_matrices(np.array([g.coeffs for g in _generators(quadruple, 1e-10)]))
         pairs = images[:, None] @ images[None]
         yield _residuals(
             np.trace(images, axis1=1, axis2=2),

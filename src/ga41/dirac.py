@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PSEUDOSCALAR, _integer, _worst, e
+from .algebra import PSEUDOSCALAR, _fold, _integer, e
 from .matrices import ALPHA, BETA, IDENTITY, _from_matrices, _half_projector, to_matrix
 from .monogenic import MomentumVector, MultivectorField, harmonic_field
 
@@ -155,7 +155,7 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
     for m in range(3):
         out = out + 1j * ALPHA[m] @ ((-1j * p[m]) * wave)
     head = np.max(np.abs(to_matrix(k.amplitude) - amp))
-    return _worst([head, *np.max(np.abs(out), axis=(1, 2))])
+    return _fold([head, np.max(np.abs(out), axis=(1, 2))])
 
 
 def _column_parts(

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import Multivector, N_BLADES, ONE, PSEUDOSCALAR, _FULL, _VECTOR_MASKS, _placed, _product
-from .algebra import _worst
+from .algebra import _fold
 from .monogenic import AXES, MultivectorField, vector_derivative
 from .monogenic import _ALL_AXES, _derivative_sum, _points, _result, _stacked, _stencil
 
@@ -282,7 +282,7 @@ def gauge_covariance_residual(psi: MultivectorField, field: GaugeField, points) 
     lhs = covariant_derivative(rotated, lambda y: em_frame(shifted, y), x)
     rhs = covariant_derivative(psi, lambda y: em_frame(field, y), x)
     rhs = _product(_FULL, rhs, _rotor_rows(_stacked(field.phase, x)))
-    return _worst(np.max(np.abs(lhs - rhs), axis=-1))
+    return _fold([np.max(np.abs(lhs - rhs), axis=-1)])
 
 
 def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> float:
@@ -298,4 +298,4 @@ def phase_shift_residual(psi: MultivectorField, field: GaugeField, points) -> fl
     gradient = _product(_FULL, PSEUDOSCALAR.coeffs, _placed(raised, _VECTOR_MASKS))
     turned = _product(_FULL, gradient, psi(x))
     rhs = _product(_FULL, vector_derivative(psi, x), rotors) + _product(_FULL, turned, rotors)
-    return _worst(np.max(np.abs(vector_derivative(rotated, x) - rhs), axis=-1))
+    return _fold([np.max(np.abs(vector_derivative(rotated, x) - rhs), axis=-1)])

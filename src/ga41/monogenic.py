@@ -211,6 +211,9 @@ class MultivectorField:
 
     def __post_init__(self):
         given, derivative, rows, partials = self.value, self.derivative, self._rows, self._partials
+        # dataclasses.replace passes a value built below back in: unwrapped,
+        # it is not wrapped twice, and a replaced field checks its point once
+        given = getattr(given, "_unchecked", given)
         if rows is None:
             if given is None:
                 raise ValueError("a field needs a value function or rows")
@@ -220,9 +223,9 @@ class MultivectorField:
                 lambda x: [derivative(x, a).coeffs for a in range(AXES)], xs, (AXES, N_BLADES))
         # the one-point value checks its point, and __call__ leaves it that check
         if given is None:
-            value = lambda x: Multivector._wrap(rows(_points(x)[None])[0])
-        else:
-            value = lambda x: given(_points(x))
+            given = lambda x: Multivector._wrap(rows(x[None])[0])
+        value = lambda x: given(_points(x))
+        value._unchecked = given
         if derivative is None and partials is not None:
             derivative = lambda x, a: Multivector._wrap(partials(_points(x)[None])[0, a])
         # frozen: set the fields past the dataclass __setattr__

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _FULL, Multivector, ONE, _integer, _product, _worst, e_upper
+from .algebra import _FULL, Multivector, ONE, _fold, _integer, _product, e_upper
 from .matrices import BETA, IDENTITY, _from_matrices, _half_projector, sigma_matrix, to_matrix
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -77,7 +77,7 @@ def validate_idempotent_set(s: IdempotentSet, tol: float = 0.0) -> dict:
     ortho = float(np.max(np.abs(table[~diagonal])))
     # the rows summed in order, as f_0 + f_1 + f_2 + f_3
     complete = float(np.max(np.abs(f.sum(axis=0) - ONE.coeffs)))
-    worst = _worst((idem, ortho, complete))
+    worst = _fold((idem, ortho, complete))
     return {
         "name": s.name,
         "idempotency": idem,
@@ -156,6 +156,11 @@ def idempotents_to_generators(
     report = validate_idempotent_set(s, tol)
     if not report["ok"]:
         raise ValueError(f"input is not an idempotent quadruple: {report}")
+    return _generators(s, tol)
+
+
+def _generators(s: IdempotentSet, tol: float) -> tuple[Multivector, Multivector, Multivector]:
+    """idempotents_to_generators past its validation of the quadruple."""
     f = np.array([x.coeffs for x in s.elements])
     generators = _diagonal_generators(*f)
     rebuilt = np.array(_idempotents(0.25 * ONE.coeffs, *generators))
@@ -237,7 +242,7 @@ def verify_su4_generators(thetas=(0.3, 1.0)) -> dict:
     exp_zero = all(
         np.array_equal(expm(0.0j * g), np.eye(4, dtype=complex)) for g in gens
     )
-    det_residual = _worst(
+    det_residual = _fold(
         abs(np.linalg.det(expm(1j * theta * g)) - 1.0) for g in gens for theta in thetas
     )
 
@@ -252,9 +257,7 @@ def verify_su4_generators(thetas=(0.3, 1.0)) -> dict:
         np.array_equal(b, g) for b, g in zip(_diagonal_generators(*aligned), diagonal)
     )
     forward = _idempotents(0.25 * np.eye(4, dtype=complex), *diagonal)
-    forward_residual = _worst(
-        float(np.max(np.abs(f - a))) for f, a in zip(forward, aligned)
-    )
+    forward_residual = _fold(np.abs(f - a) for f, a in zip(forward, aligned))
 
     ok = (
         traceless

@@ -30,7 +30,7 @@ from ga41 import (
     rotate,
     scalar_product,
 )
-from ga41 import algebra
+from ga41 import algebra, checks
 from ga41.checks import _check_rng
 
 from ga41.algebra import (
@@ -40,10 +40,11 @@ from ga41.algebra import (
     _SQUARE_SIGNS,
     _XOR,
     _exp_rows,
+    _fold,
     _integer,
     _product,
+    _sample_array,
     _scalar_products,
-    _worst,
 )
 
 N = 32
@@ -743,9 +744,11 @@ def _series_length(b):
     raise ArithmeticError("no convergence")
 
 
-def test_exp_rows_gathers_the_exponents_once_per_live_set(monkeypatch):
-    rows = _dense_rows()
-    lengths = [_series_length(Multivector(row)) for row in rows]
+def test_exp_rows_gathers_the_series_rows_once(monkeypatch):
+    # 60 series rows among 40 whose squares are scalars, which gather nothing
+    dense = _dense_rows()[:60]
+    assert len({_series_length(Multivector(row)) for row in dense}) > 1
+    rows = np.random.default_rng(31).permutation(np.concatenate([dense, _scalar_square_rows()[:40]]))
     gathered, real = [], algebra._gather
 
     def counted(b):
@@ -754,15 +757,25 @@ def test_exp_rows_gathers_the_exponents_once_per_live_set(monkeypatch):
 
     monkeypatch.setattr("ga41.algebra._gather", counted)
     got = _exp_rows(rows)
-    # the square gathers all the rows, then each live set once: the 100
-    # series rows and what is left after each of the shrinks, one per
-    # distinct stopping term, down to none
-    assert gathered[0] == 100
-    live = [sum(length > k for length in lengths) for k in [0, *sorted(set(lengths))]]
-    assert gathered[1:] == live
-    assert live[0] == 100 and live[-1] == 0
-    assert 1 < len(gathered) - 1 < max(lengths)
-    assert got.tobytes() == _loop_rows(rows).tobytes()
+    # the square of all the rows, then the series rows once, whatever term
+    # each stops at
+    assert gathered == [100, 60]
+    assert got.tobytes() == _one_row_calls(rows).tobytes()
+
+
+def test_series_rows_that_stop_apart_equal_their_one_row_calls():
+    # a finished series row stays in the batch while the others run on, and
+    # the closed-form rows share the batch; each row is its own call, in
+    # either order, and the series and scalar rows are the loop's
+    rows = _mixed_rows()
+    branches = _branches(rows)
+    series = rows[np.isin(branches, ["q=0", "dense"])]
+    assert len({_series_length(Multivector(row)) for row in series}) > 2
+    want = _one_row_calls(rows)
+    for order in (slice(None), slice(None, None, -1)):
+        assert _exp_rows(rows[order]).tobytes() == want[order].tobytes()
+    kept = ~np.isin(branches, ["q>0", "q<0"])
+    assert want[kept].tobytes() == _loop_rows(rows[kept]).tobytes()
 
 
 @pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40), range(40, 60)])
@@ -936,24 +949,48 @@ def test_operator_coverage():
     assert (geometric_product(a, e(2)) - a * e(2)).max_abs() == 0.0
 
 
-def test_worst_is_nan_without_samples():
-    assert math.isnan(_worst([]))
-    assert math.isnan(_worst(iter(())))
+def _nan_at(samples, at):
+    """The samples with cell `at` of their flattened values set to NaN,
+    each sample keeping its type."""
+    out = []
+    for s in samples:
+        if isinstance(s, float):
+            out.append(math.nan if at == 0 else s)
+            at -= 1
+        else:
+            a = np.array(s, dtype=float)
+            if 0 <= at < a.size:
+                a.flat[at] = math.nan
+            out.append(a)
+            at -= a.size
+    return out
 
 
-def test_worst_is_nan_with_a_nan_sample_anywhere():
-    for samples in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
-        assert math.isnan(_worst(samples))
-        assert math.isnan(_worst(iter(samples)))
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_FINITE, min_size=1), st.data())
-def test_worst_is_max_on_finite_samples_and_nan_with_one_more(samples, data):
-    got = _worst(iter(samples))
-    assert type(got) is float and got == max(samples)
-    at = data.draw(st.integers(0, len(samples)))
-    assert math.isnan(_worst(samples[:at] + [math.nan] + samples[at:]))
+@pytest.mark.parametrize(
+    "samples, largest",
+    [
+        ([], math.nan),
+        ([np.empty(0)], math.nan),
+        ([np.empty((0, 32)), []], math.nan),
+        ([1.0, 3.0, 2.0], 3.0),
+        ([-2.0, -0.0, -1e300], -0.0),
+        ([0.5, np.array([-1.0])], 0.5),
+        ([np.array(5.0), np.ones(4)], 5.0),
+        ([np.zeros(3), np.array([[1.0, 4.0]]), 2.0], 4.0),
+        ([np.ones(2), np.full((2, 2), 3.0), 2.5, math.inf], math.inf),
+    ],
+)
+def test_the_fold_is_the_max_of_the_flattened_samples_and_nan_with_any_nan(samples, largest):
+    # the one NaN-propagating fold, for the registry and the library residuals
+    assert checks._fold is _fold
+    flat = [float(v) for s in samples for v in np.asarray(s, dtype=float).ravel()]
+    assert _sample_array(iter(samples)).tolist() == flat
+    for given in (samples, iter(samples), (s for s in samples)):
+        got = _fold(given)
+        assert type(got) is float
+        assert got == largest if flat else math.isnan(got)
+    # Python's max would drop each of these NaNs but one in first place
+    for at in range(len(flat)):
+        assert math.isnan(_fold(iter(_nan_at(samples, at))))
+    for at in range(len(samples) + 1):
+        assert math.isnan(_fold(samples[:at] + [math.nan] + samples[at:]))

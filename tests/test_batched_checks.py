@@ -13,7 +13,7 @@ import pytest
 from ga41 import Multivector, ONE, checks
 from ga41.algebra import e
 from ga41.checks import CheckContext, _check_rng, check_definitions, run_checks
-from ga41.algebra import _scalar_products
+from ga41.algebra import _sample_array, _scalar_products
 from ga41.dirac import build_dirac_operator, dirac_system, order_eigensystem
 from ga41.frames import GaugeField, build_frame, gauge_covariance_residual, phase_shift_residual
 from ga41.matrices import from_matrix
@@ -211,7 +211,7 @@ def _context(name, seed):
 
 def _samples(name, seed=0):
     definition = next(d for d in check_definitions() if d.name == name)
-    return checks._sample_array(definition.run(_context(name, seed)))
+    return _sample_array(definition.run(_context(name, seed)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

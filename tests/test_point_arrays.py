@@ -6,6 +6,7 @@ at its point bit for bit, for every kind of field, and a family of waves
 must evaluate wave i at its own row of points exactly as wave i alone.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -218,6 +219,31 @@ def test_a_field_call_checks_its_points_once(monkeypatch, name):
         checked.clear()
         call(x)
         assert checked == [np.shape(x)]
+
+
+def test_a_replaced_field_does_not_check_its_point_again(monkeypatch):
+    # a tracer's replace wraps the value in a function of its own, whose
+    # point is checked on top; replacing that field again, as
+    # dataclasses.replace passes the checking value back in, adds no check
+    plane = plane_wave(_K)
+    traced = dataclasses.replace(plane, value=lambda x: plane.value(x))
+    again = dataclasses.replace(traced)
+    fields = [plane, traced, again, dataclasses.replace(again)]
+    checked, real = [], monogenic._points
+
+    def points(x):
+        checked.append(np.shape(x))
+        return real(x)
+
+    one = [0.3, -0.2, 0.5, 0.1, -0.4]
+    want = plane(one)
+    monkeypatch.setattr(monogenic, "_points", points)
+    counts = []
+    for field in fields:
+        checked.clear()
+        assert field(one) == want
+        counts.append(len(checked))
+    assert counts == [1, 2, 2, 2]
 
 
 def test_a_given_value_function_gets_checked_points():

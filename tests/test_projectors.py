@@ -269,6 +269,18 @@ def test_idempotents_to_generators_rejects_invalid():
         idempotents_to_generators(broken)
 
 
+def test_idempotents_to_generators_is_its_validation_then_the_generators(monkeypatch):
+    quadruple = build_f_set()
+    want = projectors._generators(quadruple, 1e-10)
+    got = idempotents_to_generators(quadruple)
+    assert [g.coeffs.tobytes() for g in got] == [w.coeffs.tobytes() for w in want]
+    f = quadruple.elements
+    broken = IdempotentSet("broken", (f[0], f[1], f[2], f[2]))
+    monkeypatch.setattr(projectors, "_generators", None)  # not reached
+    with pytest.raises(ValueError, match="^input is not an idempotent quadruple: "):
+        idempotents_to_generators(broken)
+
+
 def _multivector_generators(s):
     """The generators in Multivector arithmetic, as idempotents_to_generators
     formed them before it took rows."""
@@ -392,6 +404,40 @@ def test_expm_rejects_non_finite_entries(bad):
     m[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         expm(m)
+
+
+@pytest.mark.parametrize("at", [0, 13, 29])
+def test_verify_su4_generators_fails_on_a_nan_determinant(monkeypatch, at):
+    # the 30 samples |det exp(i theta g) - 1|, one of them NaN
+    calls, real = [], projectors.expm
+
+    def spiked(m):
+        out = real(m)
+        if m.any():  # not the exp(i 0) of the identity check
+            calls.append(m)
+            if len(calls) == at + 1:
+                return out * np.nan
+        return out
+
+    monkeypatch.setattr(projectors, "expm", spiked)
+    with np.errstate(invalid="ignore"):
+        report = verify_su4_generators()
+    assert len(calls) == 30
+    assert np.isnan(report["unit_determinant_residual"]) and report["ok"] is False
+
+
+@pytest.mark.parametrize("at", range(4))
+def test_verify_su4_generators_fails_on_a_nan_forward_relation(monkeypatch, at):
+    real = projectors._idempotents
+
+    def spiked(*args):
+        out = [x.copy() for x in real(*args)]
+        out[at][3 - at, at] = np.nan
+        return out
+
+    monkeypatch.setattr(projectors, "_idempotents", spiked)
+    report = verify_su4_generators()
+    assert np.isnan(report["forward_relations_residual"]) and report["ok"] is False
 
 
 def test_verify_report_all_green():

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import math
+import shutil
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -246,6 +247,23 @@ def test_ab_checks_times_a_tree_against_itself(ab, capsys):
     assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
     assert int(won[3]) in (0, 1, 2)
     assert lines[3 + len(names) :] == [f"report seed {s}: identical" for s in ab.SEEDS]
+
+
+def test_ab_checks_exits_1_when_a_report_differs(ab, capsys, tmp_path):
+    # the second tree is this one, with one byte added to the seed-7 report
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(Path(SRC) / "ga41", tmp_path / "ga41", ignore=skip)
+    with open(tmp_path / "ga41" / "checks.py", "a") as stub:
+        stub.write(
+            "\n_report_json = report_json\n"
+            "report_json = lambda results, seed, omit_timings=False: (\n"
+            "    _report_json(results, seed, omit_timings) + ' ' * (seed == 7))\n"
+        )
+    assert ab.main([SRC, str(tmp_path), "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "report seed 0: identical", "report seed 1: identical", "report seed 7: differs"
+    ]
 
 
 @pytest.mark.parametrize(
