@@ -11,6 +11,7 @@ the harmonic mass dependence.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,9 +37,6 @@ from .algebra import (
 
 AXES = 5
 _ALL_AXES = tuple(range(AXES))
-#: the unit steps e_a of the stencils, one row per axis
-_UNIT_STEPS = np.eye(AXES)
-_UNIT_STEPS.setflags(write=False)
 
 #: reciprocal orthonormal basis: index 0 flips sign under (-++++)
 RECIPROCAL_VECTORS = tuple(e_upper(k) for k in range(AXES))
@@ -236,22 +234,23 @@ class MultivectorField:
         return self.value(x) if x.ndim == 1 else self._rows(_points(x))
 
 
-def _lined_up(v: np.ndarray, xs: np.ndarray, family: bool) -> np.ndarray:
+def _lined_up(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Rows v (m, k) of a family with axes put in, so that row i meets row i
-    of the points xs (m, ..., 5); v itself for one wave."""
-    return v.reshape((len(v),) + (1,) * (xs.ndim - 2) + v.shape[-1:]) if family else v
+    of the points xs (m, ..., 5)."""
+    return v.reshape((len(v),) + (1,) * (xs.ndim - 2) + v.shape[-1:])
 
 
 def _harmonic(xs: np.ndarray, grad: np.ndarray, *pairs) -> list[np.ndarray]:
     """a cos(g.x) + b sin(g.x) at the points xs (..., 5) for each pair (a, b)
     of amplitude rows, from one phase; gradients (m, 5) and rows (m, 32)
     make a family, whose wave i meets row i of the points."""
-    family = grad.ndim == 2
-    p = (xs * _lined_up(grad, xs, family)).T
+    if grad.ndim == 2:  # a family
+        grad, pairs = _lined_up(grad, xs), [(_lined_up(a, xs), _lined_up(b, xs)) for a, b in pairs]
+    p = (xs * grad).T
     # g.x summed in axis order, so a row rounds alike in every batch
     ph = (p[0] + p[1] + p[2] + p[3] + p[4]).T[..., None]
     cos, sin = np.cos(ph), np.sin(ph)
-    return [_lined_up(a, xs, family) * cos + _lined_up(b, xs, family) * sin for a, b in pairs]
+    return [a * cos + b * sin for a, b in pairs]
 
 
 def _wave_parts(amplitude, phase_gradient) -> tuple[np.ndarray, tuple, tuple]:
@@ -277,7 +276,7 @@ def harmonic_field(amplitude, phase_gradient) -> MultivectorField:
 
     def partials(xs) -> np.ndarray:
         (rows,) = _harmonic(xs, grad, turned)
-        return rows[..., None, :] * _lined_up(grad, xs, grad.ndim == 2)[..., :, None]
+        return rows[..., None, :] * (_lined_up(grad, xs) if grad.ndim == 2 else grad)[..., :, None]
 
     return MultivectorField(_rows=lambda xs: _harmonic(xs, grad, wave)[0], _partials=partials)
 
@@ -336,8 +335,19 @@ def _check_steps(steps) -> None:
     """ValueError unless every step is a real number, not a bool, that is
     finite and positive."""
     for h in steps:
+        if type(h) is float and 0.0 < h < math.inf:  # the common case, on one test
+            continue
         if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0.0 < h < math.inf:
             raise ValueError("step h must be finite and positive")
+
+
+@functools.cache
+def _unit_shifts(axes: tuple) -> np.ndarray:
+    """The shifts e_a, then -e_a, for the axes a in ``axes``, read-only;
+    h (-e_a) is -(h e_a) for h > 0, signed zeros included."""
+    shifts = np.concatenate([np.eye(AXES)[list(axes)], -np.eye(AXES)[list(axes)]])
+    shifts.setflags(write=False)
+    return shifts
 
 
 def _stencil(f: Callable, x: np.ndarray, steps, axes=_ALL_AXES, center: bool = False):
@@ -347,15 +357,13 @@ def _stencil(f: Callable, x: np.ndarray, steps, axes=_ALL_AXES, center: bool = F
     with row [j, i] for steps[j] and axes[i], and f at x in centre
     (..., 1, k) if set.  Every step must be finite and positive."""
     _check_steps(steps)
-    units = _UNIT_STEPS if axes is _ALL_AXES else _UNIT_STEPS[list(axes)]
-    shifts = np.asarray(steps, dtype=float)[:, None, None] * units
     # x + (-s) is x - s in IEEE arithmetic, signed zeros included
-    shifts = np.concatenate([shifts, -shifts], axis=1).reshape(-1, AXES)
+    shifts = np.asarray(steps, dtype=float)[:, None, None] * _unit_shifts(tuple(axes))
     x = x[..., None, :]
-    points = x + shifts
+    points = x + shifts.reshape(-1, AXES)
     out = f(np.concatenate([x, points], axis=-2) if center else points)
     c = int(center)
-    rest = out[..., c:, :].reshape(out.shape[:-2] + (len(steps), 2, len(units), out.shape[-1]))
+    rest = out[..., c:, :].reshape(out.shape[:-2] + (len(steps), 2, len(axes), out.shape[-1]))
     return out[..., :c, :], rest[..., 0, :, :], rest[..., 1, :, :]
 
 
@@ -364,7 +372,7 @@ def _axis_sum(terms: np.ndarray) -> np.ndarray:
     starting from zero.  numpy adds along an axis that is not innermost
     in memory one slice after another, so the rows are held C-contiguous;
     + 0.0 gives the zero sign of a sum that starts from zero."""
-    return np.ascontiguousarray(terms).sum(axis=-2) + 0.0
+    return np.add.reduce(np.ascontiguousarray(terms), axis=-2) + 0.0
 
 
 def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.ndarray:
@@ -392,7 +400,9 @@ def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.nd
     else:
         _, plus, minus = _stencil(field._rows, x, (h,), indices)
         diffs = (plus - minus)[..., 0, :, :] / (2.0 * h)
-    if reciprocal is _RECIPROCAL_ROWS and np.isfinite(diffs).all():
+    if reciprocal is _RECIPROCAL_ROWS and np.count_nonzero(np.isfinite(diffs)) == diffs.size:
+        if every:  # the full tables as they stand
+            return _axis_sum(_FLAT_SIGNS * diffs[..., _FLAT_ROWS, _FLAT_INDEX])
         rows = _FLAT_ROWS[: diffs.shape[-2]]
         return _axis_sum(_FLAT_SIGNS[axes] * diffs[..., rows, _FLAT_INDEX[axes]])
     return _axis_sum(_product(_FULL, reciprocal[..., axes, :], diffs))
@@ -529,25 +539,37 @@ class PolynomialField(MultivectorField):
     coefficients: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
 
 
-def _monomial_values(expos: np.ndarray, degree: int, which) -> Callable:
+def _monomial_values(expos: np.ndarray, degree: int, which, phase=None) -> Callable:
     """The values of the monomials x1^i x2^j x3^k with exponents expos
-    (J, 3) of the given degree, as a function of points xs (n, 5) that
-    gives the term rows ``which`` (n, len(which), J) from one power table:
-    term row 0 is the monomial, term row a = 1..3 its partial along axis a."""
-    # each term row's three exponents as indices (4, J, 3) into the flat
-    # power table, where the powers of x_a sit at a * (degree + 1) onwards;
+    (J, 3) of the given degree at points xs (n, 5), term rows ``which``
+    (n, len(which), J): row 0 the monomial, row a = 1..3 its partial along
+    axis a; given ``phase``, phases (n,) of the points, each value times
+    cos, then times sin (n, len(which), 2J).  One product over one gather
+    from a per-point table: ((factor x1^i) x2^j) x3^k, times the turn."""
+    top = max(degree, 1)
     # d/dx_a takes the factor the exponent of x_a, which drops by one
     lowered = np.maximum(expos - np.eye(3, dtype=int)[:, None], 0)
-    index = (np.concatenate([expos[None], lowered]) + (degree + 1) * np.arange(3))[which]
-    factors = np.concatenate([np.ones((1, len(expos))), expos.T])[which]
+    rows = np.concatenate([expos[None], lowered])[which]
+    factors = np.concatenate([np.ones((1, len(expos)), dtype=int), expos.T])[which]
+    # columns: the factors 0..top (x^0 takes the 1), x1 x2 x3 to the powers 1..top, cos, sin
+    consts = np.arange(top + 1.0)
+    powers = np.where(rows, top - 2 + 3 * rows + np.arange(3), 1)
+    index = np.concatenate([factors[..., None], powers], axis=-1)
+    if phase is not None:  # each term times cos, then each times sin
+        index = np.concatenate([np.insert(index, 4, turn, axis=-1) for turn in (-2, -1)], axis=-2)
+    index = np.moveaxis(index, -1, 0)  # the factors of each weight along axis 0
 
     def values(xs) -> np.ndarray:
+        table = np.empty((len(xs), 4 * top + 3))
+        table[:, : top + 1] = consts
         # powers by repeated products, which round alike on every platform
-        table = np.ones((len(xs), 3, degree + 1))
-        table[..., 1:] = xs[:, 1:4, None]
-        powers = table.cumprod(axis=-1).reshape(len(xs), -1)[:, index]
-        # factor * x1^i * x2^j, then * x3^k
-        return factors * powers[..., 0] * powers[..., 1] * powers[..., 2]
+        x = table[:, top + 1 : top + 4] = xs[:, 1:4]
+        for c in range(top + 4, 4 * top + 1, 3):
+            np.multiply(table[:, c - 3 : c], x, out=table[:, c : c + 3])
+        if phase is not None:
+            np.cos(ph := phase(xs), out=table[:, -2])
+            np.sin(ph, out=table[:, -1])
+        return np.multiply.reduce(table[:, index], axis=1)
 
     return values
 
@@ -619,28 +641,29 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
     return [_polynomial_field(degree, np.array([a / scales[j] for a in vectors[j]])) for j in chosen]
 
 
-def _term_table(spatial: MultivectorField) -> tuple[Callable, Callable, np.ndarray]:
-    """A spatial factor S = sum_j s_j(x) R_j as its term values and its
-    term rows R (J, 32): two functions of points xs (n, 5), one giving the
-    values s_j (n, 1, J), the other the rows (n, 5, J) [s_j, d1 s_j,
-    d2 s_j, d3 s_j, s_j] that its partials along axes 0..4 take.  A
-    polynomial gives its monomials and coefficient rows; any other field,
-    or a polynomial built without them, its rows and partials, with the
-    32 unit blades."""
+def _term_table(spatial: MultivectorField, phase) -> tuple[Callable, Callable, np.ndarray]:
+    """A spatial factor S = sum_j s_j(x) R_j times a wave of phase ``phase``
+    as its term weights and its term rows R (J, 32): two functions of
+    points xs (n, 5), one giving the weights [s_j cos, s_j sin] (n, 1, 2J),
+    the other those (n, 5, 2J) of [s_j, d1 s_j, d2 s_j, d3 s_j, s_j], which
+    its partials along axes 0..4 take.  A polynomial gives its monomials
+    and coefficient rows; any other field, or a polynomial built without
+    them, its rows and partials, with the 32 unit blades."""
     if isinstance(spatial, PolynomialField) and spatial.monomials is not None:
         expos, degree = spatial.monomials, spatial.degree
-        values = _monomial_values(expos, degree, [0])
-        return values, _monomial_values(expos, degree, [0, 1, 2, 3, 0]), spatial.coefficients
+        values = _monomial_values(expos, degree, [0], phase)
+        return values, _monomial_values(expos, degree, [0, 1, 2, 3, 0], phase), spatial.coefficients
     spatial_rows, spatial_partials = spatial._rows, spatial._partials
 
-    def values(xs) -> np.ndarray:
-        return spatial_rows(xs)[:, None, :]
+    def turned(xs, s) -> np.ndarray:
+        ph = phase(xs)[:, None, None]
+        return np.concatenate([np.cos(ph) * s, np.sin(ph) * s], axis=-1)
 
     def partial_values(xs) -> np.ndarray:
-        s = values(xs)
-        return np.concatenate([s, spatial_partials(xs)[:, 1:4, :], s], axis=1)
+        s = spatial_rows(xs)[:, None, :]
+        return turned(xs, np.concatenate([s, spatial_partials(xs)[:, 1:4, :], s], axis=1))
 
-    return values, partial_values, np.eye(N_BLADES)
+    return lambda xs: turned(xs, spatial_rows(xs)[:, None, :]), partial_values, np.eye(N_BLADES)
 
 
 def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
@@ -682,7 +705,8 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
                 "spatial factor must commute with the index-0 and index-4 generators"
             )
     # the spatial factor varies along axes 1..3, the wave along 0 and 4
-    value_terms, partial_terms, table = _term_table(spatial)
+    phase = lambda x: x[:, 0] * -energy + x[:, 4] * mass  # -E t + m x4
+    value_terms, partial_terms, table = _term_table(spatial, phase)
     p = _product(_FULL, table, (energy * ONE + mass * e(0, 4)).coeffs)
     q = _product(_FULL, p, PSEUDOSCALAR.coeffs)
     wave, turned = np.concatenate([p, q]), np.concatenate([q, -p])
@@ -692,12 +716,8 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
     partial_constants = np.stack([-energy * turned, wave, wave, wave, mass * turned])
 
     def sums(xs, terms, constants) -> np.ndarray:
-        flat = xs.reshape(-1, AXES)
-        s = terms(flat)
-        phase = flat[:, :1] * -energy + flat[:, 4:] * mass
-        turns = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
-        # [s_j cos, s_j sin] (n, k, 2J) on the constants
-        weights = (turns[:, None, :, None] * s[:, :, None, :]).reshape(s.shape[:-1] + (-1,))
+        # the weights [s_j cos, s_j sin] (n, k, 2J) on the constants
+        weights = terms(xs.reshape(-1, AXES))
         return _axis_sum(weights[..., None] * constants).reshape(xs.shape[:-1] + (-1, N_BLADES))
 
     def rows(xs) -> np.ndarray:

@@ -242,9 +242,9 @@ def verify_su4_generators(thetas=(0.3, 1.0)) -> dict:
     exp_zero = all(
         np.array_equal(expm(0.0j * g), np.eye(4, dtype=complex)) for g in gens
     )
-    det_residual = _fold(
-        abs(np.linalg.det(expm(1j * theta * g)) - 1.0) for g in gens for theta in thetas
-    )
+    ms = (expm(1j * theta * g) for g in gens for theta in thetas)
+    # NaN for a matrix that is not finite, whose det can read 0j (a lone NaN at [0, 0])
+    det_residual = _fold(abs(np.linalg.det(m) - 1.0) if np.isfinite(m).all() else math.nan for m in ms)
 
     quadruple = build_f_set()
     images = [to_matrix(f) for f in quadruple.elements]

@@ -426,6 +426,29 @@ def test_verify_su4_generators_fails_on_a_nan_determinant(monkeypatch, at):
     assert np.isnan(report["unit_determinant_residual"]) and report["ok"] is False
 
 
+@pytest.mark.parametrize("cells", ["[0, 0]", "[3, 3]", "every cell"])
+def test_a_matrix_that_is_not_finite_gives_a_nan_determinant_residual(monkeypatch, cells):
+    # det's pivot search passes over a lone NaN at [0, 0]: det reads 0j,
+    # and |det - 1| a finite 1.0, for a matrix that is not finite
+    where = {"[0, 0]": (0, 0), "[3, 3]": (3, 3), "every cell": ...}[cells]
+    calls, real = [], projectors.expm
+
+    def spiked(m):
+        out = real(m)
+        if m.any():  # not the exp(i 0) of the identity check
+            calls.append(m)
+            if len(calls) == 7:
+                out = out.copy()
+                out[where] = np.nan
+        return out
+
+    monkeypatch.setattr(projectors, "expm", spiked)
+    with np.errstate(invalid="ignore"):
+        report = verify_su4_generators()
+    assert len(calls) == 30
+    assert np.isnan(report["unit_determinant_residual"]) and report["ok"] is False
+
+
 @pytest.mark.parametrize("at", range(4))
 def test_verify_su4_generators_fails_on_a_nan_forward_relation(monkeypatch, at):
     real = projectors._idempotents

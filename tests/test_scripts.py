@@ -45,6 +45,11 @@ def ab():
     return _load("ab_checks")
 
 
+@pytest.fixture(scope="module")
+def ab_fields():
+    return _load("ab_fields")
+
+
 def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
     assert grid.main(["0.3", "0.2", "-0.1", "1"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
@@ -272,6 +277,44 @@ def test_ab_checks_exits_1_when_a_report_differs(ab, capsys, tmp_path):
 )
 def test_ab_checks_rejects_bad_arguments(ab, capsys, argv):
     assert ab.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_ab_fields_times_a_tree_against_itself(ab_fields, capsys):
+    assert ab_fields.main([SRC, SRC, "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["field", "operator", "parent", "us", "change", "us", "ratio"]
+    keys = [(kind, name) for kind in ab_fields.FIELDS for name in ab_fields.OPERATORS]
+    assert len(keys) == 30
+    assert [tuple(line.split()[:2]) for line in lines[1:31]] == keys
+    for line in lines[1:31]:
+        parent, change, ratio = (float(x) for x in line.split()[2:])
+        assert parent > 0.0 and change > 0.0 and ratio > 0.0
+    won = lines[31].split()
+    assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
+    assert int(won[3]) in (0, 1, 2)
+    assert lines[32:] == ["outputs: identical"]
+
+
+def test_ab_fields_exits_1_when_a_packet_constant_differs(ab_fields, capsys, tmp_path):
+    # the second tree is this one, with the packet's wave amplitude one
+    # ulp off in its mass term
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(Path(SRC) / "ga41", tmp_path / "ga41", ignore=skip)
+    path = tmp_path / "ga41" / "monogenic.py"
+    text = path.read_text()
+    constant = "(energy * ONE + mass * e(0, 4))"
+    assert text.count(constant) == 1
+    path.write_text(text.replace(constant, "(energy * ONE + mass * 1.0000000000000002 * e(0, 4))"))
+    assert ab_fields.main([SRC, str(tmp_path), "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "outputs: differ"
+
+
+@pytest.mark.parametrize("argv", [[], [SRC], [SRC, SRC, "0"], [SRC, str(SCRIPTS)]])
+def test_ab_fields_rejects_bad_arguments(ab_fields, capsys, argv):
+    assert ab_fields.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
