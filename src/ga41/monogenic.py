@@ -335,9 +335,11 @@ def _check_steps(steps) -> None:
     """ValueError unless every step is a real number, not a bool, that is
     finite and positive."""
     for h in steps:
-        if type(h) is float and 0.0 < h < math.inf:  # the common case, on one test
-            continue
-        if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0.0 < h < math.inf:
+        # a plain float skips the ABC checks
+        if (
+            type(h) is not float and (isinstance(h, bool) or not isinstance(h, numbers.Real))
+            or not 0.0 < h < math.inf
+        ):
             raise ValueError("step h must be finite and positive")
 
 
@@ -401,8 +403,6 @@ def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.nd
         _, plus, minus = _stencil(field._rows, x, (h,), indices)
         diffs = (plus - minus)[..., 0, :, :] / (2.0 * h)
     if reciprocal is _RECIPROCAL_ROWS and np.count_nonzero(np.isfinite(diffs)) == diffs.size:
-        if every:  # the full tables as they stand
-            return _axis_sum(_FLAT_SIGNS * diffs[..., _FLAT_ROWS, _FLAT_INDEX])
         rows = _FLAT_ROWS[: diffs.shape[-2]]
         return _axis_sum(_FLAT_SIGNS[axes] * diffs[..., rows, _FLAT_INDEX[axes]])
     return _axis_sum(_product(_FULL, reciprocal[..., axes, :], diffs))
