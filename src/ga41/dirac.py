@@ -13,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PSEUDOSCALAR, _fold, _integer, e
-from .matrices import ALPHA, BETA, IDENTITY, _from_matrices, _half_projector, to_matrix
-from .monogenic import MomentumVector, MultivectorField, harmonic_field
+from .algebra import PSEUDOSCALAR, _integer, _placed, e
+from .matrices import ALPHA, BETA, IDENTITY, _from_matrices, _half_projectors, _to_matrices, to_matrix
+from .monogenic import _AMPLITUDE_LAYOUT, MomentumVector, MultivectorField, harmonic_field
 
 #: images of pseudoscalar * e23, * e31, * e12: the spin-axis matrices
-SPIN_IMAGES = (
-    to_matrix(PSEUDOSCALAR * e(2, 3)),
-    to_matrix(PSEUDOSCALAR * (-1.0) * e(1, 3)),
-    to_matrix(PSEUDOSCALAR * e(1, 2)),
-)
+SPIN_IMAGES = tuple(to_matrix(PSEUDOSCALAR * b) for b in (e(2, 3), (-1.0) * e(1, 3), e(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -42,17 +38,17 @@ class DiracSystem:
             object.__setattr__(self, name, arr)
 
 
-#: the images alpha^1..3 and beta, the spin-axis images, and the signs of
-#: the two half projectors and of lam's diagonal
+#: the images alpha^1..3 and beta, the spin-axis images, the signs of
+#: lam's diagonal, and i alpha^1..3 (3, 1, 4, 4)
 _OPERATOR_STACK = np.array([*ALPHA, BETA])
 _SPIN_STACK = np.array(SPIN_IMAGES)
-_HALF_SIGNS = np.array([1, -1])[:, None, None]
 _LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_I_ALPHA = 1j * _OPERATOR_STACK[:3, None]
 
 
 def _operators(rows: np.ndarray) -> np.ndarray:
     """The operators p_m alpha^m + m beta (n, 4, 4) of momentum rows (n, 5)."""
-    return (rows[:, 1:, None, None] * _OPERATOR_STACK).sum(axis=1)
+    return np.add.reduce(rows[:, 1:, None, None] * _OPERATOR_STACK, 1)
 
 
 def build_dirac_operator(k: MomentumVector) -> np.ndarray:
@@ -82,26 +78,28 @@ def _eigensystems(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     n = len(rows)
     energy = rows[:, 0]
-    if (energy == 0.0).any():
+    if np.count_nonzero(energy) != n:
         raise ValueError("the momentum operator vanishes at E = 0")
     a_bar = _operators(rows)
     p = rows[:, 1:4]
-    norm = np.linalg.norm(p, axis=-1)
+    norm = np.sqrt(np.add.reduce(p * p, -1))  # np.linalg.norm(p, axis=-1)'s own steps
     rest = norm == 0.0
+    # A/E and S written side by side (n, 2, 4, 4), then the four products of their halves
+    ops = np.empty((n, 2, 4, 4), dtype=complex)
+    np.divide(a_bar, energy[:, None, None], out=ops[:, 0])
     unit = p / np.where(rest, 1.0, norm)[:, None]
-    spin = (unit[:, :, None, None] * _SPIN_STACK).sum(axis=1)
-    spin[rest] = _SPIN_STACK[2]
-    # the halves of A/E and of S, (n, 2, 2, 4, 4), then their four products
-    halves = np.stack([a_bar / energy[:, None, None], spin], axis=1)
-    halves = _half_projector(halves[:, :, None], _HALF_SIGNS)
+    np.add.reduce(unit[:, :, None, None] * _SPIN_STACK, 1, out=ops[:, 1])
+    ops[rest, 1] = _SPIN_STACK[2]
+    halves = _half_projectors(ops)
     proj = (halves[:, 0, :, None] @ halves[:, 1, None, :]).reshape(4 * n, 4, 4)
     # the largest column of each projector, by np.linalg.norm(proj, axis=0)
     at = np.arange(4 * n)
-    cols = proj[at, :, np.argmax(np.sqrt((proj.conj() * proj).real.sum(axis=-2)), axis=-1)]
-    lead = cols[at, np.argmax(np.abs(cols), axis=-1)]
-    cols = cols * (np.conj(lead) / np.abs(lead))[:, None]
+    cols = proj[at, :, np.sqrt(np.add.reduce((proj.conj() * proj).real, -2)).argmax(-1)]
+    lead = cols[at, np.abs(cols).argmax(-1)]
+    cols *= (lead.conj() / np.abs(lead))[:, None]
+    cols /= np.sqrt(np.add.reduce((cols.conj() * cols).real, -1))[:, None]
     psi_bar = np.empty((n, 4, 4), dtype=complex)
-    psi_bar.swapaxes(-1, -2)[...] = (cols / np.linalg.norm(cols, axis=-1)[:, None]).reshape(n, 4, 4)
+    psi_bar.swapaxes(-1, -2)[...] = cols.reshape(n, 4, 4)
     lam = np.zeros((n, 16), dtype=complex)
     lam[:, ::5] = energy[:, None] * _LAM_SIGNS
     return a_bar, psi_bar, lam.reshape(n, 4, 4)
@@ -124,11 +122,12 @@ def order_eigensystem(system: DiracSystem) -> DiracSystem:
 def _check_ordered(energy: np.ndarray, lam: np.ndarray) -> None:
     """The guards of :func:`order_eigensystem`, with its messages, on every
     row: energies (n,) and eigenvalue matrices (n, 4, 4)."""
-    if (energy <= 0).any():
+    if np.count_nonzero(energy <= 0):
         raise ValueError("ordering requires the positive-energy branch")
-    vals = np.real(np.diagonal(lam, axis1=-2, axis2=-1))
-    # two positive and two non-positive eigenvalues; a NaN is neither
-    if ((vals > 0).sum(axis=-1) != 2).any() or ((vals <= 0).sum(axis=-1) != 2).any():
+    # two positive and two non-positive eigenvalues, a NaN being neither: a
+    # step is 1 above zero, 0 at or below it and NaN at a NaN, so they sum to 2
+    steps = np.heaviside(lam.diagonal(0, -2, -1).real, 0.0)
+    if np.count_nonzero(np.add.reduce(steps, -1) != 2):
         raise ArithmeticError("spectrum is not a doubled +-E pair")
 
 
@@ -141,21 +140,23 @@ def geometric_matrix_crosscheck(k: MomentumVector, points) -> float:
     the matrix wave carries the conjugated phase exp(i(E t - p.x)).
     Derivatives are applied analytically.
     """
-    energy = k.energy
-    p = np.array(k.momentum)
-    amp = energy * IDENTITY + build_dirac_operator(k)
+    row, energy = k._row, k.energy
+    p = row[1:4]
+    amp = energy * IDENTITY + _operators(row[None])[0]
     x = np.asarray(points, dtype=float)
     if x.shape[-1:] not in ((4,), (5,)):
         raise ValueError(f"points must have shape (..., 4) or (..., 5), got shape {x.shape}")
     # all points at once; p.x is a one-row matmul per point, as np.dot
     x = x[..., :4].reshape(-1, 4)
     wave = amp * np.exp(1j * (energy * x[:, 0] - (p @ x[:, 1:4, None])[:, 0]))[:, None, None]
-    # i d/dt + i alpha^m d/dx^m + m beta, with the phase derivatives
-    out = 1j * (1j * energy) * wave + k.mass * BETA @ wave
-    for m in range(3):
-        out = out + 1j * ALPHA[m] @ ((-1j * p[m]) * wave)
-    head = np.max(np.abs(to_matrix(k.amplitude) - amp))
-    return _fold([head, np.max(np.abs(out), axis=(1, 2))])
+    # i d/dt + i alpha^m d/dx^m + m beta, with the phase derivatives: the time
+    # and mass terms, then the alpha terms of one stacked matmul, left to right
+    terms = np.empty((4, *wave.shape), dtype=complex)
+    np.add(1j * (1j * energy) * wave, k.mass * BETA @ wave, out=terms[0])
+    np.matmul(_I_ALPHA, (-1j * p)[:, None, None, None] * wave, out=terms[1:])
+    head = np.abs(_to_matrices(_placed(row, _AMPLITUDE_LAYOUT)) - amp).max()  # to_matrix(k.amplitude)
+    # the largest of head and every |entry|, NaN if any entry is NaN
+    return float(np.abs(np.add.reduce(terms, 0)).max(initial=head))
 
 
 def _column_parts(

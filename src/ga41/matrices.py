@@ -12,6 +12,8 @@ identity, and real linear combinations carry over coefficientwise.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import Multivector, N_BLADES, _integer
@@ -70,36 +72,29 @@ def sigma_matrix(index: int) -> np.ndarray:
     return RECIPROCAL_IMAGES[index].copy()
 
 
-def _half_projector(m: np.ndarray, sign: int) -> np.ndarray:
-    """(1 + sign m) / 2, a projector when m squares to the identity."""
-    return (IDENTITY + sign * m) / 2.0
+_HALF_SIGNS = np.array([1, -1])[:, None, None]
+
+
+def _half_projectors(m: np.ndarray) -> np.ndarray:
+    """(1 + m) / 2 and (1 - m) / 2 (..., 2, 4, 4) of matrices m (..., 4, 4),
+    projectors when m squares to the identity."""
+    return (IDENTITY + _HALF_SIGNS * m[..., None, :, :]) / 2.0
 
 
 #: images of the direct (lower-index) basis vectors
 GENERATOR_IMAGES = (-RECIPROCAL_IMAGES[0],) + RECIPROCAL_IMAGES[1:]
 
 
-def _build_blade_images() -> np.ndarray:
-    images = np.zeros((N_BLADES, 4, 4), dtype=complex)
-    images[0] = IDENTITY
-    for mask in range(1, N_BLADES):
-        m = IDENTITY
-        for k in range(5):
-            if mask >> k & 1:
-                m = m @ GENERATOR_IMAGES[k]
-        images[mask] = m
-    return images
-
-
-BLADE_IMAGES = _build_blade_images()
+#: each blade's image: the identity times its generators' images, in index order
+BLADE_IMAGES = np.array([
+    functools.reduce(np.matmul, [g for k, g in enumerate(GENERATOR_IMAGES) if mask >> k & 1], IDENTITY)
+    for mask in range(N_BLADES)
+])
 BLADE_IMAGES.flags.writeable = False
 
 #: rows [Re image | Im image] of the 32 blades: entries 0 and +-1, rows
 #: orthogonal with squared norm 4, so the inverse map is one matmul
-_BLADE_ROWS = np.concatenate(
-    [BLADE_IMAGES.real.reshape(N_BLADES, 16), BLADE_IMAGES.imag.reshape(N_BLADES, 16)],
-    axis=1,
-)
+_BLADE_ROWS = np.concatenate([BLADE_IMAGES.real, BLADE_IMAGES.imag], axis=1).reshape(N_BLADES, 32)
 _IMAGE_ROWS = BLADE_IMAGES.reshape(N_BLADES, 16)
 
 # both kernels map each row by its own 1-row matmul, so a row of a batch
@@ -134,8 +129,5 @@ def from_matrix(m: np.ndarray) -> Multivector:
 
 def matrix_text(m: np.ndarray) -> str:
     """Row-major "re+imi" rendering, one text line per matrix row."""
-    m = np.asarray(m, dtype=complex)
-    rows = []
-    for row in m:
-        rows.append("  ".join(f"{z.real:g}{z.imag:+g}i" for z in row))
-    return "\n".join(rows)
+    rows = np.asarray(m, dtype=complex)
+    return "\n".join("  ".join(f"{z.real:g}{z.imag:+g}i" for z in row) for row in rows)

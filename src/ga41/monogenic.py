@@ -370,10 +370,10 @@ def _stencil(f: Callable, x: np.ndarray, steps, axes=_ALL_AXES, center: bool = F
 
 
 def _axis_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of the rows (..., n, k), k > 1, over axis -2 in index order,
-    starting from zero.  numpy adds along an axis that is not innermost
-    in memory one slice after another, so the rows are held C-contiguous;
-    + 0.0 gives the zero sign of a sum that starts from zero."""
+    """Sum of the rows (..., n, k), k > 1, over axis -2 in index order from
+    zero: numpy adds along a non-innermost axis one slice after another, so the
+    rows are held C-contiguous.  + 0.0 gives a zero sum the sign of one from
+    +0.0; numpy 2.4 starts there already, older numpy >= 1.24 is unchecked."""
     return np.add.reduce(np.ascontiguousarray(terms), axis=-2) + 0.0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _FULL, Multivector, ONE, _fold, _integer, _product, e_upper
-from .matrices import BETA, IDENTITY, _from_matrices, _half_projector, sigma_matrix, to_matrix
+from .matrices import BETA, IDENTITY, RECIPROCAL_IMAGES, _from_matrices, _half_projectors, to_matrix
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 _INV_SQRT6 = 1.0 / math.sqrt(6.0)
@@ -87,17 +87,24 @@ def validate_idempotent_set(s: IdempotentSet, tol: float = 0.0) -> dict:
     }
 
 
+#: (1 + sign m) / 2 for sign +1 and -1 of the images m of raised e40 (beta)
+#: and raised e3, built once; the halves are views of one read-only array
+_HALVES = _half_projectors(np.array([BETA, RECIPROCAL_IMAGES[3]]))
+_HALVES.setflags(write=False)
+_ENERGY_HALVES, _HELICITY_HALVES = ({1: plus, -1: minus} for plus, minus in _HALVES)
+
+
 def energy_project(psi_bar: np.ndarray, sign: int) -> np.ndarray:
     """Right-multiply the eigencolumn matrix by the image of
     (1 + sign * raised e40) / 2, keeping one energy pair."""
     _integer(sign, (1, -1), "sign must be +1 or -1")
-    return np.asarray(psi_bar, dtype=complex) @ _half_projector(BETA, sign)
+    return np.asarray(psi_bar, dtype=complex) @ _ENERGY_HALVES[sign]
 
 
 def helicity_project(psi_bar: np.ndarray, sign: int) -> np.ndarray:
     """Right-multiply by the image of (1 + sign * raised e3) / 2."""
     _integer(sign, (1, -1), "sign must be +1 or -1")
-    return np.asarray(psi_bar, dtype=complex) @ _half_projector(sigma_matrix(3), sign)
+    return np.asarray(psi_bar, dtype=complex) @ _HELICITY_HALVES[sign]
 
 
 # -- generators of the unitary group ------------------------------------

@@ -1,5 +1,6 @@
 """Momentum-space wave operator: solver, ordering, and crosschecks."""
 
+import hashlib
 import math
 import re
 
@@ -16,8 +17,9 @@ from ga41.dirac import (
     geometric_matrix_crosscheck,
     order_eigensystem,
 )
-from ga41.matrices import ALPHA, BETA, _half_projector, from_matrix
+from ga41.matrices import from_matrix, to_matrix
 from ga41.monogenic import harmonic_field, reduced_vector_derivative
+from ga41.projectors import energy_project, helicity_project
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -252,41 +254,27 @@ def test_column_wave_rejects_a_non_integer_index():
     assert column_wave(system, np.int64(2))(np.zeros(5)) == column_wave(system, 2)(np.zeros(5))
 
 
-# -- the stacked eigensystem kernel against the per-momentum code it replaced
+# -- the eigensystem kernel and the rest of the one-momentum path, pinned
 
-
-def _old_operator(k):
-    terms = np.array([*k.momentum, k.mass])[:, None, None] * np.array([*ALPHA, BETA])
-    return terms.sum(axis=0)
-
-
-def _old_spin_operator(k):
-    p = np.array(k.momentum)
-    norm = float(np.sqrt((p * p).sum()))
-    if norm == 0.0:
-        return SPIN_IMAGES[2].copy()
-    unit = p / norm
-    return (unit[:, None, None] * np.array(SPIN_IMAGES)).sum(axis=0)
-
-
-def _old_dirac_system(k):
-    """(a_bar, psi_bar, lam) of one momentum, one projector at a time."""
-    energy = k.energy
-    if energy == 0.0:
-        raise ValueError("the momentum operator vanishes at E = 0")
-    a_bar = _old_operator(k)
-    energy_halves, spin_halves = (
-        [_half_projector(m, sign) for sign in (1, -1)]
-        for m in (a_bar / energy, _old_spin_operator(k))
-    )
-    psi = np.empty((4, 4), dtype=complex)
-    for j, proj in enumerate(a @ b for a in energy_halves for b in spin_halves):
-        col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
-        lead = col[int(np.argmax(np.abs(col)))]
-        col = col * (np.conj(lead) / abs(lead))
-        psi[:, j] = col / np.sqrt((col.conj() * col).real.sum())
-    lam = np.diag([energy, energy, -energy, -energy]).astype(complex)
-    return a_bar, psi, lam
+#: sha256 of _eigensystems over _pin_momenta(): the bytes of a_bar, psi_bar
+#: and lam, each (n, 4, 4), in turn
+_EIGENSYSTEMS_SHA256 = "9b046ca388ffc88dd43dc0a83d7ddb76a15e1e9e31ec68ac61011cf2f4b87a3f"
+#: sha256, per momentum of _pin_momenta(), of the rest of the ga41 eigen
+#: path: energy_project and helicity_project for signs +1 and -1, the
+#: from_matrix rows and to_matrix images of the four kept columns,
+#: to_matrix(k.amplitude), then geometric_matrix_crosscheck at each set of
+#: _CROSSCHECK_POINTS
+_ONE_MOMENTUM_SHA256 = "031fed0e3d08113b1e4f49b050c6439e1b11cb900405f9845e3736ae6f42064b"
+#: the crosscheck's point sets: none, one, three four-vectors, three with a
+#: NaN, and three five-axis points
+_CROSSCHECK_POINTS = (
+    np.zeros((0, 4)),
+    np.array([[0.3, -0.2, 0.5, 0.1]]),
+    np.array([[0.0, 0.0, 0.0, 0.0], [-0.7, 0.4, -0.0, 1.1], [0.25, -1.3, 0.9, -0.45]]),
+    np.array([[0.3, -0.2, 0.5, 0.1], [math.nan, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]]),
+    np.array([[0.3, -0.2, 0.5, 0.1, 0.0], [-0.7, 0.4, -0.0, 1.1, 0.6], [1.0, 1.0, -1.0, 0.5, -2.0]]),
+)
+EPS = np.finfo(float).eps
 
 
 def _pin_momenta():
@@ -315,22 +303,80 @@ def _bytes(arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
-def test_the_eigensystem_kernel_equals_the_per_momentum_code_byte_for_byte():
+def test_the_eigensystem_kernel_is_pinned():
     momenta = _pin_momenta()
     got = dirac._eigensystems(_rows(momenta))
     assert all(a.shape == (len(momenta), 4, 4) and a.dtype == complex for a in got)
+    assert hashlib.sha256(b"".join(_bytes(got))).hexdigest() == _EIGENSYSTEMS_SHA256
+
+
+def test_each_kernel_row_is_its_one_momentum_system():
+    momenta = _pin_momenta()
+    got = dirac._eigensystems(_rows(momenta))
     for i, k in enumerate(momenta):
-        want = _old_dirac_system(k)
-        assert _bytes(a[i] for a in got) == _bytes(want), k
         system = dirac_system(k)
-        assert _bytes((system.a_bar, system.psi_bar, system.lam)) == _bytes(want), k
-        assert _bytes([build_dirac_operator(k)]) == _bytes(want[:1]), k
+        assert _bytes((system.a_bar, system.psi_bar, system.lam)) == _bytes(a[i] for a in got), k
+        assert _bytes([build_dirac_operator(k)]) == _bytes([got[0][i]]), k
 
 
 def test_the_eigensystem_kernel_on_no_rows_and_one_row():
     assert [a.shape for a in dirac._eigensystems(np.zeros((0, 5)))] == [(0, 4, 4)] * 3
     k = MomentumVector.from_mass_momentum((0.3, -1.2, 0.8), 0.7)
-    assert _bytes(a[0] for a in dirac._eigensystems(_rows([k]))) == _bytes(_old_dirac_system(k))
+    system = dirac_system(k)
+    assert _bytes(a[0] for a in dirac._eigensystems(_rows([k]))) == _bytes((system.a_bar, system.psi_bar, system.lam))
+
+
+def test_the_kernel_columns_are_unit_eigencolumns_with_a_real_positive_lead():
+    momenta = _pin_momenta()
+    rows = _rows(momenta)
+    a_bar, psi, lam = dirac._eigensystems(rows)
+    energy = np.abs(rows[:, 0])
+    want = np.zeros_like(lam)
+    want[:, range(4), range(4)] = rows[:, :1] * np.array([1.0, 1.0, -1.0, -1.0])
+    assert np.array_equal(lam, want)
+    # each residual entry is a four-term sum of |A_ik psi_kj| <= E (4 eps E of
+    # rounding, twice), and the column is an eigencolumn to within its own
+    # rounding (4 eps) times |A - lam| <= 2 E: 16 eps E in all
+    residual = np.max(np.abs(a_bar @ psi - psi @ lam), axis=(1, 2))
+    assert (residual <= 16 * EPS * energy).all()
+    # a column divided by its norm: four squares, each within 2 eps of its share
+    squares = (psi.conj() * psi).real.sum(axis=1)
+    assert (np.abs(squares - 1.0) <= 4 * EPS).all()
+    # the lead is chosen before the column is scaled, so it is a component
+    # within a few ulps of the largest: some such component is real positive
+    mags = np.abs(psi)
+    near = mags >= mags.max(axis=1, keepdims=True) * (1.0 - 4 * EPS)
+    real_positive = (psi.real > 0.0) & (np.abs(psi.imag) <= EPS * mags)
+    assert (near & real_positive).any(axis=1).all()
+
+
+def _one_momentum_outputs(k, psi):
+    """The byte strings of the rest of the ga41 eigen path at k."""
+    out = [energy_project(psi, s) for s in (1, -1)] + [helicity_project(psi, s) for s in (1, -1)]
+    for index in range(4):
+        column = np.zeros((4, 4), dtype=complex)
+        column[:, index] = psi[:, index]
+        coeffs = from_matrix(column)
+        out += [coeffs.coeffs, to_matrix(coeffs)]
+    out.append(to_matrix(k.amplitude))
+    out += [np.float64(geometric_matrix_crosscheck(k, x)) for x in _CROSSCHECK_POINTS]
+    return _bytes(out)
+
+
+def test_the_rest_of_the_one_momentum_path_is_pinned():
+    digest = hashlib.sha256()
+    for k in _pin_momenta():
+        for value in _one_momentum_outputs(k, dirac_system(k).psi_bar):
+            digest.update(value)
+    assert digest.hexdigest() == _ONE_MOMENTUM_SHA256
+
+
+def test_the_crosscheck_of_no_points_is_its_head_and_of_a_nan_point_is_nan():
+    for k in _pin_momenta()[::5]:
+        head = np.max(np.abs(to_matrix(k.amplitude) - (k.energy * np.eye(4) + build_dirac_operator(k))))
+        assert geometric_matrix_crosscheck(k, _CROSSCHECK_POINTS[0]) == head
+        assert geometric_matrix_crosscheck(k, np.zeros((0, 2, 5))) == head
+        assert math.isnan(geometric_matrix_crosscheck(k, _CROSSCHECK_POINTS[3]))
 
 
 def test_the_eigensystem_kernel_raises_at_zero_energy_on_any_row():
@@ -359,6 +405,50 @@ def test_the_row_guards_are_those_of_order_eigensystem():
         bad[1] = fake.lam
         with pytest.raises(ArithmeticError, match=re.escape(str(want.value))):
             dirac._check_ordered(rows[[0, 0, 2], 0], bad)
+
+
+_POSITIVE = "ordering requires the positive-energy branch"
+_DOUBLED = "spectrum is not a doubled +-E pair"
+
+
+@pytest.mark.parametrize(
+    "energy, diagonal, error, message",
+    [
+        (-1.0, [1.0, 1.0, -1.0, -1.0], ValueError, _POSITIVE),
+        (0.0, [1.0, 1.0, -1.0, -1.0], ValueError, _POSITIVE),
+        (-0.0, [0.0, 0.0, 0.0, 0.0], ValueError, _POSITIVE),
+        # the energy is checked before the spectrum
+        (-1.0, [1.0, 1.0, 1.0, -1.0], ValueError, _POSITIVE),
+        (1.0, [1.0, math.nan, -1.0, -1.0], ArithmeticError, _DOUBLED),
+        (1.0, [1.0, 1.0, math.nan, -1.0], ArithmeticError, _DOUBLED),
+        (1.0, [math.nan] * 4, ArithmeticError, _DOUBLED),
+        (1.0, [1.0, 1.0, 1.0, -1.0], ArithmeticError, _DOUBLED),
+        (1.0, [1.0, -1.0, -1.0, -1.0], ArithmeticError, _DOUBLED),
+        # a zero eigenvalue is non-positive
+        (1.0, [1.0, 0.0, -1.0, -1.0], ArithmeticError, _DOUBLED),
+        (1.0, [-0.0, 1.0, 0.0, 1.0], None, None),
+    ],
+)
+def test_the_ordering_guards_keep_their_types_and_messages(energy, diagonal, error, message):
+    k = MomentumVector(energy, (0.0, 0.0, 0.0), abs(energy))
+    bad = DiracSystem(k, np.eye(4), np.eye(4), np.diag(diagonal))
+    sound = dirac_system(MomentumVector(1.0, (0.0, 0.0, 0.0), 1.0))
+    assert order_eigensystem(sound) is sound
+    if error is None:  # a doubled pair, one and the other row by row
+        assert order_eigensystem(bad) is bad
+        dirac._check_ordered(np.ones(3), np.stack([sound.lam, bad.lam, sound.lam]))
+        return
+    with pytest.raises(Exception) as one:
+        order_eigensystem(bad)
+    assert type(one.value) is error and str(one.value) == message
+    # the same guard on rows, the bad row first, in the middle and last
+    for at in range(3):
+        energies, lams = np.ones(3), np.stack([sound.lam] * 3)
+        energies[at], lams[at] = energy, bad.lam
+        with pytest.raises(Exception) as rows:
+            dirac._check_ordered(energies, lams)
+        assert type(rows.value) is error and str(rows.value) == message
+    dirac._check_ordered(np.ones(3), np.stack([sound.lam] * 3))
 
 
 def test_the_column_parts_of_a_stack_are_each_system_s_own():

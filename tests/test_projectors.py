@@ -185,6 +185,20 @@ def test_projections_take_numpy_integer_signs(project):
     assert project(psi, np.int64(-1)).tobytes() == project(psi, -1).tobytes()
 
 
+def test_the_half_projectors_are_built_once_and_read_only():
+    images = (matrices.BETA, matrices.sigma_matrix(3))
+    for halves, m in zip((projectors._ENERGY_HALVES, projectors._HELICITY_HALVES), images):
+        assert sorted(halves) == [-1, 1]
+        for sign, half in halves.items():
+            assert half.tobytes() == ((np.eye(4, dtype=complex) + sign * m) / 2.0).tobytes()
+            assert not half.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                half[0, 0] = 0.0
+    psi = _psi_bar()
+    assert energy_project(psi, 1).tobytes() == (psi @ projectors._ENERGY_HALVES[1]).tobytes()
+    assert helicity_project(psi, -1).tobytes() == (psi @ projectors._HELICITY_HALVES[-1]).tobytes()
+
+
 def sequential_trace(m):
     total = 0.0 + 0.0j
     for v in np.diag(m):

@@ -50,6 +50,11 @@ def ab_fields():
     return _load("ab_fields")
 
 
+@pytest.fixture(scope="module")
+def ab_eigen():
+    return _load("ab_eigen")
+
+
 def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
     assert grid.main(["0.3", "0.2", "-0.1", "1"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
@@ -315,6 +320,43 @@ def test_ab_fields_exits_1_when_a_packet_constant_differs(ab_fields, capsys, tmp
 @pytest.mark.parametrize("argv", [[], [SRC], [SRC, SRC, "0"], [SRC, str(SCRIPTS)]])
 def test_ab_fields_rejects_bad_arguments(ab_fields, capsys, argv):
     assert ab_fields.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_ab_eigen_times_a_tree_against_itself(ab_eigen, capsys):
+    assert ab_eigen.main([SRC, SRC, "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["call", "parent", "us", "change", "us", "ratio"]
+    assert len(ab_eigen.CALLS) == 7 and ab_eigen.MOMENTA[0][0] == (0.0, 0.0, 0.0)
+    assert [line.split()[0] for line in lines[1:8]] == list(ab_eigen.CALLS)
+    for line in lines[1:8]:
+        parent, change, ratio = (float(x) for x in line.split()[1:])
+        assert parent > 0.0 and change > 0.0 and ratio > 0.0
+    won = lines[8].split()
+    assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
+    assert int(won[3]) in (0, 1, 2)
+    assert lines[9:] == ["outputs: identical"]
+
+
+def test_ab_eigen_exits_1_when_a_dirac_constant_differs(ab_eigen, capsys, tmp_path):
+    # the second tree is this one, with the last sign of lam's diagonal one
+    # ulp off
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(Path(SRC) / "ga41", tmp_path / "ga41", ignore=skip)
+    path = tmp_path / "ga41" / "dirac.py"
+    text = path.read_text()
+    constant = "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])"
+    assert text.count(constant) == 1
+    path.write_text(text.replace(constant, "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0000000000000002])"))
+    assert ab_eigen.main([SRC, str(tmp_path), "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "outputs: differ"
+
+
+@pytest.mark.parametrize("argv", [[], [SRC], [SRC, SRC, "0"], [SRC, SRC, "x"], [SRC, str(SCRIPTS)]])
+def test_ab_eigen_rejects_bad_arguments(ab_eigen, capsys, argv):
+    assert ab_eigen.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
