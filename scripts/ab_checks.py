@@ -1,39 +1,42 @@
 #!/usr/bin/env python3
-"""Time the checks of two ga41 trees in one process, interleaved.
+"""Time two ga41 trees in one process, interleaved, and compare their
+output bytes; the harness of ``ab_fields.py`` and ``ab_eigen.py`` too.
 
     python scripts/ab_checks.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
-Each SRC is a directory that holds a ``ga41`` package, such as the
-``src`` of a checkout.  Both trees are loaded under names of their own
-(``ga41_parent``, ``ga41_change``), so neither depends on ``PYTHONPATH``.
-Each round runs ``run_checks`` on both trees for each seed in SEEDS, the
-parent first in even rounds and the change first in odd ones, so that
-drift in the machine's speed falls on both sides alike.  ROUNDS defaults
-to 10.
+Each SRC holds a ``ga41`` package, such as the ``src`` of a checkout,
+loaded under a name of its own (``ga41_parent``, ``ga41_change``), so
+neither depends on ``PYTHONPATH``.  ``run`` takes a suite, a function
+``(src, label) -> {key: [zero-argument calls]}``, and times every key's
+calls on both trees in each of ROUNDS rounds (10 by default), the parent
+first in even rounds and the change first in odd ones.  It prints one
+line per key and one for their total, with the median microseconds per
+call on each tree and the ratio change / parent; then in how many rounds
+the change took less time in total (ties count for neither); then
+whether the outputs of the first round are byte-identical, naming the
+keys that differ.  Outputs become bytes untimed, and a callable output is
+called for them.  It exits 0 when all agree, 1 when any differ, and 2 on
+bad arguments or when the trees give different keys.
 
-It prints one line per check with the median of its ``elapsed_ms`` on
-each tree and their ratio (change over parent), then the same for the
-whole pass (the sum of a run's ``elapsed_ms``), then the number of
-rounds whose passes over SEEDS took the change less time in total than
-the parent (ties count for neither side), then one line per seed that
-says whether the two trees' ``report_json(..., omit_timings=True)`` texts
-are byte-identical.  It exits 0 after printing when every seed's reports
-are identical, 1 when any differ, and 2 on bad arguments, or when the
-trees register different checks.
+Here a key is a check, its calls ``run_checks`` of that check alone at
+each seed of SEEDS, and their bytes its timing-free ``report_json``.
 """
 
-import importlib
 import importlib.util
 import statistics
 import sys
+import time
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 SEEDS = (0, 1, 7)
 TREES = ("parent", "change")
 
 
-def load(src: Path, label: str):
-    """The ga41.checks module of the tree in src, loaded as ga41_<label>."""
+def load(src: Path, label: str, *names: str) -> list:
+    """The modules ``names`` of the ga41 package in src, loaded as ga41_<label>."""
     name = f"ga41_{label}"
     package = src / "ga41"
     for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
@@ -44,7 +47,18 @@ def load(src: Path, label: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.checks")
+    return [importlib.import_module(f"{name}.{n}") for n in names]
+
+
+def suite(src: Path, label: str) -> dict:
+    """{check: [its run alone at each seed]} for the tree in src."""
+    (checks,) = load(src, label, "checks")
+
+    def run_one(name, seed):  # the run is timed, its report is not
+        results = checks.run_checks([name], seed=seed)
+        return lambda: checks.report_json(results, seed, omit_timings=True)
+
+    return {d.name: [partial(run_one, d.name, s) for s in SEEDS] for d in checks.check_definitions()}
 
 
 def _parse(argv):
@@ -60,46 +74,59 @@ def _parse(argv):
     return srcs, int(rounds)
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def _bytes(value) -> bytes:
+    """The bytes of one call's output, whatever its type."""
+    if callable(value):
+        value = value()
+    if isinstance(value, str):
+        return value.encode()
+    if isinstance(value, tuple):
+        return b"".join(_bytes(v) for v in value)
+    if hasattr(value, "psi_bar"):
+        return _bytes((value.a_bar, value.psi_bar, value.lam))
+    return np.asarray(getattr(value, "coeffs", value)).tobytes()
+
+
+def run(argv, suite, title: str) -> int:
+    """Time suite on the two trees argv names, print, return the exit code."""
     try:
-        srcs, rounds = _parse(argv)
+        srcs, rounds = _parse(sys.argv[1:] if argv is None else argv)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    checks = {label: load(src, label) for label, src in zip(TREES, srcs)}
-    names = {label: [d.name for d in c.check_definitions()] for label, c in checks.items()}
-    if names["parent"] != names["change"]:
-        print("error: the trees register different checks", file=sys.stderr)
+    trees = {label: suite(src, label) for label, src in zip(TREES, srcs)}
+    keys = list(trees["parent"])
+    if keys != list(trees["change"]):
+        print("error: the trees give different keys", file=sys.stderr)
         return 2
-    times = {label: {name: [] for name in names[label]} for label in TREES}
-    passes = {label: [] for label in TREES}
-    reports = {label: {} for label in TREES}
+    times = {label: {key: [] for key in keys} for label in TREES}
+    outputs = {label: {} for label in TREES}
     for r in range(rounds):
-        for seed in SEEDS:
+        for key in keys:
             for label in TREES if r % 2 == 0 else TREES[::-1]:
-                results = checks[label].run_checks(seed=seed)
-                for result in results:
-                    times[label][result.name].append(result.elapsed_ms)
-                passes[label].append(sum(result.elapsed_ms for result in results))
+                calls = trees[label][key]
+                start = time.perf_counter()
+                values = [call() for call in calls]
+                times[label][key].append((time.perf_counter() - start) / len(calls) * 1e6)
                 if r == 0:
-                    text = checks[label].report_json(results, seed=seed, omit_timings=True)
-                    reports[label][seed] = text
-    print(f"{'check':32s} {'parent ms':>10s} {'change ms':>10s} {'ratio':>7s}")
-    rows = [(name, times["parent"][name], times["change"][name]) for name in names["parent"]]
-    rows.append((f"pass ({rounds} rounds x {len(SEEDS)} seeds)", passes["parent"], passes["change"]))
-    for name, parent, change in rows:
+                    outputs[label][key] = [_bytes(v) for v in values]
+    rows = {key: [times[label][key] for label in TREES] for key in keys}
+    total = f"total ({rounds} rounds)"
+    rows[total] = [[sum(each) for each in zip(*times[label].values())] for label in TREES]
+    width = max(map(len, [title, *rows]))
+    print(f"{title:{width}s} {'parent us':>11s} {'change us':>11s} {'ratio':>7s}")
+    for key, (parent, change) in rows.items():
         before, after = statistics.median(parent), statistics.median(change)
-        print(f"{name:32s} {before:10.3f} {after:10.3f} {after / before:7.3f}")
-    n = len(SEEDS)  # passes per round and tree
-    totals = [[sum(passes[label][r * n : r * n + n]) for r in range(rounds)] for label in TREES]
-    won = sum(c < p for p, c in zip(*totals))
+        print(f"{key:{width}s} {before:11.2f} {after:11.2f} {after / before:7.3f}")
+    won = sum(c < p for p, c in zip(*rows[total]))
     print(f"change faster in {won} of {rounds} rounds")
-    same = [reports["parent"][seed] == reports["change"][seed] for seed in SEEDS]
-    for seed, identical in zip(SEEDS, same):
-        print(f"report seed {seed}: {'identical' if identical else 'differs'}")
-    return 0 if all(same) else 1
+    differ = [key for key in keys if outputs["parent"][key] != outputs["change"][key]]
+    print(f"outputs: differ at {', '.join(differ)}" if differ else "outputs: identical")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    return run(argv, suite, "check")
 
 
 if __name__ == "__main__":

@@ -28,13 +28,14 @@ GRADES = tuple(m.bit_count() for m in range(N_BLADES))
 _VECTOR_MASKS = [1 << k for k in range(5)]
 
 
-def _integer(value, allowed, message: str, *shown) -> None:
-    """Raise ValueError(message.format(*shown)) unless value is an integer,
-    not a bool, in allowed; the text is formatted only on failure."""
-    if type(value) is int or not isinstance(value, bool) and isinstance(value, (int, np.integer)):
-        if value in allowed:
-            return
-    raise ValueError(message.format(*shown))
+def _integer(value, allowed, message: str, *shown) -> int:
+    """value as an int if it is an integer, not a bool, in allowed; else
+    raise ValueError(message.format(*shown)), formatted only on failure."""
+    if type(value) is not int and isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)  # a range finds an int at once but scans for anything else
+    if type(value) is not int or value not in allowed:
+        raise ValueError(message.format(*shown))
+    return value
 
 
 def blade_grade(mask: int) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -32,6 +31,7 @@ from .algebra import (
     PSEUDOSCALAR,
     _exp_rows,
     _fold,
+    _integer,
     _product,
     _scalar_products,
     blade_product,
@@ -743,8 +743,8 @@ def run_checks(
 
     ``tolerances`` overrides tolerances by check name.  Unknown check or
     tolerance names, an override that is not finite and non-negative, a
-    seed outside [0, 2**64), and a step that is not a finite positive real
-    number (a bool included) raise ValueError.  Each check's residual is the largest of the
+    seed that is not an integer in [0, 2**64), and a step that is not a
+    finite positive real number (a bool is neither) raise ValueError.  Each check's residual is the largest of the
     samples it yields; a NaN sample, or none at all, makes it NaN, which
     fails.  A check whose computation raises ValueError or
     ArithmeticError (say, a step that underflows to 0 when halved)
@@ -766,8 +766,7 @@ def run_checks(
     for name, value in overrides.items():
         if not 0.0 <= float(value) < math.inf:
             raise ValueError(f"tolerance for {name} must be finite and non-negative: {value}")
-    if not 0 <= operator.index(seed) < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64): {seed}")
+    _integer(seed, range(2**64), "seed must be in [0, 2**64): {}", seed)
     _check_steps((step_h,))
     results = []
     for definition in _REGISTRY:

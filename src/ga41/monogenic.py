@@ -621,8 +621,7 @@ def monogenic_polynomials_3d(degree: int) -> list[PolynomialField]:
     Fields whose values stay in the scalar + e12 plane come first and
     are flagged; the rest complete the basis.
     """
-    if degree not in _SUPPORTED_DEGREES:
-        raise ValueError(f"unsupported degree: {degree}")
+    degree = _integer(degree, _SUPPORTED_DEGREES, "unsupported degree: {}", degree)
     nb = len(EVEN_SPATIAL_MASKS)
     derivative = _spatial_derivative_matrix(degree)
     ncols = nb * len(_monomials(degree))

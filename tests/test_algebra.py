@@ -510,7 +510,8 @@ def test_integer_rule_rejects_bools_floats_and_values_outside(value):
 
 @pytest.mark.parametrize("value", [1, -1, np.int64(-1), np.int8(1), np.uint8(1)])
 def test_integer_rule_accepts_python_and_numpy_integers(value):
-    _integer(value, (1, -1), "must be a sign")
+    got = _integer(value, (1, -1), "must be a sign")
+    assert type(got) is int and got == value
 
 
 class _RecordedMessage:

@@ -556,6 +556,20 @@ def test_seed_must_fit_in_64_bits():
         assert err.startswith("error:") and "seed" in err
 
 
+@pytest.mark.parametrize("seed", [True, False, np.True_, 1.5, np.float64(3.0), "3", None])
+def test_a_seed_that_is_not_an_integer_raises_value_error(seed):
+    with pytest.raises(ValueError) as info:
+        run_checks(names=["dirac_spectrum"], seed=seed)
+    assert str(info.value) == f"seed must be in [0, 2**64): {seed}"
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5), 2**64 - 1])
+def test_numpy_and_python_integer_seeds_run(seed):
+    want = report_json(run_checks(["dirac_spectrum"], seed=int(seed)), seed=int(seed), omit_timings=True)
+    got = run_checks(["dirac_spectrum"], seed=seed)
+    assert report_json(got, seed=int(seed), omit_timings=True) == want
+
+
 def _with_nan_sample(run, position):
     def wrapped(ctx):
         samples = list(run(ctx))

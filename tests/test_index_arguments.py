@@ -20,10 +20,16 @@ from ga41 import (
 )
 from ga41 import monogenic
 from ga41.matrices import sigma_matrix
-from ga41.monogenic import vector_derivative
+from ga41.monogenic import monogenic_polynomials_3d, vector_derivative
 
 BLADE = "blade mask out of range"
 BASIS = "basis index out of range"
+
+
+def _basis(fields):
+    """Each field's degree, flag and term table, comparable with ==."""
+    return [(f.degree, f.flagged, f.monomials.tolist(), f.coefficients.tolist()) for f in fields]
+
 
 #: (argument, call of one index, number of valid indices, message prefix)
 INDEX_ARGUMENTS = (
@@ -38,6 +44,7 @@ INDEX_ARGUMENTS = (
     ("e second factor", lambda i: e(2, i), 5, BASIS),
     ("e_upper", e_upper, 5, BASIS),
     ("sigma_matrix", sigma_matrix, 5, BASIS),
+    ("monogenic_polynomials_3d", lambda d: _basis(monogenic_polynomials_3d(d)), 4, "unsupported degree"),
 )
 
 BAD_VALUES = (True, False, 1.0, 2.0, 1.5, -1, np.float64(1.0), np.bool_(True), "1", None)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ga41 import MomentumVector, plane_wave
+from ga41.checks import check_names
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -38,21 +39,6 @@ def demo():
 @pytest.fixture(scope="module")
 def digest():
     return _load("digest")
-
-
-@pytest.fixture(scope="module")
-def ab():
-    return _load("ab_checks")
-
-
-@pytest.fixture(scope="module")
-def ab_fields():
-    return _load("ab_fields")
-
-
-@pytest.fixture(scope="module")
-def ab_eigen():
-    return _load("ab_eigen")
 
 
 def test_grid_defaults_write_81_rows_and_a_header(grid, capsys):
@@ -241,122 +227,99 @@ def test_digest_takes_no_arguments(digest, capsys):
 
 
 SRC = str(SCRIPTS.parent / "src")
+FIELD_KEYS = [f"{kind} {op}" for kind in ("plane", "column0", "column3", "packet1", "packet2", "packet3")
+              for op in ("value", "derivative", "derivative_h", "laplacian", "covariant")]
+EIGEN_KEYS = ["dirac_system", "order_eigensystem", "from_matrix", "to_matrix",
+              "energy_project", "helicity_project", "crosscheck"]
+#: script: (its key column's title, its keys in order, a one-ulp or
+#: one-byte mutant as (module, text, its replacement), the keys that move)
+SUITES = {
+    "ab_checks": (
+        "check", list(check_names()),
+        ("checks", "json.dumps(report, indent=2, allow_nan=False)",
+         "json.dumps(report, indent=2, allow_nan=False) + ' ' * (seed == 7)"),
+        list(check_names()),
+    ),
+    "ab_fields": (
+        "field operator", FIELD_KEYS,
+        ("monogenic", "(energy * ONE + mass * e(0, 4))",
+         "(energy * ONE + mass * 1.0000000000000002 * e(0, 4))"),
+        [key for key in FIELD_KEYS if key.startswith("packet")],
+    ),
+    "ab_eigen": (
+        "call", EIGEN_KEYS,
+        ("dirac", "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])",
+         "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0000000000000002])"),
+        ["dirac_system", "order_eigensystem"],
+    ),
+}
 
 
-def test_ab_checks_times_a_tree_against_itself(ab, capsys):
-    assert ab.main([SRC, SRC, "2"]) == 0
+@pytest.fixture(scope="module", params=list(SUITES))
+def ab(request):
+    """(the script's name, the script loaded as a module), one per suite."""
+    return request.param, _load(request.param)
+
+
+def _mutant(tmp_path, module, text, replacement):
+    """A copy of this tree's ga41 with one text of one module replaced."""
+    shutil.copytree(Path(SRC) / "ga41", tmp_path / "ga41", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "ga41" / f"{module}.py"
+    source = path.read_text()
+    assert source.count(text) == 1
+    path.write_text(source.replace(text, replacement))
+    return str(tmp_path)
+
+
+def test_ab_times_a_tree_against_itself(ab, capsys):
+    title, keys, _, _ = SUITES[ab[0]]
+    assert ab[1].main([SRC, SRC, "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    names = [d.name for d in ab.load(Path(SRC), "change").check_definitions()]
-    assert lines[0].split() == ["check", "parent", "ms", "change", "ms", "ratio"]
-    assert [line.split()[0] for line in lines[1 : 1 + len(names)]] == names
-    assert lines[1 + len(names)].startswith("pass (2 rounds x 3 seeds)")
-    for line in lines[1 : 2 + len(names)]:
+    assert lines[0].split() == [*title.split(), "parent", "us", "change", "us", "ratio"]
+    assert [line.rsplit(maxsplit=3)[0] for line in lines[1:-2]] == [*keys, "total (2 rounds)"]
+    for line in lines[1:-2]:
         parent, change, ratio = (float(x) for x in line.split()[-3:])
         assert parent > 0.0 and change > 0.0 and ratio > 0.0
-    won = lines[2 + len(names)].split()
+    won = lines[-2].split()
     assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
     assert int(won[3]) in (0, 1, 2)
-    assert lines[3 + len(names) :] == [f"report seed {s}: identical" for s in ab.SEEDS]
+    assert lines[-1] == "outputs: identical"
 
 
-def test_ab_checks_exits_1_when_a_report_differs(ab, capsys, tmp_path):
-    # the second tree is this one, with one byte added to the seed-7 report
-    skip = shutil.ignore_patterns("__pycache__")
-    shutil.copytree(Path(SRC) / "ga41", tmp_path / "ga41", ignore=skip)
-    with open(tmp_path / "ga41" / "checks.py", "a") as stub:
-        stub.write(
-            "\n_report_json = report_json\n"
-            "report_json = lambda results, seed, omit_timings=False: (\n"
-            "    _report_json(results, seed, omit_timings) + ' ' * (seed == 7))\n"
-        )
-    assert ab.main([SRC, str(tmp_path), "1"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-3:] == [
-        "report seed 0: identical", "report seed 1: identical", "report seed 7: differs"
-    ]
+def test_ab_exits_1_and_names_the_keys_whose_bytes_differ(ab, capsys, tmp_path):
+    # the second tree is this one with a report byte added at seed 7, the
+    # packet's mass term one ulp off, or the last sign of lam one ulp off
+    _, _, mutant, moved = SUITES[ab[0]]
+    assert ab[1].main([SRC, _mutant(tmp_path, *mutant), "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"outputs: differ at {', '.join(moved)}"
+
+
+def test_ab_exits_2_when_the_trees_give_different_keys(ab, capsys, tmp_path, monkeypatch):
+    script, module = ab
+    if script == "ab_checks":  # the second tree registers no associativity check
+        append = "_REGISTRY.append(CheckDefinition(name, anchor, tolerance, fn))"
+        change = _mutant(tmp_path, "checks", append, f"name == 'associativity' or {append}")
+    else:  # these suites' keys do not depend on the tree; the second one loses its last
+        suite = module.suite
+
+        def last_dropped(src, label):
+            return dict(list(suite(src, label).items())[: -1 if label == "change" else None])
+
+        monkeypatch.setattr(module, "suite", last_dropped)
+        change = SRC
+    assert module.main([SRC, change, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the trees give different keys\n"
 
 
 @pytest.mark.parametrize(
     "argv",
-    [[], [SRC], [SRC, SRC, "0"], [SRC, SRC, "two"], [SRC, SRC, "2", "3"], [SRC, str(SCRIPTS)]],
+    [[], [SRC], [SRC, SRC, "0"], [SRC, SRC, "two"], [SRC, SRC, "-1"], [SRC, SRC, "2", "3"],
+     [SRC, str(SCRIPTS)], [str(SCRIPTS), SRC]],
 )
-def test_ab_checks_rejects_bad_arguments(ab, capsys, argv):
-    assert ab.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-
-
-def test_ab_fields_times_a_tree_against_itself(ab_fields, capsys):
-    assert ab_fields.main([SRC, SRC, "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["field", "operator", "parent", "us", "change", "us", "ratio"]
-    keys = [(kind, name) for kind in ab_fields.FIELDS for name in ab_fields.OPERATORS]
-    assert len(keys) == 30
-    assert [tuple(line.split()[:2]) for line in lines[1:31]] == keys
-    for line in lines[1:31]:
-        parent, change, ratio = (float(x) for x in line.split()[2:])
-        assert parent > 0.0 and change > 0.0 and ratio > 0.0
-    won = lines[31].split()
-    assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
-    assert int(won[3]) in (0, 1, 2)
-    assert lines[32:] == ["outputs: identical"]
-
-
-def test_ab_fields_exits_1_when_a_packet_constant_differs(ab_fields, capsys, tmp_path):
-    # the second tree is this one, with the packet's wave amplitude one
-    # ulp off in its mass term
-    skip = shutil.ignore_patterns("__pycache__")
-    shutil.copytree(Path(SRC) / "ga41", tmp_path / "ga41", ignore=skip)
-    path = tmp_path / "ga41" / "monogenic.py"
-    text = path.read_text()
-    constant = "(energy * ONE + mass * e(0, 4))"
-    assert text.count(constant) == 1
-    path.write_text(text.replace(constant, "(energy * ONE + mass * 1.0000000000000002 * e(0, 4))"))
-    assert ab_fields.main([SRC, str(tmp_path), "1"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "outputs: differ"
-
-
-@pytest.mark.parametrize("argv", [[], [SRC], [SRC, SRC, "0"], [SRC, str(SCRIPTS)]])
-def test_ab_fields_rejects_bad_arguments(ab_fields, capsys, argv):
-    assert ab_fields.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-
-
-def test_ab_eigen_times_a_tree_against_itself(ab_eigen, capsys):
-    assert ab_eigen.main([SRC, SRC, "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["call", "parent", "us", "change", "us", "ratio"]
-    assert len(ab_eigen.CALLS) == 7 and ab_eigen.MOMENTA[0][0] == (0.0, 0.0, 0.0)
-    assert [line.split()[0] for line in lines[1:8]] == list(ab_eigen.CALLS)
-    for line in lines[1:8]:
-        parent, change, ratio = (float(x) for x in line.split()[1:])
-        assert parent > 0.0 and change > 0.0 and ratio > 0.0
-    won = lines[8].split()
-    assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
-    assert int(won[3]) in (0, 1, 2)
-    assert lines[9:] == ["outputs: identical"]
-
-
-def test_ab_eigen_exits_1_when_a_dirac_constant_differs(ab_eigen, capsys, tmp_path):
-    # the second tree is this one, with the last sign of lam's diagonal one
-    # ulp off
-    skip = shutil.ignore_patterns("__pycache__")
-    shutil.copytree(Path(SRC) / "ga41", tmp_path / "ga41", ignore=skip)
-    path = tmp_path / "ga41" / "dirac.py"
-    text = path.read_text()
-    constant = "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])"
-    assert text.count(constant) == 1
-    path.write_text(text.replace(constant, "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0000000000000002])"))
-    assert ab_eigen.main([SRC, str(tmp_path), "1"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "outputs: differ"
-
-
-@pytest.mark.parametrize("argv", [[], [SRC], [SRC, SRC, "0"], [SRC, SRC, "x"], [SRC, str(SCRIPTS)]])
-def test_ab_eigen_rejects_bad_arguments(ab_eigen, capsys, argv):
-    assert ab_eigen.main(argv) == 2
+def test_ab_rejects_bad_arguments(ab, argv, capsys):
+    assert ab[1].main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
