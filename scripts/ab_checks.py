@@ -14,9 +14,9 @@ line per key and one for their total, with the median microseconds per
 call on each tree and the ratio change / parent; then in how many rounds
 the change took less time in total (ties count for neither); then
 whether the outputs of the first round are byte-identical, naming the
-keys that differ.  Outputs become bytes untimed, and a callable output is
-called for them.  It exits 0 when all agree, 1 when any differ, and 2 on
-bad arguments or when the trees give different keys.
+keys that differ.  An output is a str, an array, a tuple of them or a
+zero-argument call giving one, made bytes untimed.  It exits 0 when all
+agree, 1 when any differ, and 2 on bad arguments or different keys.
 
 Here a key is a check, its calls ``run_checks`` of that check alone at
 each seed of SEEDS, and their bytes its timing-free ``report_json``.
@@ -75,16 +75,15 @@ def _parse(argv):
 
 
 def _bytes(value) -> bytes:
-    """The bytes of one call's output, whatever its type."""
+    """The bytes of one call's output: a str, an array or a tuple of them,
+    or a zero-argument call that gives one."""
     if callable(value):
         value = value()
     if isinstance(value, str):
         return value.encode()
     if isinstance(value, tuple):
         return b"".join(_bytes(v) for v in value)
-    if hasattr(value, "psi_bar"):
-        return _bytes((value.a_bar, value.psi_bar, value.lam))
-    return np.asarray(getattr(value, "coeffs", value)).tobytes()
+    return np.asarray(value).tobytes()
 
 
 def run(argv, suite, title: str) -> int:

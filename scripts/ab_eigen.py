@@ -13,6 +13,7 @@ three points), and its calls are that call at each momentum of MOMENTA.
 """
 
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # ab_checks sits beside this script
 from ab_checks import load, run  # noqa: E402
 
-CALLS = ("dirac_system", "order_eigensystem", "from_matrix", "to_matrix",
-         "energy_project", "helicity_project", "crosscheck")
 #: (momentum, mass) pairs, the first at rest
 MOMENTA = (
     ((0.0, 0.0, 0.0), 1.3),
@@ -38,24 +37,27 @@ POINTS[1, 2] = -0.0
 def suite(src: Path, label: str) -> dict:
     """{call: [its call at each momentum]} for the tree in src."""
     m, d, mat, proj = load(src, label, "monogenic", "dirac", "matrices", "projectors")
+    arrays = attrgetter("a_bar", "psi_bar", "lam")  # a system's output as the arrays it holds
 
     def calls(p, mass):  # closures over this call's names, one set per momentum
         k = m.MomentumVector.from_mass_momentum(p, mass)
         system = d.dirac_system(k)
+        psi = system.psi_bar
         column = np.zeros((4, 4), dtype=complex)
-        column[:, 0] = system.psi_bar[:, 0]
-        coeffs, psi = mat.from_matrix(column), system.psi_bar
-        return (
-            lambda: d.dirac_system(k),
-            lambda: d.order_eigensystem(system),
-            lambda: mat.from_matrix(column),
-            lambda: mat.to_matrix(coeffs),
-            lambda: (proj.energy_project(psi, 1), proj.energy_project(psi, -1)),
-            lambda: (proj.helicity_project(psi, 1), proj.helicity_project(psi, -1)),
-            lambda: d.geometric_matrix_crosscheck(k, POINTS),
-        )
+        column[:, 0] = psi[:, 0]
+        image = mat.from_matrix(column)
+        return {
+            "dirac_system": lambda: arrays(d.dirac_system(k)),
+            "order_eigensystem": lambda: arrays(d.order_eigensystem(system)),
+            "from_matrix": lambda: mat.from_matrix(column).coeffs,
+            "to_matrix": lambda: mat.to_matrix(image),
+            "energy_project": lambda: (proj.energy_project(psi, 1), proj.energy_project(psi, -1)),
+            "helicity_project": lambda: (proj.helicity_project(psi, 1), proj.helicity_project(psi, -1)),
+            "crosscheck": lambda: d.geometric_matrix_crosscheck(k, POINTS),
+        }
 
-    return dict(zip(CALLS, zip(*(calls(p, mass) for p, mass in MOMENTA))))
+    each = [calls(p, mass) for p, mass in MOMENTA]
+    return {key: [c[key] for c in each] for key in each[0]}
 
 
 def main(argv=None) -> int:

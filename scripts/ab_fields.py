@@ -23,7 +23,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))  # ab_checks sits besid
 from ab_checks import load, run  # noqa: E402
 
 FIELDS = ("plane", "column0", "column3", "packet1", "packet2", "packet3")
-OPERATORS = ("value", "derivative", "derivative_h", "laplacian", "covariant")
 STEP_H = 1e-3
 #: the points, one at a time, one of them with a -0.0 coordinate
 POINTS = np.random.default_rng(27).uniform(-1.5, 1.5, (8, 5))
@@ -39,17 +38,17 @@ def suite(src: Path, label: str) -> dict:
     for degree in (1, 2, 3):
         fields.append(m.separable_wavepacket(m.monogenic_polynomials_3d(degree)[-1], (1.3, -1.3)))
     gauge = f.GaugeField(np.array([0.3, -0.2, 0.5, 0.1]), charge=-1.0, mass=1.3)
-    operators = (
-        lambda field, x: field(x),
-        lambda field, x: m.vector_derivative(field, x),
-        lambda field, x: m.vector_derivative(field, x, h=STEP_H),
-        lambda field, x: m.laplacian(field, x, h=STEP_H, richardson=True),
-        lambda field, x: f.covariant_derivative(field, f.em_frame(gauge, x), x),
-    )
+    operators = {
+        "value": lambda field, x: field(x).coeffs,
+        "derivative": lambda field, x: m.vector_derivative(field, x).coeffs,
+        "derivative_h": lambda field, x: m.vector_derivative(field, x, h=STEP_H).coeffs,
+        "laplacian": lambda field, x: m.laplacian(field, x, h=STEP_H, richardson=True).coeffs,
+        "covariant": lambda field, x: f.covariant_derivative(field, f.em_frame(gauge, x), x).coeffs,
+    }
     return {
         f"{kind} {name}": [partial(op, field, x) for x in POINTS]
         for kind, field in zip(FIELDS, fields)
-        for name, op in zip(OPERATORS, operators)
+        for name, op in operators.items()
     }
 
 

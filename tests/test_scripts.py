@@ -254,6 +254,14 @@ SUITES = {
     ),
 }
 
+#: script: what its inputs must keep (the seeds 0, 1 and 7; eight points,
+#: one with a -0.0 coordinate; five momenta, the first at p = 0)
+INPUTS = {
+    "ab_checks": lambda ab: ab.SEEDS == (0, 1, 7),
+    "ab_fields": lambda ab: ab.POINTS.shape == (8, 5) and math.copysign(1.0, ab.POINTS[0, 3]) < 0,
+    "ab_eigen": lambda ab: len(ab.MOMENTA) == 5 and ab.MOMENTA[0][0] == (0.0, 0.0, 0.0),
+}
+
 
 @pytest.fixture(scope="module", params=list(SUITES))
 def ab(request):
@@ -273,6 +281,7 @@ def _mutant(tmp_path, module, text, replacement):
 
 def test_ab_times_a_tree_against_itself(ab, capsys):
     title, keys, _, _ = SUITES[ab[0]]
+    assert INPUTS[ab[0]](ab[1])
     assert ab[1].main([SRC, SRC, "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == [*title.split(), "parent", "us", "change", "us", "ratio"]
