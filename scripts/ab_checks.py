@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time two ga41 trees in one process, interleaved, and compare their
-output bytes; the harness of ``ab_fields.py`` and ``ab_eigen.py`` too.
+output bytes; the harness of ``ab_fields.py``, ``ab_eigen.py`` and
+``ab_pass.py`` too.
 
     python scripts/ab_checks.py PARENT_SRC CHANGE_SRC [ROUNDS]
 

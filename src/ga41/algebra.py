@@ -137,28 +137,50 @@ def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # test, and a miss only costs that array.  Operands that share a
     # leading axis longer than a block, or pair one row with it, go
     # through in blocks of rows, each the same kernel, so the bytes are
-    # those of one call
+    # those of one call.  A stack of tables (t, 32, 32) gives one product
+    # per table, at [t, ...], from one gather and one term array
     if (b.ndim > 1 and len(b) > _BLOCK_ROWS) or (a.ndim > 1 and len(a) > _BLOCK_ROWS):
         long = b if b.ndim > 1 else a
         if all(x.ndim == 1 or x.ndim == long.ndim and len(x) == len(long) for x in (a, b)):
             blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(long), _BLOCK_ROWS)]
             return np.concatenate(
                 [_product(table, a if a.ndim == 1 else a[s], b if b.ndim == 1 else b[s])
-                 for s in blocks]
+                 for s in blocks],
+                axis=table.ndim - 2,
             )
+    overflow = table is not _FULL and _overflows(a, b)
+    if overflow and table.ndim == 3:
+        return np.stack([_product(t, a, b) for t in table])
     gathered = _gather(b)
+    if overflow:
+        # a finite term that overflows where the table masks it out would
+        # add 0 * inf = NaN; its b cell becomes a zero of the same sign,
+        # so the term is the signed zero it is in range
+        gathered = np.where(table == 0.0, np.copysign(0.0, gathered), gathered)
     fits = a.dtype is gathered.dtype and (
         a.ndim == 1 or a.shape[:-1] == b.shape[b.ndim - a.ndim : -1]
     )
     return _contract(table, a, gathered, gathered if fits else None)
 
 
+def _overflows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b are finite and a term a[i] b[j] may leave double range."""
+    big = float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0))
+    return big == math.inf and bool(np.isfinite(a).all() and np.isfinite(b).all())
+
+
+#: einsum subscripts of one table (32, 32) and of a stack (t, 32, 32)
+_CONTRACTIONS = {2: "ki,...ki->...k", 3: "tki,...ki->t...k"}
+
+
 def _contract(
     table: np.ndarray, a: np.ndarray, gathered: np.ndarray, terms: np.ndarray | None
 ) -> np.ndarray:
     """sum_i table[k, i] a[..., i] gathered[..., k, i], each term rounded
-    alone; the terms are formed in `terms`, or in a new array if None."""
-    return np.einsum("ki,...ki->...k", table, np.multiply(a[..., None, :], gathered, out=terms))
+    alone, or for a stack of tables one such sum per table, at [t, ...];
+    the terms are formed once, in `terms`, or in a new array if None."""
+    products = np.multiply(a[..., None, :], gathered, out=terms)
+    return np.einsum(_CONTRACTIONS[table.ndim], table, products)
 
 
 def _blade_gather(blades: np.ndarray, left: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -29,8 +29,10 @@ from .algebra import (
     N_BLADES,
     ONE,
     PSEUDOSCALAR,
+    _contract,
     _exp_rows,
     _fold,
+    _gather,
     _integer,
     _product,
     _scalar_products,
@@ -145,10 +147,17 @@ def _commutators(pairs: np.ndarray) -> np.ndarray:
     return _residuals((pairs - pairs.swapaxes(0, 1)).reshape(len(pairs) ** 2, -1))
 
 
+def _uniform(rng, low: float, high: float, size=None):
+    """rng.uniform(low, high, size) byte for byte, by its own arithmetic on
+    the same draws, without its per-call argument handling: for draws made
+    per sample in a loop (a one-shot array is faster through rng.uniform)."""
+    return low + (high - low) * rng.random(size)
+
+
 def _random_momentum(rng, min_mass=0.01, min_p=0.0) -> tuple:
     """The draws of one random momentum, in stream order: the mass, a
     direction and a radius."""
-    return rng.uniform(min_mass, 5.0), rng.normal(size=3), rng.uniform(min_p, 4.9)
+    return _uniform(rng, min_mass, 5.0), rng.normal(size=3), _uniform(rng, min_p, 4.9)
 
 
 def _momenta(draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +186,7 @@ def _momenta_and_points(ctx, count: int, shape: tuple, **momentum_kw):
     """count momenta, each drawn before its points (*shape, 5): their rows,
     plane-wave amplitudes and phase gradients, and the points."""
     draws = [
-        (_random_momentum(ctx.rng, **momentum_kw), ctx.rng.uniform(-1.0, 1.0, shape + (5,)))
+        (_random_momentum(ctx.rng, **momentum_kw), _uniform(ctx.rng, -1.0, 1.0, shape + (5,)))
         for _ in range(count)
     ]
     momenta, points = zip(*draws)
@@ -243,10 +252,9 @@ def _check_vector_decomposition(ctx) -> Iterator[np.ndarray | float]:
     coeffs = np.zeros((200, 2, N_BLADES))
     coeffs[..., _VECTOR_MASKS] = ctx.rng.uniform(-1.0, 1.0, (200, 2, 5))
     a, b = coeffs[:, 0], coeffs[:, 1]
-    inner, outer = _product(_INNER, a, b), _product(_OUTER, a, b)
-    yield _residuals(
-        _product(_FULL, a, b) - (inner + outer), _product(_FULL, b, a) - (inner - outer)
-    )
+    # one product for the three tables: one gather and one term array
+    inner, outer, full = _product(np.stack([_INNER, _OUTER, _FULL]), a, b)
+    yield _residuals(full - (inner + outer), _product(_FULL, b, a) - (inner - outer))
 
 
 @_register(
@@ -276,13 +284,17 @@ def _check_exp_closed_forms(ctx) -> Iterator[np.ndarray | float]:
     layouts = ([0b00110], [0b00011], [0b00001, 0b10000], [0b00110, 0b01010, 0b01100])
     rows = np.zeros((24, N_BLADES))
     for trial, row in enumerate(rows):
-        theta = ctx.rng.uniform(0.1, 2.0) * (1 if trial % 2 else -1)
-        c = ctx.rng.uniform(-1.0, 1.0, 3) if trial % 4 == 3 else np.ones(1)
+        theta = _uniform(ctx.rng, 0.1, 2.0) * (1 if trial % 2 else -1)
+        c = _uniform(ctx.rng, -1.0, 1.0, 3) if trial % 4 == 3 else np.ones(1)
         row[layouts[trial % 4]] = c * (theta / np.linalg.norm(c))
-    # the oracle: the power series to 30 terms, summed without the exponential
+    # the oracle: the power series to 30 terms, summed without the
+    # exponential; rows is gathered once, and each term is the product
+    # term * rows, formed in one buffer
+    gathered = _gather(rows)
+    terms = np.empty(gathered.shape)
     term = series = ONE.coeffs
     for n in range(1, 31):
-        term = _product(_FULL, term, rows) * (1.0 / n)
+        term = _contract(_FULL, term, gathered, terms) * (1.0 / n)
         series = series + term
     yield _residuals(_exp_rows(rows) - series)
 
@@ -583,8 +595,8 @@ def _gauge_cases(ctx, min_mass: float):
     points."""
     for _ in range(2):
         rows, amplitudes, grads = _random_momenta(ctx.rng, 1, min_mass=min_mass)
-        coefs = ctx.rng.uniform(-0.8, 0.8, 4)
-        potential = ctx.rng.uniform(-1.0, 1.0, 4)
+        coefs = _uniform(ctx.rng, -0.8, 0.8, 4)
+        potential = _uniform(ctx.rng, -1.0, 1.0, 4)
         field = GaugeField(
             potential,
             charge=-1.0,
@@ -592,7 +604,7 @@ def _gauge_cases(ctx, min_mass: float):
             phase=lambda x, c=coefs: float(c @ x[:4]),
             phase_gradient=lambda x, c=coefs: np.array([*c, 0.0]),
         )
-        yield harmonic_field(amplitudes[0], grads[0]), field, ctx.rng.uniform(-1.0, 1.0, (3, 5))
+        yield harmonic_field(amplitudes[0], grads[0]), field, _uniform(ctx.rng, -1.0, 1.0, (3, 5))
 
 
 @_register(
@@ -793,6 +805,9 @@ def run_checks(
 
 
 def report_dict(results: list[CheckResult], seed: int, omit_timings: bool = False) -> dict:
+    """The report of results as plain data; the seed follows run_checks'
+    rule and is written as an int."""
+    seed = _integer(seed, range(2**64), "seed must be in [0, 2**64): {}", seed)
     rows = []
     for r in results:
         row = asdict(r)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -189,6 +190,8 @@ def test_products_match_dense_reference_on_integers(a, b, op):
 
 
 _TABLES = {"*": _FULL, "^": _OUTER, "|": _INNER}
+#: |, ^ and * as one stack of tables, the order of vector_decomposition
+_STACK = np.stack([_INNER, _OUTER, _FULL])
 _coeff_rows = st.sampled_from([small_ints.map(float), st.floats(-1e3, 1e3)]).flatmap(
     lambda cell: st.integers(1, 12).flatmap(
         lambda n: st.lists(st.lists(cell, min_size=N, max_size=N), min_size=n, max_size=n)
@@ -252,8 +255,11 @@ def test_kernel_equals_the_one_liner_byte_for_byte(layout, n, op, special, reado
     a_bytes, b_bytes = a.tobytes(), b.tobytes()
     with np.errstate(all="ignore"):
         got, want = _product(_TABLES[op], a, b), _one_liner(_TABLES[op], a, b)
+        stacked = _product(_STACK, a, b)  # one gather and one term array for |, ^ and *
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.tobytes() == want.tobytes()
+    assert stacked.shape == (3, *want.shape)
+    assert stacked["|^*".index(op)].tobytes() == want.tobytes()
     assert special == bool(np.isnan(got).any()) or got.size == 0
     assert (a.tobytes(), b.tobytes()) == (a_bytes, b_bytes)
 
@@ -270,6 +276,44 @@ def test_kernel_equals_the_one_liner_on_a_row_times_itself(op, special, readonly
         assert got.tobytes() == want.tobytes()
         assert _product(_TABLES[op], rows[0], rows[0]).tobytes() == want[0].tobytes()
     assert rows.tobytes() == saved
+
+
+#: (x, y, op) whose value is exactly 0 though a term the grade rule drops
+#: overflows at norm 1e200: orthogonal vectors, a vector with itself, a
+#: bivector with a vector outside it and with one inside it
+_DROPPED_OVERFLOWS = [
+    (e(1), e(2), "|"),
+    (e(1), -e(1), "^"),
+    (e(1, 2), e(3), "|"),
+    (-e(1, 2), e(1), "^"),
+    (e(0), e(0, 4), "^"),
+]
+
+
+@pytest.mark.parametrize(
+    "x, y, op", _DROPPED_OVERFLOWS, ids=["e1|e2", "e1^-e1", "e12|e3", "-e12^e1", "e0^e04"]
+)
+def test_a_dropped_term_that_overflows_is_the_signed_zero_it_is_in_range(x, y, op):
+    big_x, big_y = 1e200 * x, 1e200 * y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        got = _OPS[op](big_x, big_y)
+    assert got == 0
+    assert got.coeffs.tobytes() == _OPS[op](x, y).coeffs.tobytes()  # the same signed zeros
+    # each table of a stack as its single product; * overflows for real
+    a, b = np.array([big_x.coeffs, big_y.coeffs]), np.array([big_y.coeffs, big_x.coeffs])
+    with np.errstate(over="ignore"):
+        rows = _product(_STACK, a, b)
+        assert [r.tobytes() for r in rows] == [_product(_TABLES[o], a, b).tobytes() for o in "|^*"]
+    assert rows[0 if op == "|" else 1, 0].tobytes() == got.coeffs.tobytes()
+    # a non-finite cell in an operand still spreads NaN as the one-liner does
+    for cell in (math.inf, -math.inf, math.nan):
+        bad = big_x.coeffs.copy()
+        bad[31] = cell
+        with np.errstate(all="ignore"):
+            spread = _product(_TABLES[op], bad, big_y.coeffs)
+            assert spread.tobytes() == _one_liner(_TABLES[op], bad, big_y.coeffs).tobytes()
+        assert np.isnan(spread).any()
 
 
 def _strided(rng, n, special):
@@ -362,6 +406,12 @@ def test_a_long_product_in_blocks_is_the_one_liner_byte_for_byte(monkeypatch, la
     assert [t[0] for t in terms] == [min(128, n - i) for i in range(0, n, 128)]
     # rows (n, 32): the terms of a call take at most 1 MiB
     assert len(got.shape) > 2 or all(np.prod(t) * 8 <= 2**20 for t in terms)
+    # a stack of tables goes through in the same blocks
+    terms.clear()
+    with np.errstate(all="ignore"):
+        stacked = _product(_STACK, a, b)
+    assert stacked["|^*".index(op)].tobytes() == want.tobytes()
+    assert [t[0] for t in terms] == [min(128, n - i) for i in range(0, n, 128)]
 
 
 def test_products_match_dense_reference_within_rounding():

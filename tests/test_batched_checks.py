@@ -236,9 +236,42 @@ def test_momenta_and_points_are_the_old_draws_byte_for_byte(seed, count, shape, 
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+#: the (low, high) of every draw the registry makes per sample, through
+#: checks._uniform: the masses, the radii, the points and the gauge cases'
+#: draws, the exponentials' angles and directions, the phase coefficients
+AFFINE_DRAWS = [
+    (0.01, 5.0), (0.05, 5.0), (0.1, 5.0), (0.5, 5.0), (0.0, 4.9), (0.1, 4.9),
+    (-1.0, 1.0), (0.1, 2.0), (-0.8, 0.8),
+]
+
+
+@pytest.mark.parametrize("size", [None, 3, (4, 2, 5)])
+@pytest.mark.parametrize("low, high", AFFINE_DRAWS)
+def test_the_affine_draw_is_rng_uniform_byte_for_byte(low, high, size):
+    ours, theirs = _check_rng(7, "x"), _check_rng(7, "x")
+    got = [checks._uniform(ours, low, high, size) for _ in range(500)]
+    want = [theirs.uniform(low, high, size) for _ in range(500)]
+    assert type(got[0]) is type(want[0])
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert ours.random() == theirs.random()  # the streams stay in step
+
+
+def test_a_registry_pass_draws_per_sample_at_those_bounds_only(monkeypatch):
+    seen = set()
+    real = checks._uniform
+
+    def recorded(rng, low, high, size=None):
+        seen.add((low, high))
+        return real(rng, low, high, size)
+
+    monkeypatch.setattr(checks, "_uniform", recorded)
+    assert all(r.status == "pass" for r in run_checks(seed=0))
+    assert seen == set(AFFINE_DRAWS)
+
+
 #: (check, checks._product calls, eigvalsh calls, samples)
 BATCHED_CHECKS = (
-    ("exp_closed_forms", 30, 0, 24),
+    ("exp_closed_forms", 0, 0, 24),
     ("rotor_unitarity", 1, 0, 100),
     ("null_annihilation", 3, 0, 18),
     ("sets_not_aligned", 2, 0, 1),
@@ -273,7 +306,8 @@ def test_batched_checks_make_a_fixed_number_of_kernel_calls(
 
         return wrapper
 
-    monkeypatch.setattr(checks, "_product", counted("_product", checks._product))
+    for kernel in ("_product", "_gather", "_contract"):
+        monkeypatch.setattr(checks, kernel, counted(kernel, getattr(checks, kernel)))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "matrix_rank", counted("matrix_rank", np.linalg.matrix_rank))
     for method in ("__mul__", "__rmul__"):
@@ -282,9 +316,12 @@ def test_batched_checks_make_a_fixed_number_of_kernel_calls(
     for builder in ("build_f_set", "build_e_set"):
         monkeypatch.setattr(checks, builder, shielded(getattr(checks, builder)))
     assert _samples(name).size == samples
-    # null_annihilation scales e0 by -1 once, for all six quadruples
+    # null_annihilation scales e0 by -1 once, for all six quadruples;
+    # exp_closed_forms gathers its series operand once for its 30 terms
     scalings = 1 if name == "null_annihilation" else 0
-    want = Counter(_product=products, eigvalsh=eigvalsh, __rmul__=scalings)
+    series = int(name == "exp_closed_forms")
+    want = Counter(_product=products, eigvalsh=eigvalsh, __rmul__=scalings,
+                   _gather=series, _contract=30 * series)
     assert calls == +want
 
 

@@ -252,14 +252,22 @@ SUITES = {
          "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0000000000000002])"),
         ["dirac_system", "order_eigensystem"],
     ),
+    "ab_pass": (
+        "pass", ["registry pass"],
+        ("checks", "json.dumps(report, indent=2, allow_nan=False)",
+         "json.dumps(report, indent=2, allow_nan=False) + ' ' * (seed == 7)"),
+        ["registry pass"],
+    ),
 }
 
 #: script: what its inputs must keep (the seeds 0, 1 and 7; eight points,
-#: one with a -0.0 coordinate; five momenta, the first at p = 0)
+#: one with a -0.0 coordinate; five momenta, the first at p = 0; the
+#: pass at the seeds 0, 1 and 7)
 INPUTS = {
     "ab_checks": lambda ab: ab.SEEDS == (0, 1, 7),
     "ab_fields": lambda ab: ab.POINTS.shape == (8, 5) and math.copysign(1.0, ab.POINTS[0, 3]) < 0,
     "ab_eigen": lambda ab: len(ab.MOMENTA) == 5 and ab.MOMENTA[0][0] == (0.0, 0.0, 0.0),
+    "ab_pass": lambda ab: ab.SEEDS == (0, 1, 7),
 }
 
 
@@ -296,8 +304,9 @@ def test_ab_times_a_tree_against_itself(ab, capsys):
 
 
 def test_ab_exits_1_and_names_the_keys_whose_bytes_differ(ab, capsys, tmp_path):
-    # the second tree is this one with a report byte added at seed 7, the
-    # packet's mass term one ulp off, or the last sign of lam one ulp off
+    # the second tree is this one with a report byte added at seed 7 (for
+    # the checks and the pass), the packet's mass term one ulp off, or the
+    # last sign of lam one ulp off
     _, _, mutant, moved = SUITES[ab[0]]
     assert ab[1].main([SRC, _mutant(tmp_path, *mutant), "1"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == f"outputs: differ at {', '.join(moved)}"
