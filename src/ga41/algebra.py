@@ -104,25 +104,33 @@ _LEFT, _RIGHT, _OUT = _GRADE_OF, _GRADE_OF[_XOR], _GRADE_OF[:, None]
 _INNER = np.where(_OUT == np.abs(_LEFT - _RIGHT), _FULL, 0.0)
 _OUTER = np.where(_OUT == _LEFT + _RIGHT, _FULL, 0.0)
 
-# the gather in two takes: with k = 4 kh + kl and i = 4 ih + il, i ^ k is
-# 4 (ih ^ kh) + (il ^ kl).  The first take puts the four orders kl of each
-# aligned quad j of b in a row of quads kl * 8 + j, b[4 j + (il ^ kl)] at
-# il; the second copies whole quads, quad kl * 8 + (ih ^ kh) to [k, ih].
-# A take copies one index at a time, so the 1,024 copies of a row become
-# 128 cells and 256 quads
-_QUAD_ORDERS = (4 * np.arange(8)[:, None] + (np.arange(4)[:, None, None] ^ np.arange(4))).ravel()
-_QUAD_ROWS = (8 * np.arange(4)[:, None] + (np.arange(8)[:, None, None] ^ np.arange(8))).ravel()
+# _TAKES[signed], a gather in two takes: the first copies each distinct
+# aligned quad of the index table's rows (unique as 32-byte values, cheaper
+# at import than rows) once, cell by cell, the second whole quads to [k, ih];
+# as a take copies one index at a time, a row's 1,024 copies become 128 cells
+# (b[i^k]) or 448 (_FULL[k, i] b[i^k] from [b, b * -1.0]) and 256 quads
+_TAKES = [[quads.view(np.int64), rows] for quads, rows in (
+    np.unique(index.reshape(-1, 4).view("V32").ravel(), return_inverse=True)
+    for index in (_XOR, _XOR + N_BLADES * (_FULL < 0.0)))]
 
 
-def _gather(b: np.ndarray) -> np.ndarray:
-    """The right factors b[i^k] of every term, at [..., k, i]: a new array,
-    equal to b.take(_XOR, axis=-1) byte for byte (both only copy)."""
-    lead = b.shape[:-1]
-    quads = b.take(_QUAD_ORDERS, axis=-1).reshape(lead + (32, 4))
-    return quads.take(_QUAD_ROWS, axis=-2).reshape(lead + (N_BLADES, N_BLADES))
+def _gather(b: np.ndarray, signed: bool = True) -> np.ndarray:
+    """The factors b[i^k], signed _FULL[k, i] b[i^k], at [..., k, i]: a new
+    array, b.take(_XOR, axis=-1) (* _FULL) byte for byte; b * -1.0 keeps a
+    NaN's sign and payload as that product does, where -b flips its sign."""
+    lead, (orders, rows) = b.shape[:-1], _TAKES[signed]
+    x = np.concatenate([b, b * -1.0], axis=-1) if signed else b
+    quads = x.take(orders, axis=-1).reshape(lead + (len(orders) // 4, 4))
+    return quads.take(rows, axis=-2).reshape(lead + (N_BLADES, N_BLADES))
 
 
-#: rows per block of a long product: its (rows, 32, 32) terms stay within 1 MiB
+def _contract(a: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+    """Full products of contiguous float rows a and the signed gather of b: each
+    term +-round(a[i] b[i^k]), summed in the order of the one-line form's loop."""
+    return np.einsum("...i,...ki->...k", a, gathered)
+
+
+#: rows per block of a long product: its (rows, 32, 32) gather stays within 1 MiB
 _BLOCK_ROWS = 128
 
 
@@ -130,57 +138,45 @@ def _product(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # rows (..., 32) pair up; each a[i] b[i^k] is rounded before the signed
     # sum and no multiply-add is fused, so a row of a batch equals the
     # single product, *, ^ and | round their shared terms alike and
-    # a * b == (a | b) + (a ^ b) holds exactly for vectors.  The terms
-    # are formed in the gathered b when a, of the same dtype, broadcasts
-    # onto b's rows; when b is the smaller operand or the dtypes mix they
-    # go to a new array.  Builtin dtypes are singletons, so `is` is the
-    # test, and a miss only costs that array.  Operands that share a
-    # leading axis longer than a block, or pair one row with it, go
-    # through in blocks of rows, each the same kernel, so the bytes are
-    # those of one call.  A stack of tables (t, 32, 32) gives one product
-    # per table, at [t, ...], from one gather and one term array
+    # a * b == (a | b) + (a ^ b) holds exactly for vectors.  Operands that
+    # share a leading axis longer than a block, or pair one row with it, go
+    # through in blocks, so the bytes are those of one call.  A stack of
+    # tables (t, 32, 32) gives one product per table, at [t, ...]
+    overflow = table is not _FULL and _overflows(a, b)
     if (b.ndim > 1 and len(b) > _BLOCK_ROWS) or (a.ndim > 1 and len(a) > _BLOCK_ROWS):
         long = b if b.ndim > 1 else a
         if all(x.ndim == 1 or x.ndim == long.ndim and len(x) == len(long) for x in (a, b)):
             blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(long), _BLOCK_ROWS)]
             return np.concatenate(
-                [_product(table, a if a.ndim == 1 else a[s], b if b.ndim == 1 else b[s])
+                [_block(table, a if a.ndim == 1 else a[s], b if b.ndim == 1 else b[s], overflow)
                  for s in blocks],
                 axis=table.ndim - 2,
             )
-    overflow = table is not _FULL and _overflows(a, b)
+    return _block(table, a, b, overflow)
+
+
+def _block(table: np.ndarray, a: np.ndarray, b: np.ndarray, overflow: bool) -> np.ndarray:
+    """One block of _product: for _FULL one _contract; else the gather of
+    b[i^k], the terms formed in it when a, of its dtype (a singleton, so `is`
+    tests it), broadcasts onto b's rows, and one einsum with the table(s)."""
+    if table is _FULL:
+        return _contract(np.ascontiguousarray(a, dtype=float), _gather(b))
     if overflow and table.ndim == 3:
-        return np.stack([_product(t, a, b) for t in table])
-    gathered = _gather(b)
+        return np.stack([_block(t, a, b, overflow) for t in table])
+    gathered = _gather(b, signed=False)
     if overflow:
-        # a finite term that overflows where the table masks it out would
-        # add 0 * inf = NaN; its b cell becomes a zero of the same sign,
-        # so the term is the signed zero it is in range
+        # a finite term overflowing under a zero of the table would add
+        # 0 * inf = NaN: its b cell becomes a zero of its sign, as in range
         gathered = np.where(table == 0.0, np.copysign(0.0, gathered), gathered)
-    fits = a.dtype is gathered.dtype and (
-        a.ndim == 1 or a.shape[:-1] == b.shape[b.ndim - a.ndim : -1]
-    )
-    return _contract(table, a, gathered, gathered if fits else None)
+    fits = a.dtype is gathered.dtype and (a.ndim == 1 or a.shape[:-1] == b.shape[-a.ndim : -1])
+    terms = np.multiply(a[..., None, :], gathered, out=gathered if fits else None)
+    return np.einsum("tki,...ki->t...k" if table.ndim == 3 else "ki,...ki->...k", table, terms)
 
 
 def _overflows(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether a and b are finite and a term a[i] b[j] may leave double range."""
     big = float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0))
     return big == math.inf and bool(np.isfinite(a).all() and np.isfinite(b).all())
-
-
-#: einsum subscripts of one table (32, 32) and of a stack (t, 32, 32)
-_CONTRACTIONS = {2: "ki,...ki->...k", 3: "tki,...ki->t...k"}
-
-
-def _contract(
-    table: np.ndarray, a: np.ndarray, gathered: np.ndarray, terms: np.ndarray | None
-) -> np.ndarray:
-    """sum_i table[k, i] a[..., i] gathered[..., k, i], each term rounded
-    alone, or for a stack of tables one such sum per table, at [t, ...];
-    the terms are formed once, in `terms`, or in a new array if None."""
-    products = np.multiply(a[..., None, :], gathered, out=terms)
-    return np.einsum(_CONTRACTIONS[table.ndim], table, products)
 
 
 def _blade_gather(blades: np.ndarray, left: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -320,9 +316,9 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
     The rows whose square is exactly a scalar take its closed form
     together; the bivector rows whose square is not a scalar then take one
     product b q together.  The series rows are gathered once and summed
-    together, every term formed in one buffer, and each stops at its own
-    term by the 1e-14 rule; a finished row stays in the batch, and its
-    later terms are not read.
+    together, each term one _contract with that gather, and each row stops
+    at its own term by the 1e-14 rule; a finished row stays in the batch,
+    and its later terms are not read.
     """
     if not np.isfinite(rows).all():
         raise ValueError("exponential undefined: non-finite coefficient")
@@ -341,11 +337,10 @@ def _exp_rows(rows: np.ndarray) -> np.ndarray:
     if not at.size:
         return out
     gathered = _gather(rows[at])
-    terms = np.empty(gathered.shape)
     pending = np.ones(at.size, dtype=bool)
     term = acc = ONE.coeffs
     for k in range(1, 65):
-        term = _contract(_FULL, term, gathered, terms) / k
+        term = _contract(term, gathered) / k
         acc = acc + term
         done = pending & (np.abs(term).max(axis=1) <= 1e-14 * np.abs(acc).max(axis=1))
         out[at[done]] = acc[done]

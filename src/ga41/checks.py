@@ -288,13 +288,11 @@ def _check_exp_closed_forms(ctx) -> Iterator[np.ndarray | float]:
         c = _uniform(ctx.rng, -1.0, 1.0, 3) if trial % 4 == 3 else np.ones(1)
         row[layouts[trial % 4]] = c * (theta / np.linalg.norm(c))
     # the oracle: the power series to 30 terms, summed without the
-    # exponential; rows is gathered once, and each term is the product
-    # term * rows, formed in one buffer
+    # exponential; rows is gathered once, and each term * rows contracted
     gathered = _gather(rows)
-    terms = np.empty(gathered.shape)
     term = series = ONE.coeffs
     for n in range(1, 31):
-        term = _contract(_FULL, term, gathered, terms) * (1.0 / n)
+        term = _contract(term, gathered) * (1.0 / n)
         series = series + term
     yield _residuals(_exp_rows(rows) - series)
 
@@ -736,13 +734,16 @@ def check_definitions() -> tuple[CheckDefinition, ...]:
     return tuple(_REGISTRY)
 
 
-def _check_rng(seed: int, name: str) -> np.random.Generator:
+def _check_rng(seed: int, name: str, rng=None) -> np.random.Generator:
+    """The check's generator: Philox keyed by (seed, blake2b(name)), counter 0.
+    A Philox rng is re-keyed: the same stream, no new Philox's entropy draw."""
     digest = hashlib.blake2b(name.encode(), digest_size=8).digest()
-    key = np.array(
-        [np.uint64(seed), np.uint64(int.from_bytes(digest, "little"))],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([seed, int.from_bytes(digest, "little")], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key)) if rng is None else rng
+    zeros = np.zeros(4, np.uint64)
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def run_checks(
@@ -780,12 +781,14 @@ def run_checks(
             raise ValueError(f"tolerance for {name} must be finite and non-negative: {value}")
     _integer(seed, range(2**64), "seed must be in [0, 2**64): {}", seed)
     _check_steps((step_h,))
-    results = []
+    results, rng = [], None
     for definition in _REGISTRY:
         if definition.name not in wanted:
             continue
         tolerance = float(overrides.get(definition.name, definition.tolerance))
-        ctx = CheckContext(_check_rng(seed, definition.name), step_h)
+        # one generator per call, re-keyed for each check (_fold uses it up)
+        rng = _check_rng(seed, definition.name, rng)
+        ctx = CheckContext(rng, step_h)
         start = time.perf_counter()
         # a check that overflows yields inf or NaN and fails on it; numpy's
         # warning on the way would only repeat that on stderr

@@ -96,6 +96,8 @@ BLADE_IMAGES.flags.writeable = False
 #: orthogonal with squared norm 4, so the inverse map is one matmul
 _BLADE_ROWS = np.concatenate([BLADE_IMAGES.real, BLADE_IMAGES.imag], axis=1).reshape(N_BLADES, 32)
 _IMAGE_ROWS = BLADE_IMAGES.reshape(N_BLADES, 16)
+#: the cells of a matrix's float view, (re, im) pairs, in [re | im] order
+_RE_IM = np.r_[0:32:2, 1:32:2]
 
 # both kernels map each row by its own 1-row matmul, so a row of a batch
 # equals the single map bit for bit; one 2-D matmul over the whole batch
@@ -109,8 +111,8 @@ def _to_matrices(coeffs: np.ndarray) -> np.ndarray:
 
 def _from_matrices(m: np.ndarray) -> np.ndarray:
     """(..., 4, 4) complex matrices to (..., 32) coefficient rows."""
-    flat = np.concatenate([m.real, m.imag], axis=-2).reshape(m.shape[:-2] + (1, 32))
-    return (flat @ _BLADE_ROWS.T)[..., 0, :] / 4.0
+    flat = np.ascontiguousarray(m, dtype=complex).view(float).reshape(m.shape[:-2] + (1, 32))
+    return (flat.take(_RE_IM, axis=-1) @ _BLADE_ROWS.T)[..., 0, :] / 4.0
 
 
 def to_matrix(a: Multivector) -> np.ndarray:

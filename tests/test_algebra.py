@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,16 +340,26 @@ _GATHER_INPUTS = [
 ]
 
 
+#: a NaN with its sign bit set and a quiet NaN with a payload
+_ODD_NANS = np.array([0xFFF8000000000000, 0x7FF800000000BEEF], dtype=np.uint64).view(float)
+
+
 @pytest.mark.parametrize("layout", range(len(_GATHER_INPUTS)))
 @pytest.mark.parametrize("special", [False, True])
-def test_the_gather_is_the_xor_take_byte_for_byte(layout, special):
-    # two takes of whole quads copy what one take of single cells copies:
-    # NaN, inf and -0.0 cells keep their bytes
-    b = _GATHER_INPUTS[layout](np.random.default_rng([layout, int(special)]), special)
-    got, want = algebra._gather(b), b.take(_XOR, axis=-1)
-    assert (got.shape, got.dtype) == (want.shape, want.dtype) == (b.shape + (N,), np.float64)
-    assert got.tobytes() == want.tobytes()
-    assert got.flags.writeable and not np.shares_memory(got, b)
+def test_the_gather_is_the_signed_xor_take_byte_for_byte(layout, special):
+    # two takes of whole quads from [b, b * -1.0] give what one take of
+    # single cells times the signs gives: NaN (of either sign, with a
+    # payload), inf and -0.0 cells keep their bytes, where -b would not;
+    # the unsigned gather of the masked tables copies what the take copies
+    rng = np.random.default_rng([layout, int(special)])
+    b = _GATHER_INPUTS[layout](rng, special)
+    if special and b.size:
+        b.flat[rng.choice(b.size, 2, replace=False)] = _ODD_NANS
+    take = b.take(_XOR, axis=-1)
+    for got, want in ((algebra._gather(b), take * _FULL), (algebra._gather(b, signed=False), take)):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype) == (b.shape + (N,), np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable and not np.shares_memory(got, b)
 
 
 @pytest.mark.parametrize(
@@ -392,13 +406,13 @@ def test_a_long_product_in_blocks_is_the_one_liner_byte_for_byte(monkeypatch, la
                 elif row < n:
                     x[row, ..., rng.integers(N)] = value
     terms = []
-    real = algebra._contract
+    real = algebra._block
 
-    def contract(table, left, gathered, out):
-        terms.append(np.broadcast_shapes(left.shape[:-1] + (1, N), gathered.shape))
-        return real(table, left, gathered, out)
+    def block(table, left, right, overflow):
+        terms.append(np.broadcast_shapes(left.shape[:-1] + (1, N), right.shape[:-1] + (N, N)))
+        return real(table, left, right, overflow)
 
-    monkeypatch.setattr(algebra, "_contract", contract)
+    monkeypatch.setattr(algebra, "_block", block)
     with np.errstate(all="ignore"):
         got, want = _product(_TABLES[op], a, b), _one_liner(_TABLES[op], a, b)
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
@@ -412,6 +426,50 @@ def test_a_long_product_in_blocks_is_the_one_liner_byte_for_byte(monkeypatch, la
         stacked = _product(_STACK, a, b)
     assert stacked["|^*".index(op)].tobytes() == want.tobytes()
     assert [t[0] for t in terms] == [min(128, n - i) for i in range(0, n, 128)]
+
+
+def test_the_einsum_loop_rounds_each_term_before_it_adds():
+    # the full product's einsum forms +-round(a[i] b[i^k]) itself; with a
+    # fused multiply-add, x * x = 1 + 2**-26 + 2**-54 would keep its last
+    # bit against -(1 + 2**-26) in the same accumulator (at four vectors a
+    # step, cell 16 shares cell 0's on two- and four-double vectors, and
+    # cell 8 on two-double ones)
+    x = 1.0 + 2.0**-27
+    for cell in (1, 8, 16):
+        a, gathered = np.zeros(N), np.zeros((N, N))
+        a[0], gathered[:, 0] = 1.0, -(1.0 + 2.0**-26)
+        a[cell], gathered[:, cell] = x, x
+        assert algebra._contract(a, gathered).tobytes() == np.zeros(N).tobytes()
+
+
+#: numpy's SIMD dispatch without AVX-512, then without x86-64-v3 (AVX2 and
+#: FMA) as well; numpy ignores a name this CPU lacks
+_DISABLED_TARGETS = {
+    "no-avx512": "X86_V4 AVX512_ICL AVX512_SPR",
+    "no-x86-64-v3": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+_CHILD_PINS = """
+import sys, pytest
+from numpy._core._multiarray_umath import __cpu_features__ as found
+assert not any(found.get(name) for name in sys.argv[2].split()), 'dispatch not restricted'
+sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1], '-k', sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("disabled", _DISABLED_TARGETS.values(), ids=_DISABLED_TARGETS.keys())
+def test_the_kernel_pins_hold_on_the_baseline_simd_loops(disabled):
+    # the kernel-vs-one-liner pins and the gather pin rerun in a child whose
+    # numpy takes its baseline loops where these targets would dispatch
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    paths = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": paths, "NPY_DISABLE_CPU_FEATURES": disabled}
+    pins = "one_liner or signed_xor_take"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_PINS, __file__, disabled, pins],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert " passed" in proc.stdout and "deselected" in proc.stdout
 
 
 def test_products_match_dense_reference_within_rounding():
@@ -841,15 +899,15 @@ def test_exp_rows_equal_one_row_calls_on_the_rotor_rows(seeds):
 def test_closed_form_rows_form_no_series_term(monkeypatch):
     calls, real = [], algebra._contract
 
-    def counted(table, a, gathered, terms):
-        calls.append((a.shape, gathered.shape, terms is None))
-        return real(table, a, gathered, terms)
+    def counted(a, gathered):
+        calls.append((a.shape, gathered.shape))
+        return real(a, gathered)
 
     monkeypatch.setattr("ga41.algebra._contract", counted)
     rows = _rotor_rows(0)
     _exp_rows(rows)
     # the square and b q, each a product of the 100 rows; no term of a series
-    assert calls == [((100, N), (100, N, N), False)] * 2
+    assert calls == [((100, N), (100, N, N))] * 2
     calls.clear()
     _exp_rows(_dense_rows())
     assert len(calls) > 2

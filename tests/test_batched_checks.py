@@ -256,6 +256,34 @@ def test_the_affine_draw_is_rng_uniform_byte_for_byte(low, high, size):
     assert ours.random() == theirs.random()  # the streams stay in step
 
 
+def test_a_rekeyed_generator_draws_the_stream_of_a_new_one():
+    # used part way first: a 32-bit draw buffered, the Philox buffer half read
+    used = _check_rng(3, "other")
+    used.integers(0, 2**32, 3, dtype=np.uint32)
+    used.random(5)
+    rekeyed, fresh = _check_rng(7, "x", used), _check_rng(7, "x")
+    assert rekeyed is used
+    for draw in (lambda g: g.integers(0, 2**32, 3, dtype=np.uint32), lambda g: g.random(9),
+                 lambda g: g.normal(size=4), lambda g: g.uniform(-1.0, 1.0, (2, 5))):
+        assert draw(rekeyed).tobytes() == draw(fresh).tobytes()
+
+
+def test_a_registry_pass_builds_one_philox_per_run_checks_call(monkeypatch):
+    built, real = [], np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    want = run_checks(seed=5)
+    # the pass and json_determinism's two nested runs; each check's
+    # residual is that of a run of it alone
+    assert len(built) == 3
+    got = [run_checks([d.name], seed=5)[0] for d in check_definitions()]
+    assert [(r.name, r.residual) for r in got] == [(r.name, r.residual) for r in want]
+
+
 def test_a_registry_pass_draws_per_sample_at_those_bounds_only(monkeypatch):
     seen = set()
     real = checks._uniform

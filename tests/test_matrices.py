@@ -17,7 +17,7 @@ from ga41 import (
     grade_part,
     to_matrix,
 )
-from ga41 import algebra
+from ga41 import algebra, matrices
 from ga41.algebra import GRADES, _exp_rows, blade_product
 from ga41.checks import _check_rng
 from ga41.matrices import (
@@ -247,6 +247,29 @@ def test_batched_map_rows_equal_single_maps(n, seed, scale):
     single = [from_matrix(m).coeffs.tobytes() for m in mats]
     assert [row.tobytes() for row in _from_matrices(mats)] == single
     assert [row.tobytes() for row in _from_matrices(mats[::-1])] == single[::-1]
+
+
+def _concatenated_map(m):
+    """The inverse map with its rows flattened as [m.real | m.imag] by concatenate."""
+    flat = np.concatenate([m.real, m.imag], axis=-2).reshape(m.shape[:-2] + (1, N))
+    return (flat @ matrices._BLADE_ROWS.T)[..., 0, :] / 4.0
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [lambda m: m, lambda m: m.swapaxes(-1, -2), lambda m: m[::2, :, ::-1], lambda m: m[3]],
+    ids=["batch", "transposed", "strided", "one"],
+)
+def test_the_inverse_map_flattens_its_float_view_as_the_concatenated_parts(layout):
+    # the float view's (re, im) pairs copied once to [re | im]: the same
+    # rows, so the same 32-term dots, on any layout; -0.0 and NaN cells too
+    rng = np.random.default_rng(17)
+    mats = rng.normal(size=(9, 4, 4)) + 1j * rng.normal(size=(9, 4, 4))
+    cells = mats.reshape(-1)
+    cells.real[::5] = -0.0
+    cells.imag[::7] = math.nan
+    m = layout(mats)
+    assert _from_matrices(m).tobytes() == _concatenated_map(m).tobytes()
 
 
 # -- matrix-side oracles for the exponential and the involutions ------------

@@ -129,17 +129,14 @@ def _lowered_time_axis(real):
 
 
 def _swapped_quads_product(real):
-    """The product kernel with two quads of its gather swapped: in output
-    cell 0, left blades 0-3 take the right factors of left blades 4-7, and
-    the reverse."""
-    rows = algebra._QUAD_ROWS.copy()
-    rows[[0, 1]] = rows[[1, 0]]
+    """The product kernel with two quads of its signed gather swapped: in
+    output cell 0, left blades 0-3 take the signed right factors of left
+    blades 4-7, and the reverse."""
 
     def product(table, a, b):
-        lead = b.shape[:-1]
-        quads = b.take(algebra._QUAD_ORDERS, axis=-1).reshape(lead + (32, 4))
-        gathered = quads.take(rows, axis=-2).reshape(lead + (32, 32))
-        return algebra._contract(table, a, gathered, None)
+        gathered = algebra._gather(b)
+        gathered[..., 0, :8] = gathered[..., 0, [4, 5, 6, 7, 0, 1, 2, 3]]
+        return algebra._contract(a, gathered)
 
     return product
 
