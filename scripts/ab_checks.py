@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Time two ga41 trees in one process, interleaved, and compare their
-output bytes; the harness of ``ab_fields.py``, ``ab_eigen.py`` and
-``ab_pass.py`` too.
+"""Time two ga41 trees in one process, interleaved; the harness of
+``ab_fields.py``, ``ab_eigen.py`` and ``ab_pass.py`` too.
 
     python scripts/ab_checks.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -13,14 +12,12 @@ calls on both trees in each of ROUNDS rounds (10 by default), the parent
 first in even rounds and the change first in odd ones.  It prints one
 line per key and one for their total, with the median microseconds per
 call on each tree and the ratio change / parent; then in how many rounds
-the change took less time in total (ties count for neither); then
-whether the outputs of the first round are byte-identical, naming the
-keys that differ.  An output is a str, an array, a tuple of them or a
-zero-argument call giving one, made bytes untimed.  It exits 0 when all
-agree, 1 when any differ, and 2 on bad arguments or different keys.
+the change took less time in total (ties count for neither).  It only
+times; ``digest.py`` compares output bytes, one tree per process.  It
+exits 0, and 2 on bad arguments or when the trees give different keys.
 
 Here a key is a check, its calls ``run_checks`` of that check alone at
-each seed of SEEDS, and their bytes its timing-free ``report_json``.
+each seed of SEEDS.
 """
 
 import importlib.util
@@ -29,8 +26,6 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 SEEDS = (0, 1, 7)
 TREES = ("parent", "change")
@@ -54,12 +49,7 @@ def load(src: Path, label: str, *names: str) -> list:
 def suite(src: Path, label: str) -> dict:
     """{check: [its run alone at each seed]} for the tree in src."""
     (checks,) = load(src, label, "checks")
-
-    def run_one(name, seed):  # the run is timed, its report is not
-        results = checks.run_checks([name], seed=seed)
-        return lambda: checks.report_json(results, seed, omit_timings=True)
-
-    return {d.name: [partial(run_one, d.name, s) for s in SEEDS] for d in checks.check_definitions()}
+    return {name: [partial(checks.run_checks, [name], seed=s) for s in SEEDS] for name in checks.check_names()}
 
 
 def _parse(argv):
@@ -75,18 +65,6 @@ def _parse(argv):
     return srcs, int(rounds)
 
 
-def _bytes(value) -> bytes:
-    """The bytes of one call's output: a str, an array or a tuple of them,
-    or a zero-argument call that gives one."""
-    if callable(value):
-        value = value()
-    if isinstance(value, str):
-        return value.encode()
-    if isinstance(value, tuple):
-        return b"".join(_bytes(v) for v in value)
-    return np.asarray(value).tobytes()
-
-
 def run(argv, suite, title: str) -> int:
     """Time suite on the two trees argv names, print, return the exit code."""
     try:
@@ -100,16 +78,14 @@ def run(argv, suite, title: str) -> int:
         print("error: the trees give different keys", file=sys.stderr)
         return 2
     times = {label: {key: [] for key in keys} for label in TREES}
-    outputs = {label: {} for label in TREES}
     for r in range(rounds):
         for key in keys:
             for label in TREES if r % 2 == 0 else TREES[::-1]:
                 calls = trees[label][key]
                 start = time.perf_counter()
-                values = [call() for call in calls]
+                for call in calls:
+                    call()
                 times[label][key].append((time.perf_counter() - start) / len(calls) * 1e6)
-                if r == 0:
-                    outputs[label][key] = [_bytes(v) for v in values]
     rows = {key: [times[label][key] for label in TREES] for key in keys}
     total = f"total ({rounds} rounds)"
     rows[total] = [[sum(each) for each in zip(*times[label].values())] for label in TREES]
@@ -120,9 +96,7 @@ def run(argv, suite, title: str) -> int:
         print(f"{key:{width}s} {before:11.2f} {after:11.2f} {after / before:7.3f}")
     won = sum(c < p for p, c in zip(*rows[total]))
     print(f"change faster in {won} of {rounds} rounds")
-    differ = [key for key in keys if outputs["parent"][key] != outputs["change"][key]]
-    print(f"outputs: differ at {', '.join(differ)}" if differ else "outputs: identical")
-    return 1 if differ else 0
+    return 0
 
 
 def main(argv=None) -> int:

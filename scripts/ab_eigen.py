@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the one-momentum Dirac calls of two ga41 trees in one process,
-interleaved, and compare their output bytes.
+interleaved.
 
     python scripts/ab_eigen.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -10,6 +10,7 @@ key is one call of the ``ga41 eigen`` path (the eigensystem, its
 ordering, the inverse and forward matrix maps of a kept column, both
 energy and both helicity projections, and the matrix-side crosscheck at
 three points), and its calls are that call at each momentum of MOMENTA.
+``digest.py`` prints a line per key over the calls' outputs.
 """
 
 import sys

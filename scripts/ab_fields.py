@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the one-point field operators of two ga41 trees in one process,
-interleaved, and compare their output bytes.
+interleaved.
 
     python scripts/ab_fields.py PARENT_SRC CHANGE_SRC [ROUNDS]
 
@@ -10,7 +10,8 @@ column waves of eigencolumns 0 and 3, and a packet of each degree 1-3.
 A key is a field and one of the five one-point operators (the value, the
 analytic and the central-difference vector derivative, the Richardson
 Laplacian and the covariant derivative in an electromagnetic frame), and
-its calls are the operator at each point of POINTS.
+its calls are the operator at each point of POINTS.  ``digest.py``
+prints a line per key over the calls' outputs.
 """
 
 import sys

@@ -113,7 +113,8 @@ def order_eigensystem(system: DiracSystem) -> DiracSystem:
     exactly E * diag(1, 1, -1, -1).
 
     Raises ValueError unless E > 0 and ArithmeticError unless the
-    spectrum is a doubled +-E pair.
+    spectrum is a doubled +-E pair.  It stays public because ``ga41
+    eigen``, perfbench's workloads and spans, and the A/B suites call it.
     """
     _check_ordered(np.array([system.k.energy]), system.lam[None])
     return system

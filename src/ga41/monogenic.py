@@ -377,6 +377,14 @@ def _axis_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(terms), axis=-2) + 0.0
 
 
+def _term_sums(xs, values: Callable, constants: np.ndarray) -> np.ndarray:
+    """Rows (..., k, 32) at points xs (..., 5): the term weights (n, k, J)
+    that values gives at the points, one _axis_sum over the constant rows
+    (J, 32) or (k, J, 32)."""
+    weights = values(xs.reshape(-1, AXES))
+    return _axis_sum(weights[..., None] * constants).reshape(xs.shape[:-1] + (-1, N_BLADES))
+
+
 def _derivative_sum(field: MultivectorField, x, h, reciprocal, indices) -> np.ndarray:
     """Sum over the axes a in ``indices`` of reciprocal[..., a, :] (rows
     (5, 32), or one frame per point) times the partial derivative along a:
@@ -586,25 +594,16 @@ def _polynomial_field(degree: int, vec: np.ndarray) -> PolynomialField:
     for table in (expos, coeffs):
         table.setflags(write=False)
 
-    def summed(which) -> Callable:
-        """Rows (..., k, 32) of the term rows ``which`` at points (..., 5)."""
-        values = _monomial_values(expos, degree, which)
-
-        def sums(xs) -> np.ndarray:
-            terms = values(xs.reshape(-1, AXES))
-            return _axis_sum(terms[..., None] * coeffs).reshape(xs.shape[:-1] + (-1, N_BLADES))
-
-        return sums
-
-    value_sums, partial_sums = summed(slice(0, 1)), summed(slice(1, None))
+    value_terms = _monomial_values(expos, degree, slice(0, 1))
+    partial_terms = _monomial_values(expos, degree, slice(1, None))
 
     def rows(xs) -> np.ndarray:
-        return value_sums(xs)[..., 0, :]
+        return _term_sums(xs, value_terms, coeffs)[..., 0, :]
 
     def partials(xs) -> np.ndarray:
         # axes 0 and 4 give zero
         out = np.zeros(xs.shape[:-1] + (AXES, N_BLADES))
-        out[..., 1:4, :] = partial_sums(xs)
+        out[..., 1:4, :] = _term_sums(xs, partial_terms, coeffs)
         return out
 
     return PolynomialField(
@@ -714,15 +713,10 @@ def separable_wavepacket(spatial: MultivectorField, k) -> MultivectorField:
     value_constants = wave[None]
     partial_constants = np.stack([-energy * turned, wave, wave, wave, mass * turned])
 
-    def sums(xs, terms, constants) -> np.ndarray:
-        # the weights [s_j cos, s_j sin] (n, k, 2J) on the constants
-        weights = terms(xs.reshape(-1, AXES))
-        return _axis_sum(weights[..., None] * constants).reshape(xs.shape[:-1] + (-1, N_BLADES))
-
     def rows(xs) -> np.ndarray:
-        return sums(xs, value_terms, value_constants)[..., 0, :]
+        return _term_sums(xs, value_terms, value_constants)[..., 0, :]
 
     def partials(xs) -> np.ndarray:
-        return sums(xs, partial_terms, partial_constants)
+        return _term_sums(xs, partial_terms, partial_constants)
 
     return MultivectorField(_rows=rows, _partials=None if spatial._partials is None else partials)

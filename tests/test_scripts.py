@@ -151,8 +151,9 @@ def test_demo_fails_on_a_nan_residual(demo, capsys, monkeypatch):
     assert "worst residual: nan" in capsys.readouterr().out
 
 
-def _stub_reports(digest, monkeypatch):
-    """Stub the verify runs; return the runs made and the expected line."""
+def test_digest_prints_the_report_line_then_one_line_per_check_then_per_suite_key(
+    digest, capsys, monkeypatch
+):
     runs = []
 
     def run_checks(seed=0, step_h=1e-3):
@@ -163,16 +164,6 @@ def _stub_reports(digest, monkeypatch):
         assert omit_timings is True
         return f"{results[0]} seed={seed};"
 
-    monkeypatch.setattr(digest, "run_checks", run_checks)
-    monkeypatch.setattr(digest, "report_json", report_json)
-    want = [(s, 1e-3) for s in range(40)] + [(3, 1e-4), (3, 5e-4), (3, 2e-3)]
-    text = "".join(f"résumé {s} {h} seed={s};" for s, h in want)
-    return runs, want, hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _stub_registry(digest, monkeypatch):
-    """Stub the registry; return the expected ``name digest`` lines."""
-
     def definition(name, offsets):
         def run(ctx):  # the stub generator is the seed itself
             yield from (ctx.rng + offset for offset in offsets)
@@ -180,43 +171,31 @@ def _stub_registry(digest, monkeypatch):
 
         return SimpleNamespace(name=name, run=run)
 
+    def calls(n):  # an array, then a tuple of arrays
+        return [lambda: np.arange(3.0) + n, lambda: (np.ones(2), np.int8(n))]
+
+    def suite(keys):  # on the tree that gives line 1
+        return lambda src, label: {key: calls(len(key)) for key in keys} if src == Path(SRC) else {}
+
     checks = (("zeta", (0.5, -0.5)), ("alpha", (-1.0,)), ("step", ()))
+    suites = (("b key", "a"), ("crosscheck",))
+    monkeypatch.setattr(digest, "run_checks", run_checks)
+    monkeypatch.setattr(digest, "report_json", report_json)
     monkeypatch.setattr(digest, "_check_rng", lambda seed, name: seed)
-    monkeypatch.setattr(
-        digest, "check_definitions", lambda: tuple(definition(*c) for c in checks)
-    )
-    want = []
-    for name, offsets in checks:
-        samples = [[s + offset for offset in offsets] + [1e-3] for s in range(40)]
-        sha = hashlib.sha256(np.array(samples, dtype=float).tobytes()).hexdigest()
-        want.append(f"{name} {sha}")
-    return want
-
-
-def test_digest_hashes_the_reports_of_seeds_0_to_39_then_three_steps(digest, capsys, monkeypatch):
-    runs, want, report = _stub_reports(digest, monkeypatch)
-    _stub_registry(digest, monkeypatch)
+    monkeypatch.setattr(digest, "check_definitions", lambda: tuple(definition(*c) for c in checks))
+    monkeypatch.setattr(digest, "SUITES", tuple(suite(keys) for keys in suites))
     assert digest.main([]) == 0
+    want = [(s, 1e-3) for s in range(40)] + [(3, 1e-4), (3, 5e-4), (3, 2e-3)]
     assert runs == want
-    assert capsys.readouterr().out.splitlines()[0] == report
-
-
-def test_digest_hashes_each_checks_samples_of_seeds_0_to_39(digest, capsys, monkeypatch):
-    _stub_reports(digest, monkeypatch)
-    want = _stub_registry(digest, monkeypatch)
-    assert digest.main([]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == want
-
-
-def test_digest_prints_the_report_line_then_one_line_per_check(digest, capsys, monkeypatch):
-    _, _, report = _stub_reports(digest, monkeypatch)
-    lines = _stub_registry(digest, monkeypatch)
-    assert digest.main([]) == 0
-    out = capsys.readouterr().out
-    assert out == "\n".join([report, *lines]) + "\n"
-    # registry order, not sorted: the stub lists zeta before alpha
-    assert [line.split(" ")[0] for line in out.splitlines()[1:]] == ["zeta", "alpha", "step"]
-    assert all(len(line.split(" ")[-1]) == 64 for line in out.splitlines())
+    text = "".join(f"résumé {s} {h} seed={s};" for s, h in want)
+    lines = [hashlib.sha256(text.encode("utf-8")).hexdigest()]
+    for name, offsets in checks:  # registry order, not sorted
+        samples = [[s + offset for offset in offsets] + [1e-3] for s in range(40)]
+        lines.append(f"{name} {hashlib.sha256(np.array(samples, dtype=float).tobytes()).hexdigest()}")
+    for key in (key for keys in suites for key in keys):  # suite order, not sorted
+        outputs = np.arange(3.0) + len(key), np.ones(2), np.int8(len(key))
+        lines.append(f"{key} {hashlib.sha256(b''.join(o.tobytes() for o in outputs)).hexdigest()}")
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_digest_takes_no_arguments(digest, capsys):
@@ -231,32 +210,25 @@ FIELD_KEYS = [f"{kind} {op}" for kind in ("plane", "column0", "column3", "packet
               for op in ("value", "derivative", "derivative_h", "laplacian", "covariant")]
 EIGEN_KEYS = ["dirac_system", "order_eigensystem", "from_matrix", "to_matrix",
               "energy_project", "helicity_project", "crosscheck"]
-#: script: (its key column's title, its keys in order, a one-ulp or
-#: one-byte mutant as (module, text, its replacement), the keys that move)
+#: script: its key column's title and its keys in order
 SUITES = {
-    "ab_checks": (
-        "check", list(check_names()),
-        ("checks", "json.dumps(report, indent=2, allow_nan=False)",
-         "json.dumps(report, indent=2, allow_nan=False) + ' ' * (seed == 7)"),
-        list(check_names()),
-    ),
-    "ab_fields": (
-        "field operator", FIELD_KEYS,
+    "ab_checks": ("check", list(check_names())),
+    "ab_fields": ("field operator", FIELD_KEYS),
+    "ab_eigen": ("call", EIGEN_KEYS),
+    "ab_pass": ("pass", ["registry pass"]),
+}
+#: a one-ulp mutant as (module, text, its replacement), and the digest
+#: lines of the field and eigen suites that it moves
+MUTANTS = {
+    "packet_mass": (
         ("monogenic", "(energy * ONE + mass * e(0, 4))",
          "(energy * ONE + mass * 1.0000000000000002 * e(0, 4))"),
         [key for key in FIELD_KEYS if key.startswith("packet")],
     ),
-    "ab_eigen": (
-        "call", EIGEN_KEYS,
+    "lam_sign": (
         ("dirac", "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])",
          "_LAM_SIGNS = np.array([1.0, 1.0, -1.0, -1.0000000000000002])"),
-        ["dirac_system", "order_eigensystem"],
-    ),
-    "ab_pass": (
-        "pass", ["registry pass"],
-        ("checks", "json.dumps(report, indent=2, allow_nan=False)",
-         "json.dumps(report, indent=2, allow_nan=False) + ' ' * (seed == 7)"),
-        ["registry pass"],
+        [key for key in FIELD_KEYS if key.startswith("column3")] + ["dirac_system", "order_eigensystem"],
     ),
 }
 
@@ -288,28 +260,36 @@ def _mutant(tmp_path, module, text, replacement):
 
 
 def test_ab_times_a_tree_against_itself(ab, capsys):
-    title, keys, _, _ = SUITES[ab[0]]
+    title, keys = SUITES[ab[0]]
     assert INPUTS[ab[0]](ab[1])
     assert ab[1].main([SRC, SRC, "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == [*title.split(), "parent", "us", "change", "us", "ratio"]
-    assert [line.rsplit(maxsplit=3)[0] for line in lines[1:-2]] == [*keys, "total (2 rounds)"]
-    for line in lines[1:-2]:
+    assert [line.rsplit(maxsplit=3)[0] for line in lines[1:-1]] == [*keys, "total (2 rounds)"]
+    for line in lines[1:-1]:
         parent, change, ratio = (float(x) for x in line.split()[-3:])
         assert parent > 0.0 and change > 0.0 and ratio > 0.0
-    won = lines[-2].split()
+    won = lines[-1].split()
     assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
     assert int(won[3]) in (0, 1, 2)
-    assert lines[-1] == "outputs: identical"
 
 
-def test_ab_exits_1_and_names_the_keys_whose_bytes_differ(ab, capsys, tmp_path):
-    # the second tree is this one with a report byte added at seed 7 (for
-    # the checks and the pass), the packet's mass term one ulp off, or the
-    # last sign of lam one ulp off
-    _, _, mutant, moved = SUITES[ab[0]]
-    assert ab[1].main([SRC, _mutant(tmp_path, *mutant), "1"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == f"outputs: differ at {', '.join(moved)}"
+@pytest.fixture(scope="module")
+def suite_lines(digest):
+    """digest.py's (key, digest) lines of the field and eigen suites on this tree."""
+    return digest.suite_digests(Path(SRC))
+
+
+def test_digest_prints_a_line_per_field_then_eigen_key_the_same_on_each_run(digest, suite_lines):
+    assert [key for key, _ in suite_lines] == FIELD_KEYS + EIGEN_KEYS
+    assert digest.suite_digests(Path(SRC)) == suite_lines
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_digest_moves_exactly_the_suite_lines_of_a_one_ulp_mutant(digest, suite_lines, tmp_path, mutant):
+    change, moved = MUTANTS[mutant]
+    lines = digest.suite_digests(Path(_mutant(tmp_path, *change)))
+    assert [key for (key, got), (_, want) in zip(lines, suite_lines) if got != want] == moved
 
 
 def test_ab_exits_2_when_the_trees_give_different_keys(ab, capsys, tmp_path, monkeypatch):
