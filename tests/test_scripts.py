@@ -292,6 +292,21 @@ def test_digest_moves_exactly_the_suite_lines_of_a_one_ulp_mutant(digest, suite_
     assert [key for (key, got), (_, want) in zip(lines, suite_lines) if got != want] == moved
 
 
+#: script: a mutant that moves its outputs' bytes; a report byte added at
+#: seed 7 for the checks and the pass
+REPORT_BYTE = ("checks", "json.dumps(report, indent=2, allow_nan=False)",
+               "json.dumps(report, indent=2, allow_nan=False) + ' ' * (seed == 7)")
+BYTE_MUTANTS = {"ab_checks": REPORT_BYTE, "ab_fields": MUTANTS["packet_mass"][0],
+                "ab_eigen": MUTANTS["lam_sign"][0], "ab_pass": REPORT_BYTE}
+
+
+def test_ab_only_times_and_exits_0_when_the_outputs_differ(ab, capsys, tmp_path):
+    assert ab[1].main([SRC, _mutant(tmp_path, *BYTE_MUTANTS[ab[0]]), "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(maxsplit=3)[0] for line in lines[1:-1]] == [*SUITES[ab[0]][1], "total (1 rounds)"]
+    assert lines[-1].split()[:3] == ["change", "faster", "in"]
+
+
 def test_ab_exits_2_when_the_trees_give_different_keys(ab, capsys, tmp_path, monkeypatch):
     script, module = ab
     if script == "ab_checks":  # the second tree registers no associativity check
