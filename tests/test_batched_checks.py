@@ -1,7 +1,9 @@
-"""Sampled checks that evaluate all their samples on the row kernels: each
-yields the samples of its old per-sample loop byte for byte, in order, from
-a fixed number of kernel calls; the blade-image check compares one exact
-Gram matrix with 4 I."""
+"""Sampled checks that evaluate all their samples on the row kernels, from
+a fixed number of kernel calls; the momentum draws and the frame-duality
+draw order are those of the per-sample loops they replaced; the
+blade-image check compares one exact Gram matrix with 4 I.  The samples
+themselves, at seeds 0-39, are pinned by the per-check lines of
+``tests/data/digest.txt``."""
 
 import contextlib
 import math
@@ -10,64 +12,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ga41 import Multivector, ONE, checks
-from ga41.algebra import e
+from ga41 import Multivector, checks
 from ga41.checks import CheckContext, _check_rng, check_definitions, run_checks
 from ga41.algebra import _sample_array, _scalar_products
-from ga41.dirac import build_dirac_operator, dirac_system, order_eigensystem
-from ga41.frames import GaugeField, build_frame, gauge_covariance_residual, phase_shift_residual
-from ga41.matrices import from_matrix
-from ga41.monogenic import (
-    MomentumVector,
-    _axis_sum,
-    harmonic_field,
-    plane_wave,
-    reduced_vector_derivative,
-)
-from ga41.projectors import build_e_set, build_f_set
+from ga41.frames import build_frame
+from ga41.monogenic import MomentumVector, _axis_sum
 
-# -- the per-sample loops the checks replaced, kept as references ----------
-
-
-def _old_exp_closed_forms(ctx):
-    def series(b):
-        term = ONE
-        acc = ONE
-        for n in range(1, 31):
-            term = term * b * (1.0 / n)
-            acc = acc + term
-        return acc
-
-    layouts = ([0b00110], [0b00011], [0b00001, 0b10000], [0b00110, 0b01010, 0b01100])
-    for trial in range(24):
-        theta = ctx.rng.uniform(0.1, 2.0) * (1 if trial % 2 else -1)
-        kind = trial % 4
-        coeffs = np.zeros(32)
-        if kind < 3:
-            coeffs[layouts[kind]] = theta
-        else:
-            c = ctx.rng.uniform(-1.0, 1.0, 3)
-            coeffs[layouts[kind]] = c * (theta / np.linalg.norm(c))
-        b = Multivector(coeffs)
-        yield (b.exp() - series(b)).max_abs()
-
-
-def _old_rotor_unitarity(ctx):
-    bivector_masks = [(1 << i) | (1 << j) for i in range(1, 5) for j in range(i + 1, 5)]
-    for _ in range(100):
-        coeffs = np.zeros(32)
-        coeffs[bivector_masks] = ctx.rng.uniform(-1.5, 1.5, 6)
-        rotor = (-0.5 * Multivector(coeffs)).exp()
-        yield (rotor.reverse() * rotor - ONE).max_abs()
-
-
-def _old_null_annihilation(ctx):
-    for energy, p, mass in checks.NULL_QUADRUPLES:
-        k = MomentumVector(energy, p, mass)
-        u = k.vector
-        yield (u * u).max_abs()
-        yield (u * k.amplitude).max_abs()
-        yield (k.amplitude - u * (-1.0 * e(0))).max_abs()
+# -- the per-sample draws the checks replaced, kept as references ----------
 
 
 def _old_random_momentum(rng, min_mass=0.01, min_p=0.0):
@@ -85,21 +36,6 @@ def _old_momenta_and_points(ctx, count, shape, **momentum_kw):
         points.append(ctx.rng.uniform(-1.0, 1.0, shape + (5,)))
     amplitudes = np.array([k.amplitude.coeffs for k in momenta])
     return momenta, amplitudes, np.array([k.phase_gradient for k in momenta]), np.array(points)
-
-
-def _old_dirac_spectrum(ctx):
-    for _ in range(200):
-        k = _old_random_momentum(ctx.rng, min_mass=0.05)
-        vals = np.linalg.eigvalsh(build_dirac_operator(k))
-        want = np.array([-k.energy, -k.energy, k.energy, k.energy])
-        yield float(np.max(np.abs(vals - want)))
-
-
-def _old_sets_not_aligned(ctx):
-    fs, es = build_f_set(), build_e_set()
-    products = (fi * ej for fi in fs.elements for ej in es.elements)
-    found = any(p.max_abs() > 0.0 and (p * p - p).max_abs() > 0.0 for p in products)
-    yield 0.0 if found else 1.0
 
 
 def _old_frame_duality(ctx, accept=lambda n: True):
@@ -128,83 +64,6 @@ def _old_frame_duality(ctx, accept=lambda n: True):
     yield from np.max(np.abs(combo - vectors), axis=-1).ravel()
 
 
-def _old_lambda_involution(ctx):
-    for _ in range(50):
-        k = _old_random_momentum(ctx.rng, min_mass=0.05)
-        system = order_eigensystem(dirac_system(k))
-        lam_inv = np.diag(1.0 / np.diag(system.lam))
-        diff = k.energy * k.energy * lam_inv - system.lam
-        yield float(np.max(np.abs(diff)))
-
-
-def _old_psi_determinism(ctx):
-    for _ in range(5):
-        k = _old_random_momentum(ctx.rng, min_mass=0.05)
-        first = order_eigensystem(dirac_system(k))
-        second = order_eigensystem(dirac_system(k))
-        same = np.array_equal(first.psi_bar, second.psi_bar) and np.array_equal(
-            first.lam, second.lam
-        )
-        yield 0.0 if same else 1.0
-
-
-def _old_column_parts(system, index):
-    column = np.zeros((4, 4), dtype=complex)
-    column[:, index] = system.psi_bar[:, index]
-    lam = float(np.real(system.lam[index, index]))
-    return from_matrix(column).coeffs, np.array([-lam, *system.k.momentum, 0.0])
-
-
-def _old_dirac_column_fields(ctx):
-    momenta, _, _, points = _old_momenta_and_points(ctx, 20, (4, 2), min_mass=0.05)
-    systems = (order_eigensystem(dirac_system(k)) for k in momenta)
-    amplitudes, grads = zip(*(_old_column_parts(s, index) for s in systems for index in range(4)))
-    masses = np.repeat([k.mass for k in momenta], 4)[:, None]
-    waves = harmonic_field(np.array(amplitudes), np.array(grads))
-    rows = reduced_vector_derivative(waves, points.reshape(-1, 2, 5), masses)
-    yield from checks._residuals(rows.reshape(-1, 32))
-
-
-def _old_gauge_cases(ctx, min_mass):
-    for _ in range(2):
-        k = _old_random_momentum(ctx.rng, min_mass=min_mass)
-        coefs = ctx.rng.uniform(-0.8, 0.8, 4)
-        potential = ctx.rng.uniform(-1.0, 1.0, 4)
-        field = GaugeField(
-            potential,
-            charge=-1.0,
-            mass=k.mass,
-            phase=lambda x, c=coefs: float(c @ x[:4]),
-            phase_gradient=lambda x, c=coefs: np.array([*c, 0.0]),
-        )
-        yield plane_wave(k), field, ctx.rng.uniform(-1.0, 1.0, (3, 5))
-
-
-def _old_nonmonogenic_identity(ctx):
-    for wave, field, points in _old_gauge_cases(ctx, min_mass=0.1):
-        yield phase_shift_residual(wave, field, points)
-
-
-def _old_em_covariance(ctx):
-    for wave, field, points in _old_gauge_cases(ctx, min_mass=0.5):
-        yield gauge_covariance_residual(wave, field, points)
-
-
-OLD_LOOPS = {
-    "exp_closed_forms": _old_exp_closed_forms,
-    "rotor_unitarity": _old_rotor_unitarity,
-    "null_annihilation": _old_null_annihilation,
-    "dirac_spectrum": _old_dirac_spectrum,
-    "sets_not_aligned": _old_sets_not_aligned,
-    "frame_duality": _old_frame_duality,
-    "lambda_involution": _old_lambda_involution,
-    "psi_determinism": _old_psi_determinism,
-    "dirac_column_fields": _old_dirac_column_fields,
-    "nonmonogenic_identity": _old_nonmonogenic_identity,
-    "em_covariance": _old_em_covariance,
-}
-
-
 def _context(name, seed):
     return CheckContext(_check_rng(seed, name), 1e-3)
 
@@ -212,13 +71,6 @@ def _context(name, seed):
 def _samples(name, seed=0):
     definition = next(d for d in check_definitions() if d.name == name)
     return _sample_array(definition.run(_context(name, seed)))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("name", list(OLD_LOOPS))
-def test_batched_samples_are_the_old_loops_samples_byte_for_byte(name, seed):
-    want = np.fromiter(OLD_LOOPS[name](_context(name, seed)), dtype=float)
-    assert _samples(name, seed).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -5,7 +5,10 @@ import hashlib
 import importlib.util
 import io
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -183,12 +186,12 @@ def test_digest_prints_the_report_line_then_one_line_per_check_then_per_suite_ke
     monkeypatch.setattr(digest, "report_json", report_json)
     monkeypatch.setattr(digest, "_check_rng", lambda seed, name: seed)
     monkeypatch.setattr(digest, "check_definitions", lambda: tuple(definition(*c) for c in checks))
-    monkeypatch.setattr(digest, "SUITES", tuple(suite(keys) for keys in suites))
+    monkeypatch.setattr(digest, "SUITES", (digest.registry, *(suite(keys) for keys in suites)))
     assert digest.main([]) == 0
     want = [(s, 1e-3) for s in range(40)] + [(3, 1e-4), (3, 5e-4), (3, 2e-3)]
     assert runs == want
     text = "".join(f"résumé {s} {h} seed={s};" for s, h in want)
-    lines = [hashlib.sha256(text.encode("utf-8")).hexdigest()]
+    lines = [f"report {hashlib.sha256(text.encode('utf-8')).hexdigest()}"]
     for name, offsets in checks:  # registry order, not sorted
         samples = [[s + offset for offset in offsets] + [1e-3] for s in range(40)]
         lines.append(f"{name} {hashlib.sha256(np.array(samples, dtype=float).tobytes()).hexdigest()}")
@@ -274,21 +277,33 @@ def test_ab_times_a_tree_against_itself(ab, capsys):
     assert int(won[3]) in (0, 1, 2)
 
 
+def _manifest(text):
+    """{key: digest} of digest.py's lines, in order."""
+    return dict(line.rsplit(" ", 1) for line in text.splitlines())
+
+
+def test_digest_prints_the_recorded_manifest():
+    # the tree in src alone, in a process of its own, as a re-recording runs it
+    env = {**os.environ, "PYTHONPATH": SRC}
+    run = subprocess.run([sys.executable, str(SCRIPTS / "digest.py")], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    recorded = (SCRIPTS.parent / "tests" / "data" / "digest.txt").read_text()
+    got, want = _manifest(run.stdout), _manifest(recorded)
+    moved = [key for key in {**want, **got} if got.get(key) != want.get(key)]
+    assert not moved, f"lines moved, appeared or vanished: {', '.join(moved)}"
+    assert run.stdout == recorded  # and in the recorded order
+
+
 @pytest.fixture(scope="module")
 def suite_lines(digest):
     """digest.py's (key, digest) lines of the field and eigen suites on this tree."""
-    return digest.suite_digests(Path(SRC))
-
-
-def test_digest_prints_a_line_per_field_then_eigen_key_the_same_on_each_run(digest, suite_lines):
-    assert [key for key, _ in suite_lines] == FIELD_KEYS + EIGEN_KEYS
-    assert digest.suite_digests(Path(SRC)) == suite_lines
+    return list(digest.digests(Path(SRC), digest.SUITES[1:]))
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_digest_moves_exactly_the_suite_lines_of_a_one_ulp_mutant(digest, suite_lines, tmp_path, mutant):
     change, moved = MUTANTS[mutant]
-    lines = digest.suite_digests(Path(_mutant(tmp_path, *change)))
+    lines = digest.digests(Path(_mutant(tmp_path, *change)), digest.SUITES[1:])
     assert [key for (key, got), (_, want) in zip(lines, suite_lines) if got != want] == moved
 
 
