@@ -10,8 +10,11 @@ column waves of eigencolumns 0 and 3, and a packet of each degree 1-3.
 A key is a field and one of the five one-point operators (the value, the
 analytic and the central-difference vector derivative, the Richardson
 Laplacian and the covariant derivative in an electromagnetic frame), and
-its calls are the operator at each point of POINTS.  ``digest.py``
-prints a line per key over the calls' outputs.
+its calls are the operator at each point of POINTS.  The column waves
+have no covariant key: the frame tilts only the axis-4 reciprocal
+vector, and a column wave's axis-4 partial is zero, so theirs would be
+their analytic derivative's bytes.  ``digest.py`` prints a line per key
+over the calls' outputs.
 """
 
 import sys
@@ -50,6 +53,7 @@ def suite(src: Path, label: str) -> dict:
         f"{kind} {name}": [partial(op, field, x) for x in POINTS]
         for kind, field in zip(FIELDS, fields)
         for name, op in operators.items()
+        if not (kind.startswith("column") and name == "covariant")
     }
 
 

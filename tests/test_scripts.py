@@ -210,7 +210,8 @@ def test_digest_takes_no_arguments(digest, capsys):
 
 SRC = str(SCRIPTS.parent / "src")
 FIELD_KEYS = [f"{kind} {op}" for kind in ("plane", "column0", "column3", "packet1", "packet2", "packet3")
-              for op in ("value", "derivative", "derivative_h", "laplacian", "covariant")]
+              for op in ("value", "derivative", "derivative_h", "laplacian", "covariant")
+              if not (kind.startswith("column") and op == "covariant")]
 EIGEN_KEYS = ["dirac_system", "order_eigensystem", "from_matrix", "to_matrix",
               "energy_project", "helicity_project", "crosscheck"]
 #: script: its key column's title and its keys in order
