@@ -11,10 +11,13 @@ neither depends on ``PYTHONPATH``.  ``run`` takes a suite, a function
 calls on both trees in each of ROUNDS rounds (10 by default), the parent
 first in even rounds and the change first in odd ones.  It prints one
 line per key and one for their total, with the median microseconds per
-call on each tree and the ratio change / parent; then in how many rounds
-the change took less time in total (ties count for neither).  It only
-times; ``digest.py`` compares output bytes, one tree per process.  It
-exits 0, and 2 on bad arguments or when the trees give different keys.
+call on the parent, the interquartile range of the parent's rounds, the
+median on the change and the ratio change / parent; then in how many
+rounds the change took less time in total (ties count for neither).  A
+gain holds when the change wins 9 of 10 rounds and its median is below
+the parent's by more than the parent's IQR.  It only times; ``digest.py``
+compares output bytes, one tree per process.  It exits 0, and 2 on bad
+arguments or when the trees give different keys.
 
 Here a key is a check, its calls ``run_checks`` of that check alone at
 each seed of SEEDS.
@@ -65,6 +68,14 @@ def _parse(argv):
     return srcs, int(rounds)
 
 
+def _iqr(times) -> float:
+    """The interquartile range of times (numpy's linear percentiles); 0 for one round."""
+    if len(times) < 2:
+        return 0.0
+    low, _, high = statistics.quantiles(times, n=4, method="inclusive")
+    return high - low
+
+
 def run(argv, suite, title: str) -> int:
     """Time suite on the two trees argv names, print, return the exit code."""
     try:
@@ -90,10 +101,10 @@ def run(argv, suite, title: str) -> int:
     total = f"total ({rounds} rounds)"
     rows[total] = [[sum(each) for each in zip(*times[label].values())] for label in TREES]
     width = max(map(len, [title, *rows]))
-    print(f"{title:{width}s} {'parent us':>11s} {'change us':>11s} {'ratio':>7s}")
+    print(f"{title:{width}s} {'parent us':>11s} {'parent IQR':>11s} {'change us':>11s} {'ratio':>7s}")
     for key, (parent, change) in rows.items():
         before, after = statistics.median(parent), statistics.median(change)
-        print(f"{key:{width}s} {before:11.2f} {after:11.2f} {after / before:7.3f}")
+        print(f"{key:{width}s} {before:11.2f} {_iqr(parent):11.2f} {after:11.2f} {after / before:7.3f}")
     won = sum(c < p for p, c in zip(*rows[total]))
     print(f"change faster in {won} of {rounds} rounds")
     return 0

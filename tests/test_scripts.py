@@ -268,11 +268,11 @@ def test_ab_times_a_tree_against_itself(ab, capsys):
     assert INPUTS[ab[0]](ab[1])
     assert ab[1].main([SRC, SRC, "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == [*title.split(), "parent", "us", "change", "us", "ratio"]
-    assert [line.rsplit(maxsplit=3)[0] for line in lines[1:-1]] == [*keys, "total (2 rounds)"]
+    assert lines[0].split() == [*title.split(), "parent", "us", "parent", "IQR", "change", "us", "ratio"]
+    assert [line.rsplit(maxsplit=4)[0] for line in lines[1:-1]] == [*keys, "total (2 rounds)"]
     for line in lines[1:-1]:
-        parent, change, ratio = (float(x) for x in line.split()[-3:])
-        assert parent > 0.0 and change > 0.0 and ratio > 0.0
+        parent, iqr, change, ratio = (float(x) for x in line.split()[-4:])
+        assert parent > 0.0 and iqr >= 0.0 and change > 0.0 and ratio > 0.0
     won = lines[-1].split()
     assert won[:3] == ["change", "faster", "in"] and won[4:] == ["of", "2", "rounds"]
     assert int(won[3]) in (0, 1, 2)
@@ -319,7 +319,7 @@ BYTE_MUTANTS = {"ab_checks": REPORT_BYTE, "ab_fields": MUTANTS["packet_mass"][0]
 def test_ab_only_times_and_exits_0_when_the_outputs_differ(ab, capsys, tmp_path):
     assert ab[1].main([SRC, _mutant(tmp_path, *BYTE_MUTANTS[ab[0]]), "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.rsplit(maxsplit=3)[0] for line in lines[1:-1]] == [*SUITES[ab[0]][1], "total (1 rounds)"]
+    assert [line.rsplit(maxsplit=4)[0] for line in lines[1:-1]] == [*SUITES[ab[0]][1], "total (1 rounds)"]
     assert lines[-1].split()[:3] == ["change", "faster", "in"]
 
 
