@@ -63,7 +63,7 @@ from .monogenic import (
     reduced_vector_derivative,
     vector_derivative,
 )
-from .monogenic import _axis_sum, _check_steps, _momentum_rows
+from .monogenic import _axis_sum, _check_steps, _momentum_rows, _real
 from .projectors import (
     COMMUTING_PAIRS,
     _generators,
@@ -755,9 +755,10 @@ def run_checks(
     """Run the selected checks (all by default) in registration order.
 
     ``tolerances`` overrides tolerances by check name.  Unknown check or
-    tolerance names, an override that is not finite and non-negative, a
-    seed that is not an integer in [0, 2**64), and a step that is not a
-    finite positive real number (a bool is neither) raise ValueError.  Each check's residual is the largest of the
+    tolerance names, an override that is not a finite non-negative real
+    number, a seed that is not an integer in [0, 2**64), and a step that
+    is not a finite positive real number (a bool is neither real number)
+    raise ValueError.  Each check's residual is the largest of the
     samples it yields; a NaN sample, or none at all, makes it NaN, which
     fails.  A check whose computation raises ValueError or
     ArithmeticError (say, a step that underflows to 0 when halved)
@@ -777,8 +778,8 @@ def run_checks(
     if bad:
         raise ValueError(f"unknown tolerance names: {', '.join(sorted(bad))}")
     for name, value in overrides.items():
-        if not 0.0 <= float(value) < math.inf:
-            raise ValueError(f"tolerance for {name} must be finite and non-negative: {value}")
+        if not (_real(value) and 0.0 <= value < math.inf):
+            raise ValueError(f"tolerance for {name} must be finite and non-negative: {value!r}")
     _integer(seed, range(2**64), "seed must be in [0, 2**64): {}", seed)
     _check_steps((step_h,))
     results, rng = [], None

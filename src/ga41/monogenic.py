@@ -331,15 +331,17 @@ def vector_derivative(
     return _result(x, _derivative_sum(field, x, h, _RECIPROCAL_ROWS, indices))
 
 
+def _real(value) -> bool:
+    """Whether value is a real number that is not a bool; a plain float
+    skips the ABC checks."""
+    return type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _check_steps(steps) -> None:
     """ValueError unless every step is a real number, not a bool, that is
     finite and positive."""
     for h in steps:
-        # a plain float skips the ABC checks
-        if (
-            type(h) is not float and (isinstance(h, bool) or not isinstance(h, numbers.Real))
-            or not 0.0 < h < math.inf
-        ):
+        if not (_real(h) and 0.0 < h < math.inf):
             raise ValueError("step h must be finite and positive")
 
 

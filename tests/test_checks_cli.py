@@ -71,7 +71,7 @@ def test_run_checks_validation():
         run_checks(tolerances={"no_such_check": 1.0})
     with pytest.raises(ValueError):
         run_checks(step_h=0.0)
-    for value in (math.nan, math.inf, -1.0):
+    for value in (math.nan, math.inf, -1.0, None, [1], True, "1e-3"):
         with pytest.raises(ValueError, match="finite and non-negative"):
             run_checks(tolerances={"blade_squares": value})
 
