@@ -1,7 +1,6 @@
 """Plane waves, derivative operators, polynomial solutions, wavepackets."""
 
 import dataclasses
-import hashlib
 import itertools
 import math
 
@@ -424,71 +423,6 @@ def test_degree_zero_basis_is_the_even_blades():
     want = (ONE, e(1, 2), e(1, 3), e(2, 3))
     assert [f(x) for f in fields] == list(want)
     assert [f.flagged for f in fields] == [True, True, False, False]
-
-
-# SHA-256 of each basis field's ``_rows`` then ``_partials`` at _PROBES, as
-# little-endian float64, recorded from the floating-point elimination that
-# the exact one replaced
-_PROBES = np.array([
-    [0.4, -0.8, 0.5, 0.3, -0.1],
-    [-1.3, 0.7, -1.9, 2.6, 0.9],
-    [0.0, 1.0 / 3.0, math.pi, -0.61, 1.7],
-])
-_BASIS_DIGESTS = {
-    1: (
-        "254df60c9f303735afce159d613975012c5a1671a9b555ab8536a6a09fe6d6f7",
-        "4de768b08713daaae87d322b046434fac65528699e4d5e2575fbd8064be8bcda",
-        "63bf8c0a3bdc11084953dbf62f453193fc3e98f8d3391a04ea7c81380c8773e3",
-        "35638635e87f8393b3e6ef1ace3ded14aecb480adcf498c8a71f385a96a0047d",
-        "3bb03014cb21c47375e41c64b0d2a93636c65c92c1ed6999ce3ceda3f806d91e",
-        "1956315330d1c79205b29633be9331a2790a1d4ba9fba5683971ff736d86c2d1",
-        "68a37f61a38403c1c513d4736c75ba354cc90d8b5eb3e903b591c8b884893ef8",
-        "30f4cf16882a103d5c507b894000a54f50ef6454a53d472643a6ce119b511996",
-    ),
-    2: (
-        "9044f71dc8dd0b9aae6c125abfd9e64c5687b50fbf4be5d0ba88584ca4ccb559",
-        "3401bd6862294657b9813c251a0d3e7a42003286ff417de15b52ec6dfb3a16b4",
-        "76b9130e2202174360eee0ef977dd48ba975b0d7b5b37343979b925ef8a81314",
-        "b36ebd95f5384581b67758e604827c5b98147863b2b9d029effac7fecc21b742",
-        "72b1075be172e307113d8c4c24b5324f29dec02c3451aaf651200d17f36dcf10",
-        "abd06218cdc4a3da5b8591f13b52cbe0a432a68ddae6712c4cc47a4cdb58967d",
-        "33ead6090e054d6e6e683cf7c401e8fbe3179c8bebff66f15fcc48a95c3c7cf4",
-        "fd4aa6941048c1600d138bf423d8bb36af0eba9d94a2cb4d7a8245313ebd6d60",
-        "76c35ce2b3b10d3d381c5348fe0880ce900617678f824af9bab6e187a7c8b6c6",
-        "07998f28ce099c0956d8c30dd7ec11e6fc58748337a65a628e5f3da95ebe8ff1",
-        "267c068bfe9ebf35ea33c6498348a86e1e47bca8519a4ca61d456b7e35af8984",
-        "e09203566c1c5807b49c286242add66506b091eade85aa4a3315d59bf8e63809",
-    ),
-    3: (
-        "0d3ff9e1db2ee19f18ece1f1d4a0f7313c87f2950b995b2a152dd6e19d7924c4",
-        "dc351cb9bdd43e563e6c28fd07bdf7d5221be534e25828f895001c6b7ddd2a70",
-        "8a1f2d02e08c66d10c5e37fd9f13c677c372c5c020417d639ecf535dd2487878",
-        "a597745d6b9f44417f17e0e54c5f0245aa94287c1ec5fa85da8ee66b286ef4f1",
-        "a54cccbf9a24097e4cc19765e011053968b82724ea21578ccd2bb41bd14e12d0",
-        "e1d2425ddfe37eaa2539fcf42f38afb67458c34df3ba6a106d9498d0c5b97418",
-        "8f6d45201dd88c048ee4942b3d80b264f135378bfdf517d0f9b26b65969afb09",
-        "da755e32b7708bd4153c6af4b6bd76fc8262fde995ae0bb7a50e00e69a10de5e",
-        "78e5f69c71d4b83db6fbeb78ea05a9884ac9c7f911ad01996b0fbe3b2f43f67f",
-        "719df3dce10efe9b6a309f0cdcf25d37ced1ec45a3c194d2f7bf566be7da01a2",
-        "c46dbb0dd14302294374779ea746e00299a2e2de8158cc0de6215c95f0363e35",
-        "77f1fc4a4001a11174930d3d34e7a5cc3fa9f32646fbbff6a3bfe7cd7d23afb1",
-        "f6b00e248df8c2b330e8ee4427d74508646348d7deb5819b192699403ad96629",
-        "94b0a9549f26996deed052871f87b60ab5cc2bb01c0f1b026de782e3d051233e",
-        "0bc61ff41b76ff3dfbf346f4f617b427c76136d0e1dc435a581e416c8aa8d119",
-        "8d27f4cfb2a2b9fadbc04d21a31e05992ad8284c137e15767a3df839b622eec9",
-    ),
-}
-
-
-@pytest.mark.parametrize("degree", sorted(_BASIS_DIGESTS))
-def test_degree_one_to_three_bases_are_pinned_bit_for_bit(degree):
-    fields = monogenic_polynomials_3d(degree)
-    assert len(fields) == len(_BASIS_DIGESTS[degree])
-    for i, (field, want) in enumerate(zip(fields, _BASIS_DIGESTS[degree])):
-        digest = hashlib.sha256()
-        for rows in (field._rows(_PROBES), field._partials(_PROBES)):
-            digest.update(np.ascontiguousarray(rows, dtype="<f8").tobytes())
-        assert digest.hexdigest() == want, f"degree {degree} field {i}"
 
 
 _ON_SHELL_SCALAR = monogenic_polynomials_3d(0)[0]
