@@ -234,11 +234,6 @@ def _rotor_rows(betas) -> np.ndarray:
     return np.cos(b) * ONE.coeffs + np.sin(b) * PSEUDOSCALAR.coeffs
 
 
-def phase_rotor(beta: float) -> Multivector:
-    """cos(beta) + pseudoscalar sin(beta); central, unit norm."""
-    return Multivector._wrap(_rotor_rows([beta])[0])
-
-
 def gauge_transform(
     psi: MultivectorField, field: GaugeField
 ) -> tuple[MultivectorField, GaugeField]:

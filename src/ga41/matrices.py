@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .algebra import Multivector, N_BLADES, _integer
+from .algebra import Multivector, N_BLADES
 
 IDENTITY = np.eye(4, dtype=complex)
 
@@ -64,12 +64,6 @@ RECIPROCAL_IMAGES = (
         dtype=complex,
     ),
 )
-
-
-def sigma_matrix(index: int) -> np.ndarray:
-    """Frozen matrix image of the raised-index unit vector (copy)."""
-    _integer(index, range(5), "basis index out of range: {}", index)
-    return RECIPROCAL_IMAGES[index].copy()
 
 
 _HALF_SIGNS = np.array([1, -1])[:, None, None]

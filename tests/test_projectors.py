@@ -186,7 +186,7 @@ def test_projections_take_numpy_integer_signs(project):
 
 
 def test_the_half_projectors_are_built_once_and_read_only():
-    images = (matrices.BETA, matrices.sigma_matrix(3))
+    images = (matrices.BETA, matrices.RECIPROCAL_IMAGES[3])
     for halves, m in zip((projectors._ENERGY_HALVES, projectors._HELICITY_HALVES), images):
         assert sorted(halves) == [-1, 1]
         for sign, half in halves.items():
