@@ -177,7 +177,7 @@ def test_digest_prints_the_report_line_then_one_line_per_check_then_per_suite_ke
     def calls(n):  # an array, then a tuple of arrays
         return [lambda: np.arange(3.0) + n, lambda: (np.ones(2), np.int8(n))]
 
-    def suite(keys):  # on the tree that gives line 1
+    def suite(keys):  # on the tree that gives the registry lines
         return lambda src, label: {key: calls(len(key)) for key in keys} if src == Path(SRC) else {}
 
     checks = (("zeta", (0.5, -0.5)), ("alpha", (-1.0,)), ("step", ()))
@@ -286,9 +286,11 @@ def _manifest(text):
 def test_digest_prints_the_recorded_manifest():
     # the tree in src alone, in a process of its own, as a re-recording runs it
     env = {**os.environ, "PYTHONPATH": SRC}
-    run = subprocess.run([sys.executable, str(SCRIPTS / "digest.py")], env=env, capture_output=True, text=True)
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "digest.py")], env=env, capture_output=True, text=True, timeout=600
+    )
     assert run.returncode == 0, run.stderr
-    recorded = (SCRIPTS.parent / "tests" / "data" / "digest.txt").read_text()
+    recorded = (Path(__file__).resolve().parent / "data" / "digest.txt").read_text()
     got, want = _manifest(run.stdout), _manifest(recorded)
     moved = [key for key in {**want, **got} if got.get(key) != want.get(key)]
     assert not moved, f"lines moved, appeared or vanished: {', '.join(moved)}"
