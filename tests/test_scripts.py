@@ -283,18 +283,31 @@ def _manifest(text):
     return dict(line.rsplit(" ", 1) for line in text.splitlines())
 
 
-def test_digest_prints_the_recorded_manifest():
-    # the tree in src alone, in a process of its own, as a re-recording runs it
+RECORDED = (Path(__file__).resolve().parent / "data" / "digest.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def printed():
+    """digest.py's stdout on the tree in src alone, in a process of its own, as a re-recording runs it."""
     env = {**os.environ, "PYTHONPATH": SRC}
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "digest.py")], env=env, capture_output=True, text=True, timeout=600
     )
     assert run.returncode == 0, run.stderr
-    recorded = (Path(__file__).resolve().parent / "data" / "digest.txt").read_text()
-    got, want = _manifest(run.stdout), _manifest(recorded)
+    return run.stdout
+
+
+@pytest.mark.parametrize("key", list(_manifest(RECORDED)))
+def test_digest_prints_the_recorded_line_of_each_key(printed, key):
+    # one case per recorded line, so a moved or vanished line fails under its key's name
+    assert _manifest(printed).get(key) == _manifest(RECORDED)[key]
+
+
+def test_digest_prints_the_recorded_manifest(printed):
+    got, want = _manifest(printed), _manifest(RECORDED)
     moved = [key for key in {**want, **got} if got.get(key) != want.get(key)]
     assert not moved, f"lines moved, appeared or vanished: {', '.join(moved)}"
-    assert run.stdout == recorded  # and in the recorded order
+    assert printed == RECORDED  # and in the recorded order
 
 
 @pytest.fixture(scope="module")
