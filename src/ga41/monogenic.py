@@ -109,6 +109,18 @@ def _momentum_rows(momenta: np.ndarray, masses: np.ndarray):
     return rows, _placed(rows, _AMPLITUDE_LAYOUT), rows * _PHASE_SIGNS
 
 
+def _momentum_parts(momentum, *scalars) -> tuple:
+    """The three components of momentum as a tuple of floats, then each
+    scalar (the energy, the mass) as a float; ValueError unless there are
+    three components and each part is a real number that is not a bool."""
+    p = tuple(momentum) if np.iterable(momentum) else ()
+    if len(p) != 3:
+        raise ValueError("momentum must have three components")
+    if not all(map(_real, (*p, *scalars))):
+        raise ValueError("energy, momentum and mass must be real numbers, not bools or strings")
+    return (tuple(map(float, p)), *map(float, scalars))
+
+
 @dataclass(frozen=True)
 class MomentumVector:
     """Null momentum (E, p, m): E^2 = |p|^2 + m^2 within 1e-12.
@@ -123,22 +135,17 @@ class MomentumVector:
     mass: float
 
     def __post_init__(self):
-        p = tuple(float(q) for q in self.momentum)
-        if len(p) != 3:
-            raise ValueError("momentum must have three components")
+        p, energy, mass = _momentum_parts(self.momentum, self.energy, self.mass)
         object.__setattr__(self, "momentum", p)
-        object.__setattr__(self, "energy", float(self.energy))
-        object.__setattr__(self, "mass", float(self.mass))
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "mass", mass)
         _checked_momenta(self._row[None])
 
     @classmethod
     def from_mass_momentum(
         cls, momentum, mass: float, negative_energy: bool = False
     ) -> "MomentumVector":
-        p = tuple(float(q) for q in momentum)
-        if len(p) != 3:
-            raise ValueError("momentum must have three components")
-        mass = float(mass)
+        p, mass = _momentum_parts(momentum, mass)
         # _momentum_rows checks the row, so the constructor's check is skipped;
         # the flipped branch has the same squares and passes the same check
         energy = _momentum_rows(np.array([p]), np.array([mass]))[0][0, 0].item()

@@ -46,6 +46,18 @@ def test_momentum_vector_validation():
         MomentumVector(5.0, (3.0, 0.0), 4.0)
     with pytest.raises(ValueError):
         MomentumVector(5.0, (3.0, 0.0, 0.0), -4.0)
+    # a string is not read as digits, and neither a bool nor a numeric
+    # string passes as a number; numpy scalars do
+    for bad in [(3.0, "122", 0.0), ("5", (3.0, 0.0, 0.0), 4.0), (5.0, (3.0, 0.0, 0.0), "4"),
+                (True, (0.0, 0.0, 0.0), 1.0), (5.0, (3.0, False, 0.0), 4.0), (5.0, 3.0, 4.0)]:
+        with pytest.raises(ValueError):
+            MomentumVector(*bad)
+    for bad in [("300", 4.0), ((3.0, 0.0, 0.0), "4"), ((3.0, 0.0, 0.0), True), (3.0, 4.0),
+                ((True, 0.0, 0.0), 1.0)]:
+        with pytest.raises(ValueError):
+            MomentumVector.from_mass_momentum(*bad)
+    assert MomentumVector(np.float32(5.0), np.array([3, 0, 0]), np.int64(4)) == k
+    assert MomentumVector.from_mass_momentum(np.array([3.0, 0.0, 0.0]), np.float64(4.0)) == k
 
 
 @settings(max_examples=60, deadline=None)
