@@ -754,17 +754,20 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the selected checks (all by default) in registration order.
 
-    ``tolerances`` overrides tolerances by check name.  Unknown check or
-    tolerance names, an override that is not a finite non-negative real
-    number, a seed that is not an integer in [0, 2**64), and a step that
-    is not a finite positive real number (a bool is neither real number)
-    raise ValueError.  Each check's residual is the largest of the
+    ``tolerances`` overrides tolerances by check name.  A string for
+    ``names`` (not a collection of names), unknown check or tolerance
+    names, an override that is not a finite non-negative real number, a
+    seed that is not an integer in [0, 2**64), and a step that is not a
+    finite positive real number (a bool is neither real number) raise
+    ValueError.  Each check's residual is the largest of the
     samples it yields; a NaN sample, or none at all, makes it NaN, which
     fails.  A check whose computation raises ValueError or
     ArithmeticError (say, a step that underflows to 0 when halved)
     fails with residual inf, and the remaining checks still run.
     """
     known = {d.name for d in _REGISTRY}
+    if isinstance(names, str):
+        raise ValueError(f"names must be a collection of check names, not the string {names!r}")
     if names is not None:
         requested = list(names)
         unknown = [n for n in requested if n not in known]

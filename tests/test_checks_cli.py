@@ -67,6 +67,8 @@ def test_seed_changes_randomized_residuals():
 def test_run_checks_validation():
     with pytest.raises(ValueError):
         run_checks(names=["no_such_check"])
+    with pytest.raises(ValueError, match="collection of check names"):
+        run_checks("blade_squares")
     with pytest.raises(ValueError):
         run_checks(tolerances={"no_such_check": 1.0})
     with pytest.raises(ValueError):
