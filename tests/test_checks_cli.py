@@ -1,4 +1,11 @@
-"""Verification registry semantics and the command-line surface."""
+"""Verification registry semantics and the command-line surface.
+
+The recorded reports ``tests/data/report_seed{0,1,7}.json`` are
+``report_json(run_checks(seed=s), s, omit_timings=True)``.  To re-record
+them after an intended change of a residual's bytes:
+
+    PYTHONPATH=src python tests/test_checks_cli.py
+"""
 
 import contextlib
 import dataclasses
@@ -739,3 +746,9 @@ def test_a_programming_error_in_a_check_propagates(monkeypatch):
     monkeypatch.setattr(checks, "_REGISTRY", [dataclasses.replace(first, run=_raising(TypeError))])
     with pytest.raises(TypeError, match="cannot compute"):
         run_checks(seed=0)
+
+
+if __name__ == "__main__":
+    for seed in (0, 1, 7):
+        report = report_json(run_checks(seed=seed), seed, omit_timings=True)
+        (GOLDEN / f"report_seed{seed}.json").write_text(report)
