@@ -1,9 +1,9 @@
-"""Sampled checks that evaluate all their samples on the row kernels, from
-a fixed number of kernel calls; the momentum draws and the frame-duality
-draw order are those of the per-sample loops they replaced; the
-blade-image check compares one exact Gram matrix with 4 I.  The samples
-themselves, at seeds 0-39, are pinned by the per-check lines of
-``tests/data/digest.txt``."""
+"""Sampled checks that draw each input array in one generator call and
+evaluate all their samples on the row kernels, from a fixed number of
+kernel calls; the frame-duality draw order is that of the per-sample loop
+it replaced; the blade-image check compares one exact Gram matrix with
+4 I.  The samples themselves, at seeds 0-39, are pinned by the per-check
+lines of ``tests/data/digest.txt``."""
 
 import contextlib
 import math
@@ -13,29 +13,12 @@ import numpy as np
 import pytest
 
 from ga41 import Multivector, checks
-from ga41.checks import CheckContext, _check_rng, check_definitions, run_checks
+from ga41.checks import CheckContext, _check_rng, check_definitions, check_names, run_checks
 from ga41.algebra import _sample_array, _scalar_products
 from ga41.frames import build_frame
-from ga41.monogenic import MomentumVector, _axis_sum
+from ga41.monogenic import _axis_sum
 
-# -- the per-sample draws the checks replaced, kept as references ----------
-
-
-def _old_random_momentum(rng, min_mass=0.01, min_p=0.0):
-    mass = rng.uniform(min_mass, 5.0)
-    direction = rng.normal(size=3)
-    direction /= np.sqrt((direction * direction).sum())
-    radius = rng.uniform(min_p, 4.9)
-    return MomentumVector.from_mass_momentum(radius * direction, mass)
-
-
-def _old_momenta_and_points(ctx, count, shape, **momentum_kw):
-    momenta, points = [], []
-    for _ in range(count):
-        momenta.append(_old_random_momentum(ctx.rng, **momentum_kw))
-        points.append(ctx.rng.uniform(-1.0, 1.0, shape + (5,)))
-    amplitudes = np.array([k.amplitude.coeffs for k in momenta])
-    return momenta, amplitudes, np.array([k.phase_gradient for k in momenta]), np.array(points)
+# -- the per-sample loop the frame-duality check replaced, kept as a reference
 
 
 def _old_frame_duality(ctx, accept=lambda n: True):
@@ -73,41 +56,6 @@ def _samples(name, seed=0):
     return _sample_array(definition.run(_context(name, seed)))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize(
-    "count, shape, kw",
-    [(100, (2,), {}), (5, (), {}), (50, (4, 2), {"min_mass": 0.1, "min_p": 0.1}),
-     (20, (4, 2), {"min_mass": 0.05})],
-)
-def test_momenta_and_points_are_the_old_draws_byte_for_byte(seed, count, shape, kw):
-    # the draws of monogenic_residual, derivative_order,
-    # phase_sign_exclusivity and dirac_column_fields
-    momenta, *want = _old_momenta_and_points(_context("x", seed), count, shape, **kw)
-    rows, *got = checks._momenta_and_points(_context("x", seed), count, shape, **kw)
-    assert rows.tobytes() == np.array([[k.energy, *k.momentum, k.mass] for k in momenta]).tobytes()
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-
-#: the (low, high) of every draw the registry makes per sample, through
-#: checks._uniform: the masses, the radii, the points and the gauge cases'
-#: draws, the exponentials' angles and directions, the phase coefficients
-AFFINE_DRAWS = [
-    (0.01, 5.0), (0.05, 5.0), (0.1, 5.0), (0.5, 5.0), (0.0, 4.9), (0.1, 4.9),
-    (-1.0, 1.0), (0.1, 2.0), (-0.8, 0.8),
-]
-
-
-@pytest.mark.parametrize("size", [None, 3, (4, 2, 5)])
-@pytest.mark.parametrize("low, high", AFFINE_DRAWS)
-def test_the_affine_draw_is_rng_uniform_byte_for_byte(low, high, size):
-    ours, theirs = _check_rng(7, "x"), _check_rng(7, "x")
-    got = [checks._uniform(ours, low, high, size) for _ in range(500)]
-    want = [theirs.uniform(low, high, size) for _ in range(500)]
-    assert type(got[0]) is type(want[0])
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert ours.random() == theirs.random()  # the streams stay in step
-
-
 def test_a_rekeyed_generator_draws_the_stream_of_a_new_one():
     # used part way first: a 32-bit draw buffered, the Philox buffer half read
     used = _check_rng(3, "other")
@@ -136,17 +84,43 @@ def test_a_registry_pass_builds_one_philox_per_run_checks_call(monkeypatch):
     assert [(r.name, r.residual) for r in got] == [(r.name, r.residual) for r in want]
 
 
-def test_a_registry_pass_draws_per_sample_at_those_bounds_only(monkeypatch):
-    seen = set()
-    real = checks._uniform
+#: generator calls per check, one per input array, 47 a pass; a check not
+#: listed draws nothing (json_determinism's nested runs have generators of
+#: their own)
+DRAWS = {
+    "associativity": 1, "vector_decomposition": 1, "cross_product_link": 1,
+    "exp_closed_forms": 2, "rotor_unitarity": 1, "phi_homomorphism": 1, "phi_round_trip": 1,
+    # the masses, directions and radii of the momenta, then their points
+    "monogenic_residual": 4, "derivative_order": 4, "phase_sign_exclusivity": 4,
+    "dirac_spectrum": 3, "lambda_involution": 3, "psi_determinism": 3,
+    "dirac_column_fields": 4, "custom_quadruple_generators": 1, "frame_duality": 1,
+    # and then the gauge cases' phase coefficients and potentials
+    "nonmonogenic_identity": 6, "em_covariance": 6,
+}
 
-    def recorded(rng, low, high, size=None):
-        seen.add((low, high))
-        return real(rng, low, high, size)
 
-    monkeypatch.setattr(checks, "_uniform", recorded)
-    assert all(r.status == "pass" for r in run_checks(seed=0))
-    assert seen == set(AFFINE_DRAWS)
+class _CountingGenerator:
+    """A generator's methods, each call counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("name", check_names())
+def test_each_check_draws_each_input_array_in_one_generator_call(name):
+    rng = _CountingGenerator(_check_rng(0, name))
+    definition = next(d for d in check_definitions() if d.name == name)
+    assert _sample_array(definition.run(CheckContext(rng, 1e-3))).size
+    assert rng.calls == DRAWS.get(name, 0) <= 6
 
 
 #: (check, checks._product calls, eigvalsh calls, samples)

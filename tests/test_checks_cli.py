@@ -153,8 +153,8 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_report_matches_the_recorded_report(seed):
-    # recorded before the sampled checks were batched; any change to a
-    # residual's last bit shows here
+    # recorded by this module's __main__; any change to a residual's last
+    # bit shows here
     want = (GOLDEN / f"report_seed{seed}.json").read_text()
     assert report_json(run_checks(seed=seed), seed, omit_timings=True) == want
 
@@ -230,11 +230,11 @@ def test_field_checks_make_calls_that_do_not_depend_on_the_sample_count(
             field, _rows=counted("_rows", field._rows), _partials=counted("_partials", field._partials)
         )
 
-    real_field, real_draw = checks.harmonic_field, checks._momenta_and_points
+    real_field, real_draw = checks.harmonic_field, checks._random_momenta
     monkeypatch.setattr(checks, "harmonic_field", counted_field)
     monkeypatch.setattr(
-        checks, "_momenta_and_points",
-        lambda ctx, count, shape, **kw: real_draw(ctx, -(-count // share), shape, **kw),
+        checks, "_random_momenta",
+        lambda rng, count, *args, **kw: real_draw(rng, -(-count // share), *args, **kw),
     )
     for module in (checks, monogenic):
         monkeypatch.setattr(module, "_product", counted("_product", module._product))
@@ -650,8 +650,9 @@ def test_dirac_column_fields_fails_when_samples_are_nan(monkeypatch):
 @pytest.mark.parametrize("nan_points", ["every", "first_of_each_pair"])
 def test_phase_sign_exclusivity_fails_on_nan_derivatives(monkeypatch, nan_points):
     # a NaN residual violates both the canonical bound and the
-    # non-canonical one, so all 50 x 4 variants count; the NaN goes into
-    # the batched rows of every point, or of the first of each variant's two
+    # non-canonical one, so its margin, and the check's residual, is NaN;
+    # the NaN goes into the batched rows of every point, or of the first of
+    # each variant's two
     real = checks.vector_derivative
 
     def patched(field, x, *args, **kwargs):
@@ -663,7 +664,41 @@ def test_phase_sign_exclusivity_fails_on_nan_derivatives(monkeypatch, nan_points
     monkeypatch.setattr(checks, "vector_derivative", patched)
     result = run_checks(names=["phase_sign_exclusivity"], seed=0)[0]
     assert result.status == "fail"
-    assert result.residual == 200.0
+    assert math.isnan(result.residual)
+
+
+@pytest.mark.parametrize(
+    "canonical, other, status",
+    [
+        ((1e-10, 0), (1e-8, 0), "fail"),  # a residual equal to the other signs' bound fails
+        ((1e-10, 0), (1e-8, 1), "pass"),  # one float above it passes
+        ((1e-10, 1), (1.0, 0), "fail"),  # the canonical residual one float above its bound
+        ((0.0, 0), (0.0, 0), "fail"),
+    ],
+)
+def test_phase_sign_exclusivity_keeps_its_bounds_exactly(monkeypatch, canonical, other, status):
+    # each wave's residual is (factor, floats up): factor times its
+    # amplitude's scale, that many floats up; the check asks at most
+    # 1e-10 scale of the canonical sign and more than 1e-8 scale of the others
+    scales = []
+    real = checks.harmonic_field
+
+    def field(amplitudes, grads):
+        scales.append(np.max(np.abs(amplitudes[::4]), axis=1))
+        return real(amplitudes, grads)
+
+    def residual(factor, up):
+        r = factor * scales[0]
+        return np.nextafter(r, math.inf) if up else r
+
+    def derivative(waves, x):
+        rows = np.zeros(x.shape[:-1] + (32,))
+        rows[:, 0, 0] = np.stack([residual(*canonical)] + 3 * [residual(*other)], 1).ravel()
+        return rows
+
+    monkeypatch.setattr(checks, "harmonic_field", field)
+    monkeypatch.setattr(checks, "vector_derivative", derivative)
+    assert run_checks(names=["phase_sign_exclusivity"], seed=0)[0].status == status
 
 
 def test_json_report_writes_a_nan_residual_as_null():
