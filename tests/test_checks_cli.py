@@ -677,9 +677,9 @@ def test_phase_sign_exclusivity_fails_on_nan_derivatives(monkeypatch, nan_points
     ],
 )
 def test_phase_sign_exclusivity_keeps_its_bounds_exactly(monkeypatch, canonical, other, status):
-    # each wave's residual is (factor, floats up): factor times its
-    # amplitude's scale, that many floats up; the check asks at most
-    # 1e-10 scale of the canonical sign and more than 1e-8 scale of the others
+    # each wave's residual is (factor, up): factor times its amplitude's
+    # scale, one float up when up is 1; the check asks at most 1e-10 scale
+    # of the canonical sign and more than 1e-8 scale of the others
     scales = []
     real = checks.harmonic_field
 
