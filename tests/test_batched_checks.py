@@ -17,7 +17,7 @@ from ga41 import Multivector, checks
 from ga41.checks import CheckContext, _check_rng, check_definitions, check_names, run_checks
 from ga41.algebra import _sample_array, _scalar_products
 from ga41.frames import build_frame
-from ga41.monogenic import _axis_sum
+from ga41.monogenic import MomentumVector, _axis_sum
 
 # -- the per-sample loop the frame-duality check replaced, kept as a reference
 
@@ -55,6 +55,35 @@ def _context(name, seed):
 def _samples(name, seed=0):
     definition = next(d for d in check_definitions() if d.name == name)
     return _sample_array(definition.run(_context(name, seed)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "count, shape, kw",
+    [(100, (2,), {}), (5, (), {}), (50, (4, 2), {"min_mass": 0.1, "min_p": 0.1}),
+     (20, (4, 2), {"min_mass": 0.05})],
+)
+def test_random_momenta_are_one_draw_per_array_byte_for_byte(seed, count, shape, kw):
+    # the draws of monogenic_residual, derivative_order,
+    # phase_sign_exclusivity and dirac_column_fields, against the same four
+    # draws made by hand and one MomentumVector per sample
+    ours, theirs = _check_rng(seed, "x"), _check_rng(seed, "x")
+    rows, *got = checks._random_momenta(ours, count, shape, **kw)
+    min_mass, min_p = kw.get("min_mass", 0.01), kw.get("min_p", 0.0)
+    masses = theirs.uniform(min_mass, 5.0, count)
+    directions = theirs.normal(size=(count, 3))
+    radii = theirs.uniform(min_p, 4.9, count)
+    points = theirs.uniform(-1.0, 1.0, (count, *shape, 5))
+    units = directions / np.linalg.norm(directions, axis=-1)[:, None]
+    momenta = [MomentumVector.from_mass_momentum(r * u, m) for r, u, m in zip(radii, units, masses)]
+    amplitudes = np.array([k.amplitude.coeffs for k in momenta])
+    want = [amplitudes, np.array([k.phase_gradient for k in momenta]), points]
+    assert rows.tobytes() == np.array([[k.energy, *k.momentum, k.mass] for k in momenta]).tobytes()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert ours.random() == theirs.random()  # the streams stay in step
+    norms = np.linalg.norm(rows[:, 1:4], axis=1)
+    assert np.all((min_mass <= rows[:, 4]) & (rows[:, 4] < 5.0))
+    assert np.all((min_p - 1e-12 <= norms) & (norms < 4.9 + 1e-12))
 
 
 def test_a_rekeyed_generator_draws_the_stream_of_a_new_one():
